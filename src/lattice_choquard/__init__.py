@@ -18,11 +18,8 @@ from .lattice import (
     DomainError,
     Field,
     LatticeSpec,
-    gradient_form,
-    grad_norm,
     ibp_check,
     lp_norm,
-    neighbors,
     p_laplacian,
     random_field,
     read_field_csv,
@@ -31,7 +28,6 @@ from .lattice import (
 from .kernel import (
     KernelTable,
     build_table,
-    canonical_representatives,
     convolve,
     dense_operator,
     fractional_degree,
@@ -51,16 +47,14 @@ from .model import (
     check_hypotheses,
     eval_F,
     eval_f,
-    eval_potential,
     exponent_margins,
-    potential_floor,
-    potential_grid,
-    potential_period,
     validate_model,
 )
 from .energy import (
     EnergyContext,
+    FiberCoefficients,
     energy_J,
+    fiber_coefficients,
     grad_J,
     h_norm,
     h_norm_pow,
@@ -72,9 +66,7 @@ from .energy import (
     pointwise_residual,
 )
 from .nehari import (
-    FiberCoefficients,
     FiberProbe,
-    fiber_coefficients,
     fiber_max_golden,
     fiber_phi,
     fiber_probe,

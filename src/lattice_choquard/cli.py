@@ -38,7 +38,6 @@ from .model import (
     ModelViolationError,
     PeriodicPotential,
     SumOfPowers,
-    potential_period,
     validate_model,
 )
 from .nehari import fiber_probe, project_su
@@ -311,7 +310,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     ctx = _make_ctx(cfg)
     report = minimize_ground_state(ctx, cfg.solver, threads=threads)
     u_out = report.u
-    if potential_period(cfg.model.potential) is not None:
+    if cfg.model.potential.period is not None:
         u_out = center_normalize(ctx, report.u)
     wall = time.perf_counter() - t0
 

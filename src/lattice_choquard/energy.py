@@ -16,6 +16,14 @@ which is simultaneously the pointwise residual of the Euler-Lagrange equation.
 The gradient sum in the norm runs over the box enlarged by one ring of sites;
 with zero extension that captures every nonzero term, so all values equal
 their whole-lattice counterparts for supported fields.
+
+For power sums F(su) = sum_i (a_i/q_i) s^{q_i} |u|^{q_i}, so one evaluation
+of u (`fiber_coefficients`: the norm power and one convolution R * |u|^{q_i}
+per term) gives all of these along the ray s -> s u, grad J(su) included:
+
+    phi(s) = <J'(su), su> = s^p norm^p(u) - sum_{ij} (a_i/q_i) a_j B_ij s^{q_i+q_j}
+    J(su)  = s^p norm^p(u)/p - 1/2 sum_{ij} (a_i/q_i)(a_j/q_j) B_ij s^{q_i+q_j}
+    B_ij   = sum (R * |u|^{q_i}) |u|^{q_j}.
 """
 
 from __future__ import annotations
@@ -26,10 +34,12 @@ import numpy as np
 
 from .kernel import KernelTable, build_table, convolve
 from .lattice import Field, grad_sq_grid, p_laplacian
-from .model import ModelSpec, eval_F, eval_f, potential_grid
+from .model import ModelSpec, SumOfPowers, eval_f
 
 __all__ = [
     "EnergyContext",
+    "FiberCoefficients",
+    "fiber_coefficients",
     "make_context",
     "h_norm",
     "h_norm_pow",
@@ -86,7 +96,7 @@ def make_context(
         table = build_table(
             model.lattice, model.alpha, quad_points, cache_dir=cache_dir, **kwargs
         )
-    h = potential_grid(model.potential, model.lattice)
+    h = model.potential.grid(model.lattice)
     return EnergyContext(model=model, table=table, h_grid=h)
 
 
@@ -104,16 +114,93 @@ def h_norm(ctx: EnergyContext, u: Field) -> float:
     return h_norm_pow(ctx, u) ** (1.0 / ctx.model.p)
 
 
-def interaction_energy(ctx: EnergyContext, u: Field, method: str = "fft") -> float:
+@dataclass(frozen=True, eq=False)
+class FiberCoefficients:
+    """One evaluation of a field u, and the fiber maps along s -> s u.
+
+    phi(s) = s^p * norm_pow - sum_k phi_weights[k] * s^exponents[k]
+    energy(s) = s^p * norm_pow / p - sum_k energy_weights[k] * s^exponents[k]
+
+    `conv_fields` holds R * |u|^{q_i} per nonlinearity term.
+    """
+
+    p: float
+    norm_pow: float
+    exponents: np.ndarray
+    phi_weights: np.ndarray
+    energy_weights: np.ndarray
+    nonlinearity: SumOfPowers
+    u: np.ndarray
+    conv_fields: tuple[np.ndarray, ...]
+
+    def _poly(self, s, norm_divisor: float, weights: np.ndarray):
+        s = np.asarray(s, dtype=float)
+        tail = np.sum(weights * s[..., None] ** self.exponents, axis=-1)
+        out = s**self.p * self.norm_pow / norm_divisor - tail
+        return out if out.ndim else float(out)
+
+    def phi(self, s):
+        return self._poly(s, 1.0, self.phi_weights)
+
+    def energy(self, s):
+        return self._poly(s, self.p, self.energy_weights)
+
+    def gradient(self, s: float, kappa: Field) -> np.ndarray:
+        """grad J(s u), given the pairing field kappa of u.
+
+        The norm part is (p-1)-homogeneous, so it rescales from kappa; the
+        convolved power fields rescale termwise to give (R * F(su)).
+        """
+        conv_F = np.zeros(self.u.size)
+        for (a, q), conv in zip(self.nonlinearity.terms, self.conv_fields):
+            conv_F += (a / q) * s**q * conv
+        f_su = np.asarray(eval_f(self.nonlinearity, s * self.u))
+        return s ** (self.p - 1.0) * kappa.values - conv_F * f_su
+
+
+def fiber_coefficients(ctx: EnergyContext, u: Field) -> FiberCoefficients:
+    """Evaluate a field once: its norm power, one convolution per
+    nonlinearity term, and the fiber polynomials built from them."""
+    norm_pow = h_norm_pow(ctx, u)
+    terms = ctx.model.nonlinearity.terms
+    absu = np.abs(u.values)
+    convs = []
+    powers = []
+    for _, q in terms:
+        w = absu**q
+        powers.append(w)
+        convs.append(convolve(ctx.table, Field(ctx.spec, w)).values)
+    exps = []
+    wphi = []
+    wen = []
+    for (a_i, q_i), conv in zip(terms, convs):
+        for (a_j, q_j), power in zip(terms, powers):
+            b = float(np.dot(conv, power))
+            exps.append(q_i + q_j)
+            wphi.append((a_i / q_i) * a_j * b)
+            wen.append(0.5 * (a_i / q_i) * (a_j / q_j) * b)
+    exponents = np.asarray(exps)
+    order = np.argsort(exponents, kind="stable")
+    return FiberCoefficients(
+        p=ctx.model.p,
+        norm_pow=norm_pow,
+        exponents=exponents[order],
+        phi_weights=np.asarray(wphi)[order],
+        energy_weights=np.asarray(wen)[order],
+        nonlinearity=ctx.model.nonlinearity,
+        u=u.values,
+        conv_fields=tuple(convs),
+    )
+
+
+def interaction_energy(ctx: EnergyContext, u: Field) -> float:
     """D(u) = sum (R_alpha * F(u)) F(u), the nonlocal interaction term."""
-    fvals = np.asarray(eval_F(ctx.model.nonlinearity, u.values))
-    conv = convolve(ctx.table, Field(ctx.spec, fvals), method=method)
-    return float(np.sum(conv.values * fvals))
+    return 2.0 * float(np.sum(fiber_coefficients(ctx, u).energy_weights))
 
 
 def energy_J(ctx: EnergyContext, u: Field) -> float:
     """J(u) = norm^p(u)/p - D(u)/2; J(0) = 0."""
-    return h_norm_pow(ctx, u) / ctx.model.p - 0.5 * interaction_energy(ctx, u)
+    return fiber_coefficients(ctx, u).energy(1.0)
 
 
 def pairing_field(ctx: EnergyContext, u: Field) -> Field:
@@ -135,13 +222,8 @@ def pairing(ctx: EnergyContext, u: Field, v: Field) -> float:
 
 def grad_J(ctx: EnergyContext, u: Field) -> Field:
     """Componentwise derivative of J; entry x equals <J'(u), delta_x>."""
-    nl = ctx.model.nonlinearity
-    fvals = np.asarray(eval_F(nl, u.values))
-    conv = convolve(ctx.table, Field(ctx.spec, fvals))
-    local = pairing_field(ctx, u)
-    return Field(
-        ctx.spec, local.values - conv.values * np.asarray(eval_f(nl, u.values))
-    )
+    coeffs = fiber_coefficients(ctx, u)
+    return Field(ctx.spec, coeffs.gradient(1.0, pairing_field(ctx, u)))
 
 
 def nehari_functional(ctx: EnergyContext, u: Field) -> float:
@@ -149,13 +231,7 @@ def nehari_functional(ctx: EnergyContext, u: Field) -> float:
 
     Zero (for u != 0) characterizes membership in the constraint manifold.
     """
-    nl = ctx.model.nonlinearity
-    fvals = np.asarray(eval_F(nl, u.values))
-    conv = convolve(ctx.table, Field(ctx.spec, fvals))
-    nonlocal_part = float(
-        np.sum(conv.values * np.asarray(eval_f(nl, u.values)) * u.values)
-    )
-    return h_norm_pow(ctx, u) - nonlocal_part
+    return fiber_coefficients(ctx, u).phi(1.0)
 
 
 def pointwise_residual(ctx: EnergyContext, u: Field) -> float:

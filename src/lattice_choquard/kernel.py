@@ -35,7 +35,7 @@ from math import comb, pi
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .lattice import DomainError, Field, LatticeSpec
 
@@ -208,8 +208,8 @@ class KernelTable:
             raise DomainError(f"difference {tuple(d)} outside table range")
         return float(self.values[idx])
 
-    def save(self, path) -> None:
-        meta = {
+    def _meta(self) -> dict:
+        return {
             "dim": self.dim,
             "radius": self.radius,
             "alpha": self.alpha,
@@ -217,8 +217,12 @@ class KernelTable:
             "transform_order": self.transform_order,
             "k_alpha": self.k_alpha,
         }
+
+    def save(self, path) -> None:
         np.savez(
-            path, values=self.values, meta=np.array(json.dumps(meta, sort_keys=True))
+            path,
+            values=self.values,
+            meta=np.array(json.dumps(self._meta(), sort_keys=True)),
         )
 
     @staticmethod
@@ -238,16 +242,7 @@ class KernelTable:
 
     def write_csv(self, path) -> None:
         """Dump rows "d_1,...,d_N,value" over the full difference range."""
-        meta = {
-            "dim": self.dim,
-            "radius": self.radius,
-            "alpha": self.alpha,
-            "quad_points": self.quad_points,
-            "transform_order": self.transform_order,
-            "k_alpha": self.k_alpha,
-        }
-        lines = ["# " + json.dumps(meta, sort_keys=True)]
-        rng = range(-2 * self.radius, 2 * self.radius + 1)
+        lines = ["# " + json.dumps(self._meta(), sort_keys=True)]
         for multi in np.ndindex(*self.values.shape):
             d = tuple(m - 2 * self.radius for m in multi)
             lines.append(
@@ -255,21 +250,6 @@ class KernelTable:
             )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-def canonical_representatives(dim: int, radius: int) -> list[tuple[int, ...]]:
-    """Sorted nonnegative representatives of the kernel symmetry classes."""
-    reps: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], lo: int) -> None:
-        if len(prefix) == dim:
-            reps.append(prefix)
-            return
-        for c in range(lo, 2 * radius + 1):
-            rec(prefix + (c,), c)
-
-    rec((), 0)
-    return reps
 
 
 def _cache_path(
@@ -385,8 +365,15 @@ def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
     if method == "fft":
-        out = fftconvolve(w.grid(), table.values, mode="same")
-        return Field(w.spec, out.reshape(-1))
+        # zero-pad both to the full linear-convolution size, rounded up to a
+        # fast real-FFT length, and keep the window aligned with the box
+        full = [a + b - 1 for a, b in zip(w.spec.shape, table.values.shape)]
+        fshape = [next_fast_len(n, True) for n in full]
+        spectrum = rfftn(w.grid(), fshape) * rfftn(table.values, fshape)
+        out = irfftn(spectrum, fshape)
+        start = 2 * table.radius
+        window = tuple(slice(start, start + n) for n in w.spec.shape)
+        return Field(w.spec, out[window].reshape(-1))
     if method == "direct":
         mat = dense_operator(table)
         return Field(w.spec, mat @ w.values)

@@ -26,9 +26,6 @@ __all__ = [
     "DomainError",
     "LatticeSpec",
     "Field",
-    "neighbors",
-    "gradient_form",
-    "grad_norm",
     "p_laplacian",
     "lp_norm",
     "ibp_check",
@@ -190,35 +187,6 @@ class Field:
         return Field(self.spec, out.reshape(-1))
 
 
-def neighbors(x: Sequence[int], spec: LatticeSpec) -> list[tuple[int, ...]]:
-    """The 2N lattice neighbors of a box site, including points outside B."""
-    if not spec.contains(x):
-        raise DomainError(f"site {tuple(x)} outside box of radius {spec.radius}")
-    pt = tuple(int(c) for c in x)
-    out = []
-    for j in range(spec.dim):
-        for s in (1, -1):
-            out.append(pt[:j] + (pt[j] + s,) + pt[j + 1 :])
-    return out
-
-
-def gradient_form(u: Field, v: Field, x: Sequence[int]) -> float:
-    """Gamma(u, v)(x) = 1/2 sum over neighbors of the difference products."""
-    if u.spec != v.spec:
-        raise DomainError("fields live on different lattices")
-    ux = u.value_at(x)
-    vx = v.value_at(x)
-    acc = 0.0
-    for y in neighbors(x, u.spec):
-        acc += (u.value_at(y) - ux) * (v.value_at(y) - vx)
-    return 0.5 * acc
-
-
-def grad_norm(u: Field, x: Sequence[int]) -> float:
-    """|grad u|(x) = sqrt(Gamma(u, u)(x))."""
-    return float(np.sqrt(gradient_form(u, u, x)))
-
-
 def _padded_grid(u: Field, margin: int) -> np.ndarray:
     """Zero-padded value grid covering the box enlarged by `margin`."""
     return np.pad(u.grid(), margin)
@@ -292,7 +260,7 @@ def lp_norm(u: Field, p: float) -> float:
 
 
 def gradient_form_grid(u: Field, v: Field, margin: int = 1) -> np.ndarray:
-    """Gamma(u, v) on the enlarged box; array counterpart of gradient_form."""
+    """Gamma(u, v) on the box enlarged by `margin` sites per side."""
     if u.spec != v.spec:
         raise DomainError("fields live on different lattices")
     ubig = _padded_grid(u, margin + 1)

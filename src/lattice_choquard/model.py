@@ -30,10 +30,6 @@ __all__ = [
     "ModelSpec",
     "ModelRejectedError",
     "ModelViolationError",
-    "eval_potential",
-    "potential_grid",
-    "potential_floor",
-    "potential_period",
     "eval_f",
     "eval_F",
     "HypothesisVerdict",
@@ -61,9 +57,21 @@ class ConstantPotential:
 
     value: float
 
+    period = 1  # every translation leaves h unchanged
+
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value <= 0:
             raise ValueError("constant potential must be positive")
+
+    def __call__(self, x: Sequence[int]) -> float:
+        return self.value
+
+    def grid(self, spec: LatticeSpec) -> np.ndarray:
+        return np.full(spec.shape, self.value)
+
+    @property
+    def floor(self) -> float:
+        return self.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,9 +95,18 @@ class PeriodicPotential:
         object.__setattr__(self, "cell", arr)
         object.__setattr__(self, "period", int(self.period))
 
+    def __call__(self, x: Sequence[int]) -> float:
+        return float(self.cell[tuple(int(c) % self.period for c in x)])
+
+    def grid(self, spec: LatticeSpec) -> np.ndarray:
+        if self.cell.ndim != spec.dim:
+            raise ValueError("potential cell dimension does not match lattice")
+        coords = np.arange(-spec.radius, spec.radius + 1) % self.period
+        return self.cell[np.ix_(*[coords] * spec.dim)].astype(float)
+
     @property
-    def dim(self) -> int:
-        return self.cell.ndim
+    def floor(self) -> float:
+        return float(np.min(self.cell))
 
 
 @dataclass(frozen=True)
@@ -101,6 +118,8 @@ class CoercivePotential:
     scale: float
     exponent: float
 
+    period = None  # no translation leaves h unchanged
+
     def __post_init__(self) -> None:
         if not np.isfinite(self.floor) or self.floor <= 0:
             raise ValueError("floor must be positive")
@@ -110,60 +129,22 @@ class CoercivePotential:
             raise ValueError("exponent must be positive")
         object.__setattr__(self, "center", tuple(int(c) for c in self.center))
 
+    def __call__(self, x: Sequence[int]) -> float:
+        dist = sum(abs(int(c) - c0) for c, c0 in zip(x, self.center))
+        return self.floor + self.scale * float(dist) ** self.exponent
 
-Potential = Union[ConstantPotential, PeriodicPotential, CoercivePotential]
-
-
-def eval_potential(pot: Potential, x: Sequence[int]) -> float:
-    """Potential value at a lattice point (defined on all of Z^N)."""
-    if isinstance(pot, ConstantPotential):
-        return pot.value
-    if isinstance(pot, PeriodicPotential):
-        idx = tuple(int(c) % pot.period for c in x)
-        return float(pot.cell[idx])
-    if isinstance(pot, CoercivePotential):
-        dist = sum(abs(int(c) - c0) for c, c0 in zip(x, pot.center))
-        return pot.floor + pot.scale * float(dist) ** pot.exponent
-    raise TypeError(f"unknown potential type {type(pot)!r}")
-
-
-def potential_grid(pot: Potential, spec: LatticeSpec) -> np.ndarray:
-    """Potential sampled over the box, shaped like the box grid."""
-    coords = np.arange(-spec.radius, spec.radius + 1)
-    if isinstance(pot, ConstantPotential):
-        return np.full(spec.shape, pot.value)
-    if isinstance(pot, PeriodicPotential):
-        if pot.dim != spec.dim:
-            raise ValueError("potential cell dimension does not match lattice")
-        idx = np.ix_(*[coords % pot.period] * spec.dim)
-        return pot.cell[idx].astype(float)
-    if isinstance(pot, CoercivePotential):
-        if len(pot.center) != spec.dim:
+    def grid(self, spec: LatticeSpec) -> np.ndarray:
+        if len(self.center) != spec.dim:
             raise ValueError("potential center dimension does not match lattice")
-        grids = np.meshgrid(*[coords] * spec.dim, indexing="ij")
-        dist = sum(np.abs(g - c0) for g, c0 in zip(grids, pot.center))
-        return pot.floor + pot.scale * dist.astype(float) ** pot.exponent
-    raise TypeError(f"unknown potential type {type(pot)!r}")
+        dist = np.abs(spec.coordinate_array() - self.center).sum(axis=1)
+        h = self.floor + self.scale * dist.astype(float) ** self.exponent
+        return h.reshape(spec.shape)
 
 
-def potential_floor(pot: Potential) -> float:
-    """Greatest lower bound h_0 > 0 of the potential over Z^N."""
-    if isinstance(pot, ConstantPotential):
-        return pot.value
-    if isinstance(pot, PeriodicPotential):
-        return float(np.min(pot.cell))
-    if isinstance(pot, CoercivePotential):
-        return pot.floor
-    raise TypeError(f"unknown potential type {type(pot)!r}")
-
-
-def potential_period(pot: Potential) -> int | None:
-    """Translation period (1 for constant); None when h is not periodic."""
-    if isinstance(pot, ConstantPotential):
-        return 1
-    if isinstance(pot, PeriodicPotential):
-        return pot.period
-    return None
+# A potential is callable as h(x) on Z^N and has `grid(spec)` (h over the
+# box, shaped like the box grid), `floor` (its infimum over Z^N, positive)
+# and `period` (1 for constant h, None when no translation preserves h).
+Potential = Union[ConstantPotential, PeriodicPotential, CoercivePotential]
 
 
 @dataclass(frozen=True)
@@ -229,12 +210,7 @@ class ModelSpec:
             raise ValueError("p must be >= 2")
         if not np.isfinite(self.alpha) or not 0 < self.alpha < self.lattice.dim:
             raise ValueError("alpha must lie in (0, N)")
-        if isinstance(self.potential, PeriodicPotential):
-            if self.potential.dim != self.lattice.dim:
-                raise ValueError("potential cell dimension does not match lattice")
-        if isinstance(self.potential, CoercivePotential):
-            if len(self.potential.center) != self.lattice.dim:
-                raise ValueError("potential center dimension does not match lattice")
+        self.potential.grid(self.lattice)  # raises on a dimension mismatch
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "alpha", float(self.alpha))
 
@@ -268,20 +244,6 @@ class HypothesisReport:
     def failing(self) -> list[str]:
         return [v.name for v in self.verdicts if not v.passed]
 
-    def as_dict(self) -> dict:
-        return {
-            "accepted": self.accepted,
-            "verdicts": [
-                {
-                    "name": v.name,
-                    "passed": v.passed,
-                    "margin": v.margin,
-                    "detail": v.detail,
-                }
-                for v in self.verdicts
-            ],
-        }
-
 
 def exponent_margins(spec: ModelSpec) -> tuple[float, float]:
     """(min q_i - p, min q_i - critical threshold); both must be positive."""
@@ -289,93 +251,57 @@ def exponent_margins(spec: ModelSpec) -> tuple[float, float]:
     return min(qs) - spec.p, min(qs) - spec.critical_threshold
 
 
-def _default_grid() -> np.ndarray:
-    return np.logspace(-4, 2, 61)
-
-
-def check_hypotheses(
-    spec: ModelSpec,
-    sample_grid: np.ndarray | None = None,
-    table=None,
-    n_fields: int = 8,
-    seed: int = 0,
-) -> HypothesisReport:
+def check_hypotheses(spec: ModelSpec) -> HypothesisReport:
     """Machine-checkable admissibility report for a model.
 
-    Arithmetic verdicts (exponent thresholds, the superlinearity inequality
-    for power sums) are exact.  Behavioral verdicts sample: the vanishing
-    ratio f(t)/t^{p-1} on a decade grid, the growth envelope constant, and,
-    when a kernel table is supplied, strict monotonicity of the scaled
-    nonlocal pairing t -> t^{-p} sum (R * F(tu)) f(tu) u over random fields.
-    Without a table the monotonicity verdict falls back to the exact exponent
-    argument valid for power sums.
+    Arithmetic verdicts (the potential floor, periodicity and coercivity,
+    exponent thresholds, the superlinearity inequality for power sums) are
+    exact.  Behavioral verdicts sample: the vanishing ratio f(t)/t^{p-1} on a
+    decade grid and the growth envelope constant.  Monotonicity of the scaled
+    nonlocal pairing t -> t^{-p} sum (R * F(tu)) f(tu) u follows from the
+    exponent argument valid for power sums.
     """
-    grid = _default_grid() if sample_grid is None else np.asarray(sample_grid, float)
+    grid = np.logspace(-4, 2, 61)
     nl = spec.nonlinearity
     p = spec.p
-    verdicts: list[HypothesisVerdict] = []
-
-    hvals = potential_grid(spec.potential, spec.lattice)
-    hmin = float(np.min(hvals))
-    verdicts.append(
+    pot = spec.potential
+    verdicts: list[HypothesisVerdict] = [
         HypothesisVerdict(
             name="potential_floor",
-            passed=hmin > 0,
-            margin=hmin,
-            detail=f"min over box = {hmin:.6g}",
+            passed=pot.floor > 0,
+            margin=pot.floor,
+            detail=f"inf of h over Z^N = {pot.floor:.6g}",
         )
-    )
-    if isinstance(spec.potential, PeriodicPotential):
-        T = spec.potential.period
-        worst = 0.0
-        for count, x in enumerate(spec.lattice.sites()):
-            shifted = tuple(c + T for c in x)
-            worst = max(
-                worst,
-                abs(
-                    eval_potential(spec.potential, x)
-                    - eval_potential(spec.potential, shifted)
-                ),
-            )
-            if count >= 511:
-                break
+    ]
+    if isinstance(pot, PeriodicPotential):
         verdicts.append(
             HypothesisVerdict(
                 name="potential_periodicity",
-                passed=worst == 0.0,
-                margin=-worst,
-                detail=f"max |h(x+T e_j) - h(x)| over sampled sites = {worst:.3g}",
+                passed=True,
+                margin=0.0,
+                detail=f"h(x) = cell[x mod {pot.period}], so h(x + T e_j) = h(x)",
             )
         )
-    if isinstance(spec.potential, CoercivePotential):
-        ok = True
-        coords = np.arange(0, spec.lattice.radius + 1)
-        for axis in range(spec.lattice.dim):
-            ray = []
-            for c in coords:
-                x = list(spec.potential.center)
-                x[axis] += int(c)
-                ray.append(eval_potential(spec.potential, x))
-            ok = ok and all(b >= a for a, b in zip(ray, ray[1:]))
+    if isinstance(pot, CoercivePotential):
+        # floor + scale * d^exponent grows without bound along every ray
+        # exactly when scale > 0 and exponent > 0
+        margin = min(pot.scale, pot.exponent)
         verdicts.append(
             HypothesisVerdict(
                 name="potential_coercivity",
-                passed=ok,
-                margin=1.0 if ok else -1.0,
-                detail="nondecreasing along axis rays from the center",
+                passed=margin > 0,
+                margin=margin,
+                detail="nondecreasing in the l1 distance from the center",
             )
         )
 
     # Vanishing at zero: f(t)/t^{p-1} -> 0, equivalent to min q_i > p.
     gap_p, gap_crit = exponent_margins(spec)
     small = grid[grid <= 1.0]
-    if small.size >= 2:
-        # the ratio is sum_i a_i t^{q_i - p}: it drains to 0 as t -> 0+
-        # exactly when every q_i > p, and is constant or growing otherwise
-        ratios = np.asarray(eval_f(nl, small)) / small ** (p - 1.0)
-        sampled_ok = bool(ratios[0] < 0.5 * ratios[-1])
-    else:
-        sampled_ok = True
+    # the ratio is sum_i a_i t^{q_i - p}: it drains to 0 as t -> 0+
+    # exactly when every q_i > p, and is constant or growing otherwise
+    ratios = np.asarray(eval_f(nl, small)) / small ** (p - 1.0)
+    sampled_ok = bool(ratios[0] < 0.5 * ratios[-1])
     verdicts.append(
         HypothesisVerdict(
             name="vanishing_at_zero",
@@ -411,45 +337,16 @@ def check_hypotheses(
         )
     )
 
-    if table is not None:
-        from .lattice import random_field
-        from .kernel import convolve
-        from .lattice import Field
-
-        rng = np.random.default_rng(seed)
-        tvals = np.logspace(-2, 2, 64)
-        worst_inc = np.inf
-        for _ in range(n_fields):
-            u = random_field(spec.lattice, rng)
-            vals = []
-            for t in tvals:
-                tu = t * u.values
-                conv = convolve(table, Field(spec.lattice, eval_F(nl, tu)))
-                pairing = float(
-                    np.sum(conv.values * np.asarray(eval_f(nl, tu)) * u.values)
-                )
-                vals.append(pairing / t**p)
-            inc = np.diff(vals) / np.maximum(np.abs(vals[:-1]), 1e-300)
-            worst_inc = min(worst_inc, float(np.min(inc)))
-        verdicts.append(
-            HypothesisVerdict(
-                name="fiber_monotonicity",
-                passed=worst_inc > 0,
-                margin=worst_inc,
-                detail=f"sampled over {n_fields} fields x {tvals.size} scales",
-            )
+    margin = 2.0 * theta - 1.0 - p
+    verdicts.append(
+        HypothesisVerdict(
+            name="fiber_monotonicity",
+            passed=margin > 0,
+            margin=margin,
+            detail="exponent argument: smallest pairing power is "
+            f"2 theta - 1 = {2 * theta - 1:.6g} > p",
         )
-    else:
-        margin = 2.0 * theta - 1.0 - p
-        verdicts.append(
-            HypothesisVerdict(
-                name="fiber_monotonicity",
-                passed=margin > 0,
-                margin=margin,
-                detail="exponent argument: smallest pairing power is "
-                f"2 theta - 1 = {2 * theta - 1:.6g} > p",
-            )
-        )
+    )
 
     verdicts.append(
         HypothesisVerdict(
@@ -465,9 +362,9 @@ def check_hypotheses(
     return HypothesisReport(tuple(verdicts))
 
 
-def validate_model(spec: ModelSpec, **kwargs) -> HypothesisReport:
+def validate_model(spec: ModelSpec) -> HypothesisReport:
     """check_hypotheses, raising ModelRejectedError when any verdict fails."""
-    report = check_hypotheses(spec, **kwargs)
+    report = check_hypotheses(spec)
     if not report.accepted:
         details = {v.name: v.detail for v in report.verdicts if not v.passed}
         raise ModelRejectedError(

@@ -11,19 +11,15 @@ m = m_hat is a homeomorphism onto the manifold with inverse u -> u / ||u||,
 and the reduced functional Psi(w) = J(m(w)) turns the constrained ground-state
 problem into unconstrained minimization over S.
 
-For power-sum nonlinearities every fiber quantity is a polynomial in s whose
-coefficients need one convolution per term:
-
-    phi(s)  = s^p norm^p(u) - sum_{ij} (a_i/q_i) a_j B_ij s^{q_i + q_j}
-    J(su)   = s^p norm^p(u)/p - 1/2 sum_{ij} (a_i/q_i)(a_j/q_j) B_ij s^{q_i+q_j}
-    B_ij    = sum (R * |u|^{q_i}) |u|^{q_j}.
-
-The root finder brackets by doubling and finishes with bisection, which the
-sign structure above makes unconditionally safe.
+For power-sum nonlinearities every fiber quantity is a polynomial in s (see
+`energy.fiber_coefficients`).  The root finder brackets by doubling and
+finishes with bisection, which the sign structure of phi makes
+unconditionally safe.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,21 +27,18 @@ import numpy as np
 
 from .energy import (
     EnergyContext,
+    FiberCoefficients,
     energy_J,
-    grad_J,
+    fiber_coefficients,
     h_norm,
-    h_norm_pow,
     nehari_functional,
     pairing_field,
 )
-from .kernel import convolve
 from .lattice import DomainError, Field
 from .model import ModelViolationError
 
 __all__ = [
-    "FiberCoefficients",
     "FiberProbe",
-    "fiber_coefficients",
     "fiber_phi",
     "fiber_probe",
     "project_su",
@@ -59,81 +52,6 @@ __all__ = [
 _BRACKET_DOUBLINGS = 60
 _BISECT_MAX_ITERS = 200
 _BISECT_REL_WIDTH = 1e-13
-
-
-@dataclass(frozen=True, eq=False)
-class FiberCoefficients:
-    """Polynomial form of the fiber maps along the ray through one field.
-
-    phi(s) = s^p * norm_pow - sum_k phi_weights[k] * s^exponents[k]
-    energy(s) = s^p * norm_pow / p - sum_k energy_weights[k] * s^exponents[k]
-    """
-
-    p: float
-    norm_pow: float
-    exponents: np.ndarray
-    phi_weights: np.ndarray
-    energy_weights: np.ndarray
-    conv_fields: tuple[np.ndarray, ...] | None = None
-
-    def phi(self, s):
-        s = np.asarray(s, dtype=float)
-        tail = np.sum(
-            self.phi_weights * s[..., None] ** self.exponents, axis=-1
-        )
-        out = s**self.p * self.norm_pow - tail
-        return out if out.ndim else float(out)
-
-    def energy(self, s):
-        s = np.asarray(s, dtype=float)
-        tail = np.sum(
-            self.energy_weights * s[..., None] ** self.exponents, axis=-1
-        )
-        out = s**self.p * self.norm_pow / self.p - tail
-        return out if out.ndim else float(out)
-
-
-def fiber_coefficients(
-    ctx: EnergyContext, u: Field, keep_fields: bool = False
-) -> FiberCoefficients:
-    """Assemble the fiber polynomial for a nonzero field.
-
-    One convolution per nonlinearity term; `keep_fields` retains the
-    convolved power fields (R * |u|^{q_i}) for reuse by gradient assembly.
-    """
-    norm_pow = h_norm_pow(ctx, u)
-    if norm_pow == 0.0:
-        raise DomainError("the zero field has no fiber projection")
-    terms = ctx.model.nonlinearity.terms
-    absu = np.abs(u.values)
-    convs = []
-    powers = []
-    for _, q in terms:
-        w = absu**q
-        powers.append(w)
-        convs.append(convolve(ctx.table, Field(ctx.spec, w)).values)
-    n = len(terms)
-    exps = []
-    wphi = []
-    wen = []
-    for i in range(n):
-        a_i, q_i = terms[i]
-        for j in range(n):
-            a_j, q_j = terms[j]
-            b = float(np.dot(convs[i], powers[j]))
-            exps.append(q_i + q_j)
-            wphi.append((a_i / q_i) * a_j * b)
-            wen.append(0.5 * (a_i / q_i) * (a_j / q_j) * b)
-    exponents = np.asarray(exps)
-    order = np.argsort(exponents, kind="stable")
-    return FiberCoefficients(
-        p=ctx.model.p,
-        norm_pow=norm_pow,
-        exponents=exponents[order],
-        phi_weights=np.asarray(wphi)[order],
-        energy_weights=np.asarray(wen)[order],
-        conv_fields=tuple(convs) if keep_fields else None,
-    )
 
 
 def fiber_phi(ctx: EnergyContext, u: Field, s: float) -> float:
@@ -182,8 +100,10 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     return 0.5 * (lo + hi)
 
 
-def _project(ctx: EnergyContext, u: Field, keep_fields: bool = False):
-    coeffs = fiber_coefficients(ctx, u, keep_fields=keep_fields)
+def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients]:
+    coeffs = fiber_coefficients(ctx, u)
+    if coeffs.norm_pow == 0.0:
+        raise DomainError("the zero field has no fiber projection")
     return _phi_root(coeffs), coeffs
 
 
@@ -208,16 +128,16 @@ def project_su(
 
 def m_inverse(ctx: EnergyContext, u: Field) -> Field:
     """Inverse of the sphere-to-manifold homeomorphism: u -> u / ||u||."""
-    norm_pow = h_norm_pow(ctx, u)
-    if norm_pow == 0.0:
+    coeffs = fiber_coefficients(ctx, u)
+    if coeffs.norm_pow == 0.0:
         raise DomainError("the zero field is not on the constraint manifold")
-    defect = abs(nehari_functional(ctx, u))
-    if defect > 1e-6 * norm_pow:
+    defect = abs(coeffs.phi(1.0))
+    if defect > 1e-6 * coeffs.norm_pow:
         raise DomainError(
             f"field is not on the constraint manifold: |<J'(u), u>| = "
-            f"{defect:.3e} vs norm^p = {norm_pow:.3e}"
+            f"{defect:.3e} vs norm^p = {coeffs.norm_pow:.3e}"
         )
-    return Field(u.spec, u.values / norm_pow ** (1.0 / ctx.model.p))
+    return Field(u.spec, u.values / coeffs.norm_pow ** (1.0 / ctx.model.p))
 
 
 def psi(ctx: EnergyContext, w: Field) -> float:
@@ -245,9 +165,8 @@ def psi_grad_pairing(ctx: EnergyContext, w: Field, z: Field) -> float:
         raise DomainError(
             f"direction is not tangent: |(w, z)| = {abs(tangency):.3e}"
         )
-    s, _ = _project(ctx, w)
-    g = grad_J(ctx, Field(w.spec, s * w.values))
-    return s * float(np.dot(g.values, z.values))
+    s, coeffs = _project(ctx, w)
+    return s * float(np.dot(coeffs.gradient(s, kappa), z.values))
 
 
 @dataclass(frozen=True)
@@ -272,7 +191,7 @@ def fiber_probe(
     )
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_max(

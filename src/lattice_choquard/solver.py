@@ -33,12 +33,7 @@ from .energy import (
     pointwise_residual,
 )
 from .lattice import Field
-from .model import (
-    CoercivePotential,
-    ModelViolationError,
-    eval_f,
-    potential_period,
-)
+from .model import ModelViolationError
 from .nehari import fiber_coefficients, golden_max, _phi_root
 
 __all__ = [
@@ -178,28 +173,12 @@ def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
     return fields
 
 
-def _assemble_gradient(ctx, w: Field, s: float, coeffs, kappa: Field) -> np.ndarray:
-    """grad J(s w) from the pieces already computed at the sphere point w.
-
-    The norm part is (p-1)-homogeneous, so it rescales from kappa; the
-    convolved power fields of w rescale termwise to give (R * F(sw)).
-    """
-    p = ctx.model.p
-    terms = ctx.model.nonlinearity.terms
-    conv_F = np.zeros(ctx.spec.site_count)
-    for (a, q), conv in zip(terms, coeffs.conv_fields):
-        conv_F += (a / q) * s**q * conv
-    u_vals = s * w.values
-    f_u = np.asarray(eval_f(ctx.model.nonlinearity, u_vals))
-    return s ** (p - 1.0) * kappa.values - conv_F * f_u
-
-
 def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _StartResult:
     norm0 = h_norm(ctx, w0)
     if norm0 == 0.0:
         raise ValueError("initial field must be nonzero")
     w = Field(ctx.spec, w0.values / norm0)
-    coeffs = fiber_coefficients(ctx, w, keep_fields=True)
+    coeffs = fiber_coefficients(ctx, w)
     s = _phi_root(coeffs)
     psi_val = float(coeffs.energy(s))
 
@@ -216,7 +195,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
 
     for it in range(cfg.max_iters):
         kappa = pairing_field(ctx, w)
-        g = _assemble_gradient(ctx, w, s, coeffs, kappa)
+        g = coeffs.gradient(s, kappa)
         resid = float(np.max(np.abs(g)))
 
         s_hist.append(s)
@@ -257,7 +236,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             tnorm = h_norm(ctx, trial)
             if tnorm > 0:
                 w_try = Field(ctx.spec, trial_vals / tnorm)
-                coeffs_try = fiber_coefficients(ctx, w_try, keep_fields=True)
+                coeffs_try = fiber_coefficients(ctx, w_try)
                 s_try = _phi_root(coeffs_try)
                 psi_try = float(coeffs_try.energy(s_try))
                 if psi_try <= psi_val + cfg.sufficient_decrease * t * slope:
@@ -410,10 +389,10 @@ def center_normalize(ctx: EnergyContext, u: Field) -> Field:
     box or the energy check disagrees; coercive potentials admit no valid
     translation and pass through unchanged.
     """
-    if isinstance(ctx.model.potential, CoercivePotential):
+    T = ctx.model.potential.period
+    if T is None:
         logger.info("center_normalize: coercive potential, no translation applied")
         return u
-    T = potential_period(ctx.model.potential)
     if not np.any(u.values):
         return u
     argmax = int(np.argmax(np.abs(u.values)))

@@ -82,13 +82,12 @@ def _random_supported(spec, rng, scale: float) -> Field:
     sub = max(1, spec.radius // 2)
     room = spec.radius - sub
     center = rng.integers(-room, room + 1, size=spec.dim) if room > 0 else np.zeros(spec.dim, dtype=int)
-    vals = np.zeros(spec.site_count)
     side = 2 * sub + 1
     block = rng.standard_normal(side**spec.dim).reshape((side,) * spec.dim)
-    for offset, v in np.ndenumerate(block):
-        site = tuple(int(center[j]) + offset[j] - sub for j in range(spec.dim))
-        vals[spec.index_of(site)] = v * scale
-    return Field(spec, vals)
+    grid = np.zeros(spec.shape)
+    corner = center + spec.radius - sub
+    grid[tuple(slice(c, c + side) for c in corner)] = block * scale
+    return Field(spec, grid.reshape(-1))
 
 
 def _hls_ratios(ctx: EnergyContext, r: float, s: float | None, n: int, rng) -> np.ndarray:
@@ -326,9 +325,11 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
 def _direct_fiber_max(ctx: EnergyContext, K: np.ndarray, vals: np.ndarray) -> float:
     """max_s J(s v) evaluated through the dense kernel matrix.
 
-    The fiber restriction of J is a polynomial in s whose coefficients come
-    from one norm evaluation and a handful of dense quadratic forms, so the
-    golden-section maximization runs on scalars.
+    This is the oracle's own fiber evaluation, kept apart from
+    `energy.fiber_coefficients` on purpose: the fiber restriction of J is a
+    polynomial in s whose coefficients come from one norm evaluation and a
+    handful of dense quadratic forms, so the golden-section maximization runs
+    on plain floats.
     """
     if not np.any(vals):
         return np.inf
@@ -338,17 +339,14 @@ def _direct_fiber_max(ctx: EnergyContext, K: np.ndarray, vals: np.ndarray) -> fl
     terms = ctx.model.nonlinearity.terms
     powers = [np.abs(vals) ** q for _, q in terms]
     images = [K @ g for g in powers]
-    weights = []
-    exponents = []
+    pairs = []
     for i, (ai, qi) in enumerate(terms):
         for j, (aj, qj) in enumerate(terms):
-            weights.append(0.5 * (ai / qi) * (aj / qj) * float(np.dot(images[i], powers[j])))
-            exponents.append(qi + qj)
-    weights = np.asarray(weights)
-    exponents = np.asarray(exponents)
+            b = float(np.dot(images[i], powers[j]))
+            pairs.append((0.5 * (ai / qi) * (aj / qj) * b, qi + qj))
 
     def fiber(s: float) -> float:
-        return A * s**p / p - float(np.sum(weights * s**exponents))
+        return A * s**p / p - sum(w * s**e for w, e in pairs)
 
     hi = 1.0
     for _ in range(200):

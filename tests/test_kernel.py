@@ -1,17 +1,19 @@
 """Lattice kernel: symbol, normalization constant, table, convolution."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+import lattice_choquard
 from lattice_choquard import (
     DomainError,
     Field,
     LatticeSpec,
     build_table,
-    canonical_representatives,
     convolve,
     dense_operator,
     fractional_degree,
@@ -20,6 +22,7 @@ from lattice_choquard import (
     riesz_kernel,
 )
 from lattice_choquard.kernel import CACHE_ENV_VAR
+from reference import canonical_representatives
 
 # Adaptive-quadrature oracle values (QAWS algebraic-endpoint rule on the
 # stable 4 sin^2(k/2) form of the symbol), frozen from an independent
@@ -233,3 +236,13 @@ def test_kernel_csv_dump(tmp_path, table_1d):
     d0 = dict((int(r.split(",")[0]), float(r.split(",")[1])) for r in data)
     assert d0[0] == pytest.approx(table_1d.value((0,)))
     assert d0[5] == d0[-5]
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second of import time; convolve needs only
+    # scipy.fft
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    code = "import sys, lattice_choquard; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.stdout.split() == [b"False"], out.stderr

@@ -7,16 +7,14 @@ from lattice_choquard import (
     DomainError,
     Field,
     LatticeSpec,
-    grad_norm,
-    gradient_form,
     ibp_check,
     lp_norm,
-    neighbors,
     p_laplacian,
     random_field,
     read_field_csv,
     write_field_csv,
 )
+from reference import grad_norm, gradient_form, neighbors
 
 
 def inner_trim(u, margin=2):

@@ -15,11 +15,7 @@ from lattice_choquard import (
     check_hypotheses,
     eval_F,
     eval_f,
-    eval_potential,
     exponent_margins,
-    potential_floor,
-    potential_grid,
-    potential_period,
     validate_model,
 )
 from conftest import make_model
@@ -27,28 +23,28 @@ from conftest import make_model
 
 def test_constant_potential():
     pot = ConstantPotential(2.5)
-    assert eval_potential(pot, (7,)) == 2.5
-    assert potential_floor(pot) == 2.5
+    assert pot((7,)) == 2.5
+    assert pot.floor == 2.5
     with pytest.raises(ValueError):
         ConstantPotential(0.0)
 
 
 def test_periodic_potential_wraps():
     pot = PeriodicPotential(period=2, cell=np.array([1.0, 3.0]))
-    assert eval_potential(pot, (0,)) == 1.0
-    assert eval_potential(pot, (1,)) == 3.0
-    assert eval_potential(pot, (2,)) == 1.0
-    assert eval_potential(pot, (-1,)) == 3.0
-    assert potential_floor(pot) == 1.0
-    assert potential_period(pot) == 2
+    assert pot((0,)) == 1.0
+    assert pot((1,)) == 3.0
+    assert pot((2,)) == 1.0
+    assert pot((-1,)) == 3.0
+    assert pot.floor == 1.0
+    assert pot.period == 2
 
 
 def test_periodic_potential_2d_cell():
     cell = np.array([[1.0, 2.0], [3.0, 4.0]])
     pot = PeriodicPotential(period=2, cell=cell)
-    assert eval_potential(pot, (0, 1)) == 2.0
-    assert eval_potential(pot, (3, 3)) == 4.0
-    assert eval_potential(pot, (-2, -1)) == 2.0
+    assert pot((0, 1)) == 2.0
+    assert pot((3, 3)) == 4.0
+    assert pot((-2, -1)) == 2.0
 
 
 def test_periodic_potential_rejects_nonpositive_cell():
@@ -58,20 +54,20 @@ def test_periodic_potential_rejects_nonpositive_cell():
 
 def test_coercive_potential_graph_distance():
     pot = CoercivePotential(floor=1.0, center=(0,), scale=1.0, exponent=1.0)
-    assert eval_potential(pot, (4,)) == 5.0  # 1 + |4|
-    assert eval_potential(pot, (-4,)) == 5.0
+    assert pot((4,)) == 5.0  # 1 + |4|
+    assert pot((-4,)) == 5.0
     pot2 = CoercivePotential(floor=0.5, center=(1, -1), scale=2.0, exponent=2.0)
     # l1 distance from (1,-1) to (3,0) is 3
-    assert eval_potential(pot2, (3, 0)) == 0.5 + 2.0 * 9.0
-    assert potential_period(pot2) is None
+    assert pot2((3, 0)) == 0.5 + 2.0 * 9.0
+    assert pot2.period is None
 
 
 def test_potential_grid_matches_pointwise():
     spec = LatticeSpec(1, 3)
     pot = PeriodicPotential(period=3, cell=np.array([1.0, 2.0, 5.0]))
-    grid = potential_grid(pot, spec)
+    grid = pot.grid(spec)
     for i, x in enumerate(spec.sites()):
-        assert grid.reshape(-1)[i] == eval_potential(pot, x)
+        assert grid.reshape(-1)[i] == pot(x)
 
 
 def test_nonlinearity_point_values():
@@ -180,3 +176,14 @@ def test_potential_floor_verdict_fails_for_tiny_floor():
     verdict = {v.name: v for v in report.verdicts}["potential_floor"]
     # a positive constant is a legal floor no matter how small
     assert verdict.passed
+
+
+def test_periodic_and_coercive_potential_verdicts_pass():
+    periodic = PeriodicPotential(2, np.array([1.0, 3.0]))
+    coercive = CoercivePotential(floor=1.0, center=(1,), scale=0.5, exponent=1.5)
+    for pot, name in (
+        (periodic, "potential_periodicity"),
+        (coercive, "potential_coercivity"),
+    ):
+        report = check_hypotheses(make_model(1, 6, 2.0, 0.5, 4.0, potential=pot))
+        assert {v.name: v.passed for v in report.verdicts}[name]

@@ -104,8 +104,8 @@ def test_fiber_phi_is_the_constraint_along_the_ray(ctx_p3):
 def test_fiber_coefficients_polynomial(ctx):
     rng = np.random.default_rng(6)
     u = random_field(ctx.spec, rng)
-    coeffs = fiber_coefficients(ctx, u, keep_fields=True)
-    assert coeffs.conv_fields  # raw convolution fields retained on demand
+    coeffs = fiber_coefficients(ctx, u)
+    assert coeffs.conv_fields  # raw convolution fields retained for the gradient
     grid = np.geomspace(0.1, 3.0, 7)
     phis = coeffs.phi(grid)
     for s, ph in zip(grid, phis):

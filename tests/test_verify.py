@@ -148,3 +148,15 @@ def test_write_checks_json(tmp_path, ctx_a):
     assert len(data["checks"]) == 2
     for entry in data["checks"]:
         assert set(entry) >= {"name", "statement", "n_samples", "margin", "passed", "seed"}
+
+
+def test_random_supported_matches_site_by_site_fill():
+    from lattice_choquard.verify import _random_supported
+    from reference import random_supported_by_sites
+
+    for dim, radius in ((1, 1), (1, 8), (2, 6), (3, 2)):
+        spec = LatticeSpec(dim, radius)
+        for seed in range(20):
+            fast = _random_supported(spec, np.random.default_rng(seed), 3.5)
+            slow = random_supported_by_sites(spec, np.random.default_rng(seed), 3.5)
+            assert np.array_equal(fast.values, slow.values)
