@@ -99,6 +99,13 @@ from .verify import (
     su_uniqueness_scan,
     write_checks_json,
 )
-from .cli import ConfigError, RunConfig, main, parse_config, run
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli loads on first use, so `python -m lattice_choquard.cli` runs it once
+    if name in ("ConfigError", "RunConfig", "main", "parse_config", "run"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -492,7 +492,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=os.cpu_count() or 1,
+            default=1,
             help="parallel starts/checks bound",
         )
         p.add_argument(

@@ -126,18 +126,29 @@ class FiberCoefficients:
 
     p: float
     norm_pow: float
-    exponents: np.ndarray
-    phi_weights: np.ndarray
-    energy_weights: np.ndarray
+    exponents: tuple[float, ...]
+    phi_weights: tuple[float, ...]
+    energy_weights: tuple[float, ...]
     nonlinearity: SumOfPowers
     u: np.ndarray
     conv_fields: tuple[np.ndarray, ...]
 
-    def _poly(self, s, norm_divisor: float, weights: np.ndarray):
-        s = np.asarray(s, dtype=float)
-        tail = np.sum(weights * s[..., None] ** self.exponents, axis=-1)
-        out = s**self.p * self.norm_pow / norm_divisor - tail
-        return out if out.ndim else float(out)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_powers", np.array((self.p, *self.exponents)))
+
+    def _poly(self, s, norm_divisor: float, weights: tuple[float, ...]):
+        # np.power even for a float: numpy's AVX-512 power rounds unlike **
+        if isinstance(s, float):
+            lead, *terms = np.power(s, self._powers).tolist()
+        else:
+            s = np.asarray(s, dtype=float)
+            lead, *terms = np.moveaxis(np.power.outer(s, self._powers), -1, 0)
+        if self.p == 2.0:
+            lead = s * s  # as numpy's ** squares for an exponent of 2
+        tail = 0.0
+        for w, power in zip(weights, terms):
+            tail = tail + w * power
+        return lead * self.norm_pow / norm_divisor - tail
 
     def phi(self, s):
         return self._poly(s, 1.0, self.phi_weights)
@@ -170,23 +181,19 @@ def fiber_coefficients(ctx: EnergyContext, u: Field) -> FiberCoefficients:
         w = absu**q
         powers.append(w)
         convs.append(convolve(ctx.table, Field(ctx.spec, w)).values)
-    exps = []
-    wphi = []
-    wen = []
+    rows = []  # (exponent, phi weight, energy weight)
     for (a_i, q_i), conv in zip(terms, convs):
+        c = a_i / q_i
         for (a_j, q_j), power in zip(terms, powers):
             b = float(np.dot(conv, power))
-            exps.append(q_i + q_j)
-            wphi.append((a_i / q_i) * a_j * b)
-            wen.append(0.5 * (a_i / q_i) * (a_j / q_j) * b)
-    exponents = np.asarray(exps)
-    order = np.argsort(exponents, kind="stable")
+            rows.append((q_i + q_j, c * a_j * b, 0.5 * c * (a_j / q_j) * b))
+    exps, wphi, wen = zip(*sorted(rows, key=lambda row: row[0]))
     return FiberCoefficients(
         p=ctx.model.p,
         norm_pow=norm_pow,
-        exponents=exponents[order],
-        phi_weights=np.asarray(wphi)[order],
-        energy_weights=np.asarray(wen)[order],
+        exponents=exps,
+        phi_weights=wphi,
+        energy_weights=wen,
         nonlinearity=ctx.model.nonlinearity,
         u=u.values,
         conv_fields=tuple(convs),

@@ -365,12 +365,14 @@ def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
     if method == "fft":
-        # zero-pad both to the full linear-convolution size, rounded up to a
-        # fast real-FFT length, and keep the window aligned with the box
-        full = [a + b - 1 for a, b in zip(w.spec.shape, table.values.shape)]
-        fshape = [next_fast_len(n, True) for n in full]
-        spectrum = rfftn(w.grid(), fshape) * rfftn(table.values, fshape)
-        out = irfftn(spectrum, fshape)
+        # zero-pad both to the linear-convolution size 6r+1, rounded up to a
+        # fast real-FFT length; the kernel's spectrum is cached on the table
+        fshape = [next_fast_len(6 * table.radius + 1, True)] * table.dim
+        spectrum = getattr(table, "_spectrum", None)
+        if spectrum is None:
+            spectrum = rfftn(table.values, fshape)
+            object.__setattr__(table, "_spectrum", spectrum)
+        out = irfftn(rfftn(w.grid(), fshape) * spectrum, fshape)
         start = 2 * table.radius
         window = tuple(slice(start, start + n) for n in w.spec.shape)
         return Field(w.spec, out[window].reshape(-1))

@@ -189,7 +189,9 @@ class Field:
 
 def _padded_grid(u: Field, margin: int) -> np.ndarray:
     """Zero-padded value grid covering the box enlarged by `margin`."""
-    return np.pad(u.grid(), margin)
+    out = np.zeros((u.spec.side + 2 * margin,) * u.spec.dim)
+    out[(slice(margin, margin + u.spec.side),) * u.spec.dim] = u.grid()
+    return out
 
 
 def _core(ndim: int) -> tuple[slice, ...]:

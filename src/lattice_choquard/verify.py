@@ -11,11 +11,11 @@ not a crash.
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .energy import (
     EnergyContext,
@@ -40,6 +40,18 @@ __all__ = [
     "run_all_checks",
     "write_checks_json",
 ]
+
+
+class _LazyModule:
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+# imported on first use: it takes about 0.3 s, and only the oracle needs it
+optimize = _LazyModule("scipy.optimize")
 
 _GRID_POINTS = 1024
 _T_LADDER = (1.0, 1.25, 2.0, 5.0, 10.0)
@@ -258,11 +270,11 @@ def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
         coeffs = fiber_coefficients(ctx, u)
         lo, hi = 1.0, 1.0
         for _ in range(80):
-            if coeffs.phi(np.array([lo]))[0] > 0:
+            if coeffs.phi(lo) > 0:
                 break
             lo *= 0.5
         for _ in range(80):
-            if coeffs.phi(np.array([hi]))[0] < 0:
+            if coeffs.phi(hi) < 0:
                 break
             hi *= 2.0
         grid = np.geomspace(lo / 2.0, hi * 2.0, _GRID_POINTS)

@@ -65,3 +65,8 @@ def random_supported_by_sites(spec: LatticeSpec, rng, scale: float) -> Field:
         site = tuple(int(center[j]) + offset[j] - sub for j in range(spec.dim))
         vals[spec.index_of(site)] = v * scale
     return Field(spec, vals)
+
+
+def padded_grid_by_np_pad(u: Field, margin: int) -> np.ndarray:
+    """The zero-padded value grid of `lattice`, built with np.pad."""
+    return np.pad(u.grid(), margin)

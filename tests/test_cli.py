@@ -1,10 +1,14 @@
 """Config parsing, subcommands, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lattice_choquard
 from lattice_choquard import (
     ConfigError,
     ModelRejectedError,
@@ -296,3 +300,20 @@ def test_run_dispatcher(tmp_path):
     out = tmp_path / "nested" / "dir"
     assert run("kernel", cfg, out_dir=str(out)) == 0
     assert (out / "kernel.csv").exists()
+
+
+def test_threads_default_to_one():
+    from lattice_choquard.cli import _build_parser
+
+    args = _build_parser().parse_args(["solve", "--config", "c.json"])
+    assert args.threads == 1
+
+
+def test_module_entry_point_imports_cleanly():
+    # the package must not import cli itself, or runpy warns that
+    # lattice_choquard.cli is already in sys.modules
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    flags = ["-W", "error::RuntimeWarning", "-m", "lattice_choquard.cli", "--help"]
+    out = subprocess.run([sys.executable, *flags], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr

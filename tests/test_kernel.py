@@ -1,5 +1,6 @@
 """Lattice kernel: symbol, normalization constant, table, convolution."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -159,6 +160,24 @@ def test_convolve_fft_equals_direct(fixture, request):
         slow = convolve(table, w, method="direct").values
         denom = max(float(np.max(np.abs(slow))), 1e-300)
         assert float(np.max(np.abs(fast - slow))) / denom <= 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["table_1d", "table_2d"])
+def test_convolve_cached_spectrum_is_bitwise_stable(fixture, request):
+    # the kernel spectrum is computed once per table; repeated calls and a
+    # call on a fresh copy of the table give the same bits
+    table = request.getfixturevalue(fixture)
+    spec = LatticeSpec(table.dim, table.radius)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        w = random_field(spec, rng)
+        first = convolve(table, w).values
+        again = convolve(table, w).values
+        fresh = convolve(dataclasses.replace(table), w).values
+        assert first.tobytes() == again.tobytes() == fresh.tobytes()
+        slow = convolve(table, w, method="direct").values
+        err = float(np.max(np.abs(first - slow)))
+        assert err <= 1e-12 * float(np.max(np.abs(slow)))
 
 
 def test_convolve_positivity(table_2d):

@@ -14,7 +14,8 @@ from lattice_choquard import (
     read_field_csv,
     write_field_csv,
 )
-from reference import grad_norm, gradient_form, neighbors
+from lattice_choquard import lattice
+from reference import grad_norm, gradient_form, neighbors, padded_grid_by_np_pad
 
 
 def inner_trim(u, margin=2):
@@ -98,6 +99,18 @@ def test_p_laplacian_odd_scaling():
     lhs = p_laplacian(Field(spec, t * u.values), p).values
     rhs = t * abs(t) ** (p - 2.0) * p_laplacian(u, p).values
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stencils_match_np_pad_reference(dim, monkeypatch):
+    spec = LatticeSpec(dim, 3)
+    u = random_field(spec, np.random.default_rng(40 + dim))
+    fast = [lattice.grad_sq_grid(u)] + [p_laplacian(u, p).values for p in (2.0, 3.0)]
+    monkeypatch.setattr(lattice, "_padded_grid", padded_grid_by_np_pad)
+    ref = [lattice.grad_sq_grid(u)] + [p_laplacian(u, p).values for p in (2.0, 3.0)]
+    for a, b in zip(fast, ref):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_p_laplacian_rejects_small_p():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from lattice_choquard import (
+    ConstantPotential,
     Field,
+    LatticeSpec,
+    ModelSpec,
+    SumOfPowers,
     convolve,
     energy_J,
     fiber_coefficients,
@@ -114,6 +118,31 @@ def test_fiber_coefficients_polynomial(ctx):
         assert en == pytest.approx(
             energy_J(ctx, Field(ctx.spec, float(s) * u.values)), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_fiber_polynomial_float_path_matches_array_path(p):
+    # phi and J along the ray run on plain floats for a float s; they must
+    # equal the broadcast array evaluation bit for bit
+    model = ModelSpec(
+        lattice=LatticeSpec(1, 5),
+        p=p,
+        alpha=0.5,
+        potential=ConstantPotential(1.0),
+        nonlinearity=SumOfPowers(((1.0, 4.0), (0.5, 5.0))),
+    )
+    ctx_two = make_context(model)
+    u = random_field(ctx_two.spec, np.random.default_rng(9))
+    coeffs = fiber_coefficients(ctx_two, u)
+    draws = np.random.default_rng(10).uniform(0.01, 20.0, 1000)
+    grid = np.concatenate([np.geomspace(1e-3, 1e3, 1001), draws])
+    for fn in (coeffs.phi, coeffs.energy):
+        on_array = fn(grid)
+        for s, expected in zip(grid.tolist(), on_array.tolist()):
+            value = fn(s)
+            assert type(value) is float
+            assert value == expected
+            assert value == fn(np.array([s]))[0]
 
 
 def test_m_inverse_unit_norm(ctx):

@@ -1,10 +1,14 @@
 """Inequality harness and the brute-force level oracle."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lattice_choquard
 from lattice_choquard import (
     ConstantPotential,
     DomainError,
@@ -160,3 +164,12 @@ def test_random_supported_matches_site_by_site_fill():
             fast = _random_supported(spec, np.random.default_rng(seed), 3.5)
             slow = random_supported_by_sites(spec, np.random.default_rng(seed), 3.5)
             assert np.array_equal(fast.values, slow.values)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 0.3 s of import time; only the oracle uses it
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    code = "import sys, lattice_choquard; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.stdout.split() == [b"False"], out.stderr
