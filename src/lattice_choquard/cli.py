@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import make_context
-from .kernel import build_table
 from .lattice import DomainError, LatticeSpec, read_field_csv, write_field_csv
 from .model import (
     CoercivePotential,
@@ -363,17 +362,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> 
 
 def _cmd_kernel(cfg: RunConfig, out_dir: str) -> int:
     t0 = time.perf_counter()
-    table = build_table(
-        cfg.model.lattice,
-        cfg.model.alpha,
-        quad_points=cfg.quad_points,
-        **(
-            {"transform_order": cfg.transform_order}
-            if cfg.transform_order is not None
-            else {}
-        ),
-        cache_dir=cfg.cache_dir,
-    )
+    table = _make_ctx(cfg).table
     path = os.path.join(out_dir, "kernel.csv")
     table.write_csv(path)
     wall = time.perf_counter() - t0

@@ -28,6 +28,7 @@ per term) gives all of these along the ray s -> s u, grad J(su) included:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +91,8 @@ def make_context(
 ) -> EnergyContext:
     """Build the evaluation context, constructing the kernel table if needed."""
     if table is None:
-        kwargs = {}
-        if transform_order is not None:
-            kwargs["transform_order"] = transform_order
         table = build_table(
-            model.lattice, model.alpha, quad_points, cache_dir=cache_dir, **kwargs
+            model.lattice, model.alpha, quad_points, transform_order, cache_dir
         )
     h = model.potential.grid(model.lattice)
     return EnergyContext(model=model, table=table, h_grid=h)
@@ -156,6 +154,17 @@ class FiberCoefficients:
     def energy(self, s):
         return self._poly(s, self.p, self.energy_weights)
 
+    def tail_log_slope(self, s: float) -> float:
+        """d log T / d log s for the tail T(s) = sum_k w_k s^{e_k} of phi: the
+        mean exponent under the weights w_k s^{e_k}, each divided by the
+        largest (log-sum-exp), so no term overflows."""
+        x = math.log(s)
+        pairs = zip(self.exponents, self.phi_weights)
+        logs = [(e, math.log(w) + e * x) for e, w in pairs if w > 0]
+        top = max(lw for _, lw in logs)
+        mass = [(e, math.exp(lw - top)) for e, lw in logs]
+        return sum(e * m for e, m in mass) / sum(m for _, m in mass)
+
     def gradient(self, s: float, kappa: Field) -> np.ndarray:
         """grad J(s u), given the pairing field kappa of u.
 
@@ -169,10 +178,14 @@ class FiberCoefficients:
         return s ** (self.p - 1.0) * kappa.values - conv_F * f_su
 
 
-def fiber_coefficients(ctx: EnergyContext, u: Field) -> FiberCoefficients:
+def fiber_coefficients(
+    ctx: EnergyContext, u: Field, norm_pow: float | None = None
+) -> FiberCoefficients:
     """Evaluate a field once: its norm power, one convolution per
-    nonlinearity term, and the fiber polynomials built from them."""
-    norm_pow = h_norm_pow(ctx, u)
+    nonlinearity term, and the fiber polynomials built from them.  A caller
+    that knows norm^p(u) already (a unit-norm trial) passes it as `norm_pow`."""
+    if norm_pow is None:
+        norm_pow = h_norm_pow(ctx, u)
     terms = ctx.model.nonlinearity.terms
     absu = np.abs(u.values)
     convs = []

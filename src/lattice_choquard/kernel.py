@@ -266,7 +266,7 @@ def build_table(
     spec: LatticeSpec,
     alpha: float,
     quad_points: int | None = None,
-    transform_order: int = DEFAULT_TRANSFORM_ORDER,
+    transform_order: int | None = None,
     cache_dir: str | None = None,
 ) -> KernelTable:
     """Build (or load from cache) the kernel table for a box.
@@ -283,6 +283,8 @@ def build_table(
     _check_kernel_params(spec.dim, alpha)
     if quad_points is None:
         quad_points = default_quad_points(spec.dim)
+    if transform_order is None:
+        transform_order = DEFAULT_TRANSFORM_ORDER
     _validate_quad(quad_points, transform_order)
 
     if cache_dir is None:
@@ -359,19 +361,22 @@ def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
         Must match the field's lattice (dimension and radius).
     w : Field
     method : str
-        "fft" zero-pads onto the (4r+1)^N kernel support so the linear
-        convolution is exact; "direct" is the quadratic-cost reference sum.
+        "fft" transforms at circular length L = next_fast_len(4r+1) per axis:
+        the linear convolution of the (4r+1)^N table with the (2r+1)^N box
+        has support [0, 6r], and the aliases n +- L of an output index
+        n in [2r, 4r] fall outside it, so the window read back is exact.
+        "direct" is the quadratic-cost reference sum.
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
     if method == "fft":
-        # zero-pad both to the linear-convolution size 6r+1, rounded up to a
-        # fast real-FFT length; the kernel's spectrum is cached on the table
-        fshape = [next_fast_len(6 * table.radius + 1, True)] * table.dim
-        spectrum = getattr(table, "_spectrum", None)
-        if spectrum is None:
-            spectrum = rfftn(table.values, fshape)
-            object.__setattr__(table, "_spectrum", spectrum)
+        # the transform shape and the kernel's spectrum are cached on the table
+        cached = getattr(table, "_spectrum", None)
+        if cached is None:
+            fshape = (next_fast_len(4 * table.radius + 1, True),) * table.dim
+            cached = (fshape, rfftn(table.values, fshape))
+            object.__setattr__(table, "_spectrum", cached)
+        fshape, spectrum = cached
         out = irfftn(rfftn(w.grid(), fshape) * spectrum, fshape)
         start = 2 * table.radius
         window = tuple(slice(start, start + n) for n in w.spec.shape)

@@ -141,13 +141,6 @@ class Field:
         vals[spec.index_of(site)] = 1.0
         return Field(spec, vals)
 
-    @staticmethod
-    def from_grid(spec: LatticeSpec, grid: np.ndarray) -> "Field":
-        arr = np.asarray(grid, dtype=float)
-        if arr.shape != spec.shape:
-            raise ValueError(f"grid shape {arr.shape} does not match {spec.shape}")
-        return Field(spec, arr.reshape(-1))
-
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
 
@@ -156,12 +149,6 @@ class Field:
         if self.spec.contains(x):
             return float(self.values[self.spec.index_of(x)])
         return 0.0
-
-    def scaled(self, s: float) -> "Field":
-        return Field(self.spec, s * self.values)
-
-    def copy(self) -> "Field":
-        return Field(self.spec, self.values.copy())
 
     def support_radius(self) -> int:
         """Largest sup-norm coordinate carrying a nonzero value; -1 if u = 0."""

@@ -13,8 +13,9 @@ problem into unconstrained minimization over S.
 
 For power-sum nonlinearities every fiber quantity is a polynomial in s (see
 `energy.fiber_coefficients`): a projection costs one norm, one convolution
-per term and 40-50 plain-float evaluations of phi.  The root finder brackets
-by doubling and bisects, which the sign structure of phi makes always safe.
+per term and a few plain-float evaluations of phi.  The root finder runs
+Newton's method in log s from a closed-form start, which the sign and
+curvature structure of phi makes monotone; one term needs one evaluation.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ __all__ = [
 ]
 
 _BRACKET_DOUBLINGS = 60
-_BISECT_MAX_ITERS = 200
-_BISECT_REL_WIDTH = 1e-13
+_NEWTON_MAX_STEPS = 60
+# below this log step the next one is O(step^2): the root has full precision
+_NEWTON_STEP_TOL = 1e-9
 
 
 def fiber_phi(ctx: EnergyContext, u: Field, s: float) -> float:
@@ -64,40 +66,36 @@ def fiber_phi(ctx: EnergyContext, u: Field, s: float) -> float:
 
 
 def _phi_root(coeffs: FiberCoefficients) -> float:
-    """Unique positive root of the fiber stationarity polynomial."""
-    lo = hi = 1.0
-    val = coeffs.phi(1.0)
-    if val > 0:
-        for _ in range(_BRACKET_DOUBLINGS):
-            hi *= 2.0
-            if coeffs.phi(hi) <= 0:
-                break
-        else:
-            raise ModelViolationError(
-                "fiber derivative never turns negative: the nonlocal term "
-                "fails to dominate at large scales"
-            )
-    elif val < 0:
-        for _ in range(_BRACKET_DOUBLINGS):
-            lo *= 0.5
-            if coeffs.phi(lo) >= 0:
-                break
-        else:
-            raise ModelViolationError(
-                "fiber derivative never turns positive: the norm term fails "
-                "to dominate at small scales"
-            )
-    else:
-        return 1.0
-    for _ in range(_BISECT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_REL_WIDTH * mid:
-            break
-        if coeffs.phi(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Unique positive root of the fiber stationarity polynomial.
+
+    Newton's method in x = log s on g(x) = log(A s^p) - log T(s), with A the
+    norm power and T(s) = sum_k w_k s^{e_k} the tail of phi.  With all e_k > p,
+    g is strictly decreasing and concave, so Newton started at or right of the
+    root descends monotonically onto it.  The smallest one-term root
+    (A / w_k)^{1/(e_k - p)} is such a start (the root itself for one term),
+    and from there on no term exceeds A s^p.
+    """
+    p, norm_pow = coeffs.p, coeffs.norm_pow
+    terms = [(e, w) for e, w in zip(coeffs.exponents, coeffs.phi_weights) if w > 0]
+    if not terms or max(e for e, _ in terms) <= p:
+        raise ModelViolationError(
+            "fiber derivative never turns negative: the nonlocal term "
+            "fails to dominate at large scales"
+        )
+    if min(e for e, _ in terms) <= p:
+        raise ModelViolationError(
+            "fiber derivative never turns positive: the norm term fails "
+            "to dominate at small scales"
+        )
+    x = min((math.log(norm_pow) - math.log(w)) / (e - p) for e, w in terms)
+    for _ in range(_NEWTON_MAX_STEPS):
+        s = math.exp(x)
+        g = -math.log1p(-coeffs.phi(s) / (norm_pow * s**p))
+        step = g / (coeffs.tail_log_slope(s) - p)
+        x += step
+        if abs(step) <= _NEWTON_STEP_TOL:
+            return math.exp(x)
+    raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
 def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients]:

@@ -52,7 +52,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _STEP_FLOOR = 1e-14
-_LOG_EVERY = 1000
 
 
 @dataclass(frozen=True)
@@ -178,8 +177,11 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
     if norm0 == 0.0:
         raise ValueError("initial field must be nonzero")
     w = Field(ctx.spec, w0.values / norm0)
-    coeffs = fiber_coefficients(ctx, w)
+    coeffs = fiber_coefficients(ctx, w, norm_pow=1.0)
     s = _phi_root(coeffs)
+    trials = 0
+    roots = 1
+    stop = "max_iters"
     psi_val = float(coeffs.energy(s))
 
     s_hist: list[float] = []
@@ -207,6 +209,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             psi_hist[-2] - psi_val <= cfg.energy_tol * max(1.0, abs(psi_val))
         ):
             converged = True
+            stop = "converged"
             break
 
         kn2 = float(np.dot(kappa.values, kappa.values))
@@ -215,6 +218,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
         zn2 = float(np.dot(z, z))
         if zn2 == 0.0:
             converged = resid <= cfg.grad_tol * scale
+            stop = "zero_direction"
             break
         slope = -s * zn2  # d/dt Psi(retract(w + t z)) at t = 0
 
@@ -234,10 +238,13 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             trial_vals = w.values + t * z
             trial = Field(ctx.spec, trial_vals)
             tnorm = h_norm(ctx, trial)
+            trials += 1
             if tnorm > 0:
+                # unit norm by construction: the norm is not computed again
                 w_try = Field(ctx.spec, trial_vals / tnorm)
-                coeffs_try = fiber_coefficients(ctx, w_try)
+                coeffs_try = fiber_coefficients(ctx, w_try, norm_pow=1.0)
                 s_try = _phi_root(coeffs_try)
+                roots += 1
                 psi_try = float(coeffs_try.energy(s_try))
                 if psi_try <= psi_val + cfg.sufficient_decrease * t * slope:
                     w, coeffs, s, psi_val = w_try, coeffs_try, s_try, psi_try
@@ -250,14 +257,15 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             # the stationarity criterion
             hit_floor = True
             converged = resid <= cfg.grad_tol * scale
+            stop = "step_floor"
             break
-        if (it + 1) % _LOG_EVERY == 0:
-            logger.info(
-                "start %d iter %d: psi=%.12g resid=%.3e step=%.2e",
-                start, it + 1, psi_val, resid, t,
-            )
 
     final_resid = res_hist[-1] if res_hist else float("inf")
+    logger.info(
+        "start %d: %d iterations, %d trials, %d fiber roots, residual=%.3e, "
+        "converged=%s, stop=%s",
+        start, it + 1, trials, roots, final_resid, converged, stop,
+    )
     return _StartResult(
         w=w,
         s=s,

@@ -1,7 +1,9 @@
-"""Pointwise reference implementations that only the tests use.
+"""Reference implementations (oracles) that only the tests use.
 
-The library computes these quantities on whole grids; the versions here
-follow the definitions site by site, so tests can compare the two.
+The library computes these quantities on whole grids, or with faster
+algorithms; the versions here follow the definitions site by site, or are
+the slow and plainly safe algorithms they replaced, so tests can compare
+the two.
 """
 
 import numpy as np
@@ -70,3 +72,28 @@ def random_supported_by_sites(spec: LatticeSpec, rng, scale: float) -> Field:
 def padded_grid_by_np_pad(u: Field, margin: int) -> np.ndarray:
     """The zero-padded value grid of `lattice`, built with np.pad."""
     return np.pad(u.grid(), margin)
+
+
+def bisection_phi_root(coeffs) -> float:
+    """Oracle for the fiber root: bracket by doubling from s = 1, then bisect
+    to a relative width of 1e-13.  Slow (40-50 evaluations of phi) but
+    relies only on phi changing sign once, from positive to negative."""
+    lo = hi = 1.0
+    val = coeffs.phi(1.0)
+    if val == 0:
+        return 1.0
+    if val > 0:
+        while coeffs.phi(hi) > 0:
+            hi *= 2.0
+    else:
+        while coeffs.phi(lo) < 0:
+            lo *= 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-13 * mid:
+            break
+        if coeffs.phi(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

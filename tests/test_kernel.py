@@ -7,12 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.special import gamma
 
 import lattice_choquard
 from lattice_choquard import (
     DomainError,
     Field,
+    KernelTable,
     LatticeSpec,
     build_table,
     convolve,
@@ -178,6 +180,45 @@ def test_convolve_cached_spectrum_is_bitwise_stable(fixture, request):
         slow = convolve(table, w, method="direct").values
         err = float(np.max(np.abs(first - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
+
+
+def corner_field(spec: LatticeSpec, rng) -> Field:
+    # mass on the 2^N box corners, whose wrap-around images would land
+    # inside the window first if the transform were too short
+    vals = np.zeros(spec.site_count)
+    r = spec.radius
+    for corner in np.ndindex(*(2,) * spec.dim):
+        site = tuple(r if c else -r for c in corner)
+        vals[spec.index_of(site)] = rng.uniform(0.5, 2.0)
+    return Field(spec, vals)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [1, 2, 3, 6])
+def test_convolve_alias_free_transform_size(dim, radius):
+    # an unsymmetric random table makes any wrap-around or flipped index show
+    rng = np.random.default_rng([dim, radius])
+    spec = LatticeSpec(dim, radius)
+    table = KernelTable(
+        dim=dim,
+        radius=radius,
+        alpha=1.0,
+        quad_points=0,
+        transform_order=0,
+        k_alpha=1.0,
+        values=rng.uniform(0.1, 1.0, (4 * radius + 1,) * dim),
+    )
+    fields = [random_field(spec, rng), random_field(spec, rng)]
+    fields += [corner_field(spec, rng), corner_field(spec, rng)]
+    for w in fields:
+        fast = convolve(table, w).values
+        slow = convolve(table, w, method="direct").values
+        err = float(np.max(np.abs(fast - slow)))
+        assert err <= 1e-12 * float(np.max(np.abs(slow)))
+    fshape, _ = table._spectrum
+    assert fshape == (next_fast_len(4 * radius + 1, True),) * dim
+    if radius in (1, 2, 6):
+        assert fshape == (4 * radius + 1,) * dim
 
 
 def test_convolve_positivity(table_2d):

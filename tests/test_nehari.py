@@ -1,13 +1,17 @@
 """Fiber polynomials, projection onto the constraint set, golden search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lattice_choquard import (
     ConstantPotential,
+    FiberCoefficients,
     Field,
     LatticeSpec,
     ModelSpec,
+    ModelViolationError,
     SumOfPowers,
     convolve,
     energy_J,
@@ -27,6 +31,8 @@ from lattice_choquard import (
     random_field,
 )
 from conftest import make_model
+from lattice_choquard.nehari import _phi_root
+from reference import bisection_phi_root
 
 
 @pytest.fixture(scope="module")
@@ -120,10 +126,7 @@ def test_fiber_coefficients_polynomial(ctx):
         )
 
 
-@pytest.mark.parametrize("p", [2.0, 2.5])
-def test_fiber_polynomial_float_path_matches_array_path(p):
-    # phi and J along the ray run on plain floats for a float s; they must
-    # equal the broadcast array evaluation bit for bit
+def two_term_context(p):
     model = ModelSpec(
         lattice=LatticeSpec(1, 5),
         p=p,
@@ -131,7 +134,14 @@ def test_fiber_polynomial_float_path_matches_array_path(p):
         potential=ConstantPotential(1.0),
         nonlinearity=SumOfPowers(((1.0, 4.0), (0.5, 5.0))),
     )
-    ctx_two = make_context(model)
+    return make_context(model)
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_fiber_polynomial_float_path_matches_array_path(p):
+    # phi and J along the ray run on plain floats for a float s; they must
+    # equal the broadcast array evaluation bit for bit
+    ctx_two = two_term_context(p)
     u = random_field(ctx_two.spec, np.random.default_rng(9))
     coeffs = fiber_coefficients(ctx_two, u)
     draws = np.random.default_rng(10).uniform(0.01, 20.0, 1000)
@@ -143,6 +153,57 @@ def test_fiber_polynomial_float_path_matches_array_path(p):
             assert type(value) is float
             assert value == expected
             assert value == fn(np.array([s]))[0]
+
+
+@pytest.fixture
+def phi_calls(monkeypatch):
+    calls = []
+    phi = FiberCoefficients.phi
+
+    def counted(self, s):
+        calls.append(s)
+        return phi(self, s)
+
+    monkeypatch.setattr(FiberCoefficients, "phi", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_newton_root_matches_bisection_oracle(p, phi_calls):
+    ctx_two = two_term_context(p)
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        amplitude = 10.0 ** rng.uniform(-2.0, 2.0)  # four decades
+        u = Field(ctx_two.spec, amplitude * rng.standard_normal(11))
+        coeffs = fiber_coefficients(ctx_two, u)
+        del phi_calls[:]
+        s = _phi_root(coeffs)
+        assert len(phi_calls) <= 8
+        assert s == pytest.approx(bisection_phi_root(coeffs), rel=1e-12)
+
+
+def test_one_term_root_is_the_closed_form(ctx, phi_calls):
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        coeffs = fiber_coefficients(ctx, random_field(ctx.spec, rng))
+        ((e,), (w,), p) = coeffs.exponents, coeffs.phi_weights, coeffs.p
+        del phi_calls[:]
+        s = _phi_root(coeffs)
+        assert len(phi_calls) == 1
+        assert s == pytest.approx((coeffs.norm_pow / w) ** (1.0 / (e - p)), rel=1e-14)
+
+
+@pytest.mark.parametrize("exponents", [(1.5,), (2.0,), (2.0, 8.0), (1.0, 3.0)])
+def test_root_refuses_exponents_at_or_below_p(ctx, exponents):
+    coeffs = fiber_coefficients(ctx, random_field(ctx.spec, np.random.default_rng(15)))
+    bad = dataclasses.replace(
+        coeffs,
+        exponents=exponents,
+        phi_weights=(1.0,) * len(exponents),
+        energy_weights=(1.0,) * len(exponents),
+    )
+    with pytest.raises(ModelViolationError):
+        _phi_root(bad)
 
 
 def test_m_inverse_unit_norm(ctx):

@@ -1,5 +1,8 @@
 """Sphere descent, multistart, mountain-pass probes, centering."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,35 @@ def test_report_histories(report_a):
     psis = np.asarray(report_a.psi_history)
     assert np.all(psis[1:] <= psis[:-1] + 1e-12)
     assert report_a.energy == pytest.approx(min(report_a.start_energies), rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["a", "b"])
+def test_winning_iterate_is_unit_norm(which, request):
+    # trials are normalized once and their norm power is taken as 1, so the
+    # candidate's norm must still equal its fiber scale
+    ctx = request.getfixturevalue(f"ctx_{which}")
+    report = request.getfixturevalue(f"report_{which}")
+    assert h_norm(ctx, report.u) == pytest.approx(report.s_history[-1], rel=1e-12)
+
+
+def test_one_log_line_per_start(ctx_a, caplog):
+    cfg = SolverConfig(n_starts=3)
+    with caplog.at_level(logging.INFO, logger="lattice_choquard.solver"):
+        report = minimize_ground_state(ctx_a, cfg)
+    pattern = re.compile(
+        r"start (\d+): (\d+) iterations, (\d+) trials, (\d+) fiber roots, "
+        r"residual=\S+, converged=(True|False), stop=(\w+)"
+    )
+    lines = [pattern.fullmatch(rec.getMessage()) for rec in caplog.records]
+    lines = [m for m in lines if m]
+    assert [int(m[1]) for m in lines] == [0, 1, 2]
+    for m, diag in zip(lines, report.diagnostics):
+        iterations, trials, roots = int(m[2]), int(m[3]), int(m[4])
+        assert iterations == diag.iterations
+        assert trials >= iterations - 1
+        assert roots == trials + 1  # the start, then one per trial
+        assert m[5] == str(diag.converged)
+        assert m[6] == "converged"
 
 
 def test_energy_is_the_fiber_value(ctx_a, report_a):
