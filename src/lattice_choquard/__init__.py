@@ -7,7 +7,7 @@ The library computes minimizers of the energy
 over the constraint manifold {u != 0 : <J'(u), u> = 0}, where the norm
 couples a graph p-Laplacian with a positive potential and R_alpha is a
 Riesz-type lattice kernel.  Modules: `lattice` (box geometry and difference
-operators), `kernel` (singular quadrature and convolution), `model`
+operators), `kernel` (subordination kernel table and convolution), `model`
 (potentials, nonlinearities, admissibility), `energy` (functionals and
 gradients), `nehari` (fiber maps and manifold projection), `solver`
 (multi-start descent), `verify` (sampling harness and brute-force oracle),

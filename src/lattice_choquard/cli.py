@@ -270,8 +270,6 @@ def _apply_overrides(data: dict, args) -> dict:
         data.setdefault("solver", {})
         if isinstance(data["solver"], dict):
             data["solver"]["seed"] = args.seed
-    if getattr(args, "quad_points", None) is not None:
-        data["quad_points"] = args.quad_points
     if getattr(args, "radius", None) is not None:
         data["radius"] = args.radius
     return data
@@ -483,9 +481,6 @@ def _build_parser() -> _Parser:
             type=int,
             default=1,
             help="parallel starts/checks bound",
-        )
-        p.add_argument(
-            "--quad-points", type=int, default=None, help="override quad_points"
         )
         p.add_argument("--radius", type=int, default=None, help="override radius")
         p.add_argument("--verbose", action="store_true", help="log progress")

@@ -1,41 +1,53 @@
-"""Lattice Green's kernel of fractional order via torus quadrature.
+"""Lattice Green's kernel of fractional order by heat-semigroup subordination.
 
-The kernel on Z^N is the Fourier integral
+The kernel on Z^N is R_alpha = K_alpha G_s with s = alpha / 2, where
 
-    R_alpha(d) = K_alpha (2 pi)^{-N} int_{T^N} cos(d . k) mu(k)^{-alpha/2} dk,
-    K_alpha    = (2 pi)^{-N} int_{T^N} mu(k)^{alpha/2} dk,
+    G_s(d)  = (2 pi)^{-N} int_{T^N} cos(d . k) mu(k)^{-s} dk,
+    K_alpha = (2 pi)^{-N} int_{T^N} mu(k)^{alpha/2} dk,
 
-with symbol mu(k) = 2N - 2 sum_j cos k_j.  The negative-power integrand has an
-integrable singularity at k = 0 and the positive-power one a Lipschitz corner,
-so a plain product midpoint rule converges only at low algebraic order.  The
-quadrature therefore substitutes k_j = T(xi_j) per axis, where T is the
-periodic map with Jacobian
+and mu(k) = 2N - 2 sum_j cos k_j.  Writing mu^{-s} as Gamma(s)^{-1} times
+int_0^inf t^{s-1} e^{-t mu} dt, with the heat kernel of Z^N factorised per
+axis as e^{-2t} I_d(2t) = ive(d, 2t) (Ciaurri, Roncal, Stinga, Torrea and
+Varona, Adv. Math. 330, 2018), gives
 
-    T'(xi) = (2 - 2 cos xi)^m / C(2m, m),
+    G_s(d) = delta_d + Gamma(s)^{-1} int_0^inf t^{s-1}
+                 (prod_j ive(d_j, 2t) - delta_d e^{-t}) dt.
 
-a trigonometric polynomial that vanishes to order 2m at the singular corner
-and integrates to 2 pi over the period.  Expanding the binomial gives the
-closed form
+Subtracting delta_d e^{-t} (integral Gamma(s)) removes the t^{s-1}
+singularity at the origin; the integrand decays like t^{s-1-N/2}, so G_s
+exists for 0 < alpha < N.  The integral runs in x = log t over
+[-40, log t_max] on 20-point Gauss-Legendre panels; beyond t_max the
+six-term Hankel expansion of ive, multiplied across axes, is integrated
+term by term.  t_max grows with the reach but stays capped, because ive
+returns NaN for arguments beyond about 1.2e9.  A single value and a whole
+table share this one evaluation; a coarser rule (wider panels, a smaller
+t_max) gives the table's error estimate.
+
+K_alpha has a bounded integrand with a Lipschitz corner at k = 0.  Its
+product midpoint rule substitutes k_j = T(xi_j) per axis, with Jacobian
+T'(xi) = (2 - 2 cos xi)^m / C(2m, m), which vanishes to order 2m at the
+corner and integrates to 2 pi over the period:
 
     T(xi) = xi + 2 / C(2m, m) * sum_{j=1}^{m} (-1)^j C(2m, m+j) sin(j xi) / j.
 
-Midpoint nodes in xi then cluster near k = 0 (without ever hitting it) and
-restore fast convergence; m = 1 is the classic xi - sin(xi) substitution.
-Per-axis symbol values are computed as 4 sin^2(k/2), which stays accurate for
-the tiny transformed nodes where 2 - 2 cos k underflows.
+The nodes cluster near k = 0 and restore fast convergence.  `quad_points`
+and `transform_order` (m) set this rule and nothing else.  Symbol values
+are computed as 4 sin^2(k/2), accurate where 2 - 2 cos k underflows.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from math import comb, pi
+from math import ceil, comb, gamma, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.special import ive
 
 from .lattice import DomainError, Field, LatticeSpec
 
@@ -47,18 +59,21 @@ __all__ = [
     "build_table",
     "convolve",
     "dense_operator",
-    "default_quad_points",
     "CACHE_ENV_VAR",
 ]
 
 DEFAULT_QUAD_POINTS = {1: 4096, 2: 512, 3: 64}
 DEFAULT_TRANSFORM_ORDER = 3
 CACHE_ENV_VAR = "LATTICE_CHOQUARD_KERNEL_CACHE"
+METHOD = "subordination"
+_CACHE_NAME = (
+    "kernel_dim{dim}_r{radius}_alpha{alpha!r}_M{quad_points}_T{transform_order}.npz"
+)
 
-
-def default_quad_points(dim: int) -> int:
-    """Default number of quadrature nodes per axis."""
-    return DEFAULT_QUAD_POINTS.get(dim, 32)
+_GL_NODES, _GL_WEIGHTS = leggauss(20)
+_LOG_T_MIN = -40.0
+_PANEL = 3.0  # panel width in log t; the error estimate uses 3.5
+_HANKEL_TERMS = 6
 
 
 def mu(k: Sequence[float]) -> float:
@@ -118,23 +133,46 @@ def fractional_degree(
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be positive")
     if quad_points is None:
-        quad_points = default_quad_points(dim)
+        quad_points = DEFAULT_QUAD_POINTS.get(dim, 32)
     _validate_quad(quad_points, transform_order)
     return _k_alpha(int(dim), float(alpha), int(quad_points), int(transform_order))
 
 
-@lru_cache(maxsize=8)
-def _weighted_grid(
-    dim: int, alpha: float, quad_points: int, order: int
+def _t_max(reach: int) -> float:
+    """Where the Hankel tail takes over: far past reach^2, below ive's limit."""
+    return min(max(100.0 * reach**2, 1e6), 1e8)
+
+
+def _hankel(nu: np.ndarray) -> np.ndarray:
+    """Rows h_k(nu) of the expansion ive(nu, 2t) ~ sum_k h_k(nu) t^{-k-1/2}."""
+    h = np.ones((_HANKEL_TERMS, nu.size))
+    for k in range(1, _HANKEL_TERMS):
+        h[k] = h[k - 1] * ((2 * k - 1) ** 2 - 4.0 * nu**2) / (16.0 * k)
+    return h / sqrt(4.0 * pi)
+
+
+def _green(
+    axes: Sequence[np.ndarray], alpha: float, t_max: float, panel: float
 ) -> np.ndarray:
-    """mu^{-alpha/2} times the product quadrature weight, on the node grid."""
-    k, w = _nodes(quad_points, order)
-    s = 4.0 * np.sin(k / 2.0) ** 2
-    grid = reduce(np.add.outer, [s] * dim)
-    weight = reduce(np.multiply.outer, [w] * dim)
-    out = grid ** (-alpha / 2.0) * weight
-    out.setflags(write=False)
-    return out
+    """G_s on the outer product of per-axis |d| values (module docstring)."""
+    dim, s = len(axes), alpha / 2.0
+    panels = ceil((log(t_max) - _LOG_T_MIN) / panel)
+    edges = np.linspace(_LOG_T_MIN, log(t_max), panels + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    t = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+    weights = (half * _GL_WEIGHTS).ravel() * t**s  # t^{s-1} dt = t^s dx
+    bessel, hankel = [], []
+    for j, a in enumerate(axes):
+        bessel += [ive(a, 2.0 * t[:, None]), [dim, j]]
+        hankel += [_hankel(a), [dim + 1 + j, j]]
+    out = list(range(dim))
+    heat = np.einsum(weights, [dim], *bessel, out, optimize=True)
+    # int_{t_max}^inf t^{s-1} t^{-m-N/2} dt for the total Hankel order m
+    power = sum(np.ix_(*[np.arange(_HANKEL_TERMS)] * dim)) + dim / 2.0 - s
+    tail_axes = list(range(dim + 1, 2 * dim + 1))
+    tail = np.einsum(t_max**-power / power, tail_axes, *hankel, out, optimize=True)
+    delta = reduce(np.multiply.outer, [(a == 0).astype(float) for a in axes])
+    return delta + (heat + tail - delta * np.dot(weights, np.exp(-t))) / gamma(s)
 
 
 def _check_kernel_params(dim: int, alpha: float) -> None:
@@ -156,24 +194,16 @@ def riesz_kernel(
 ) -> float:
     """Kernel value R_alpha(d) for a single vector difference d.
 
-    Evaluates K_alpha (2 pi)^{-N} int cos(d . k) mu^{-alpha/2} dk by the
-    transformed midpoint rule; the sine part vanishes by symmetry and is
-    never formed.  Requires 0 < alpha < N.
+    The one-entry case of the table's subordination integral;
+    `quad_points` and `transform_order` set the quadrature of K_alpha.
+    Requires 0 < alpha < N.
     """
     _check_kernel_params(dim, alpha)
     if len(d) != dim:
         raise ValueError(f"difference vector must have {dim} components")
-    if quad_points is None:
-        quad_points = default_quad_points(dim)
-    _validate_quad(quad_points, transform_order)
-    k, _ = _nodes(quad_points, transform_order)
-    g = _weighted_grid(int(dim), float(alpha), int(quad_points), int(transform_order))
-    acc: np.ndarray = g
-    for dj in d:
-        e = np.exp(1j * int(dj) * k)
-        acc = np.tensordot(acc, e, axes=([0], [0]))
     ka = fractional_degree(dim, alpha, quad_points, transform_order)
-    return float(np.real(acc) * ka / quad_points**dim)
+    axes = [np.array([abs(int(c))]) for c in d]
+    return ka * _green(axes, alpha, _t_max(max(a[0] for a in axes)), _PANEL).item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +212,9 @@ class KernelTable:
 
     `values` has shape (4r+1,)^N and is indexed by d + 2r per axis, so the
     table covers every difference of two sites of a radius-r box.  The table
-    carries the quadrature resolution it was built with and the normalization
-    constant k_alpha.
+    carries the quadrature of its normalization constant k_alpha and
+    `error_estimate`, the largest relative change of an entry under a
+    coarser subordination rule (NaN when the values were not built here).
     """
 
     dim: int
@@ -193,6 +224,7 @@ class KernelTable:
     transform_order: int
     k_alpha: float
     values: np.ndarray
+    error_estimate: float = float("nan")
 
     def __post_init__(self) -> None:
         expected = (4 * self.radius + 1,) * self.dim
@@ -209,14 +241,9 @@ class KernelTable:
         return float(self.values[idx])
 
     def _meta(self) -> dict:
-        return {
-            "dim": self.dim,
-            "radius": self.radius,
-            "alpha": self.alpha,
-            "quad_points": self.quad_points,
-            "transform_order": self.transform_order,
-            "k_alpha": self.k_alpha,
-        }
+        meta = {f.name: getattr(self, f.name) for f in fields(self)}
+        del meta["values"]
+        return {**meta, "method": METHOD}
 
     def save(self, path) -> None:
         np.savez(
@@ -227,18 +254,13 @@ class KernelTable:
 
     @staticmethod
     def load(path) -> "KernelTable":
+        """Read a saved table; files of another kernel method are refused."""
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             values = np.array(data["values"])
-        return KernelTable(
-            dim=int(meta["dim"]),
-            radius=int(meta["radius"]),
-            alpha=float(meta["alpha"]),
-            quad_points=int(meta["quad_points"]),
-            transform_order=int(meta["transform_order"]),
-            k_alpha=float(meta["k_alpha"]),
-            values=values,
-        )
+        if meta.pop("method", None) != METHOD:
+            raise ValueError(f"{path} does not hold a {METHOD} kernel table")
+        return KernelTable(**meta, values=values)
 
     def write_csv(self, path) -> None:
         """Dump rows "d_1,...,d_N,value" over the full difference range."""
@@ -252,16 +274,6 @@ class KernelTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def _cache_path(
-    cache_dir: str, dim: int, radius: int, alpha: float, quad_points: int, order: int
-) -> str:
-    name = (
-        f"kernel_dim{dim}_r{radius}_alpha{repr(float(alpha))}"
-        f"_M{quad_points}_T{order}.npz"
-    )
-    return os.path.join(cache_dir, name)
-
-
 def build_table(
     spec: LatticeSpec,
     alpha: float,
@@ -271,67 +283,58 @@ def build_table(
 ) -> KernelTable:
     """Build (or load from cache) the kernel table for a box.
 
-    All (4r+1)^N entries are produced from one tensor contraction of the
-    weighted symbol grid against per-axis complex exponentials over the
-    nonnegative orthant; sign symmetry fills the rest, so permutation and
-    reflection invariance hold exactly by construction.
+    All (4r+1)^N entries come from one subordination integral over the
+    nonnegative orthant of differences; sign symmetry fills the rest, so
+    reflection invariance holds exactly.  `quad_points` and
+    `transform_order` set the quadrature of K_alpha only.
 
     The cache location is `cache_dir`, or the LATTICE_CHOQUARD_KERNEL_CACHE
     environment variable when unset; with neither present nothing touches
-    disk.
+    disk.  A cached file is used only when all of its metadata, the method
+    included, matches this build.
     """
     _check_kernel_params(spec.dim, alpha)
     if quad_points is None:
-        quad_points = default_quad_points(spec.dim)
+        quad_points = DEFAULT_QUAD_POINTS.get(spec.dim, 32)
     if transform_order is None:
         transform_order = DEFAULT_TRANSFORM_ORDER
-    _validate_quad(quad_points, transform_order)
+    ka = fractional_degree(spec.dim, alpha, quad_points, transform_order)
+    meta = {
+        "dim": spec.dim,
+        "radius": spec.radius,
+        "alpha": float(alpha),
+        "quad_points": int(quad_points),
+        "transform_order": int(transform_order),
+        "k_alpha": ka,
+    }
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
     path = None
     if cache_dir:
-        path = _cache_path(
-            cache_dir, spec.dim, spec.radius, alpha, quad_points, transform_order
-        )
+        path = os.path.join(cache_dir, _CACHE_NAME.format(**meta))
         if os.path.exists(path):
-            table = KernelTable.load(path)
-            if (
-                table.dim == spec.dim
-                and table.radius == spec.radius
-                and table.alpha == float(alpha)
-                and table.quad_points == quad_points
-                and table.transform_order == transform_order
-            ):
-                return table
+            try:
+                cached = KernelTable.load(path)
+            except ValueError:  # another method's table: rebuild it
+                cached = None
+            if cached is not None and meta.items() <= cached._meta().items():
+                return cached
 
-    k, _ = _nodes(quad_points, transform_order)
-    g = _weighted_grid(spec.dim, float(alpha), int(quad_points), int(transform_order))
     reach = 2 * spec.radius
-    exps = np.exp(1j * np.outer(np.arange(reach + 1), k))  # (2r+1, M)
-    acc: np.ndarray = g.astype(complex)
-    for _ in range(spec.dim):
-        # Contract the leading node axis; finished axes rotate to the back,
-        # so coordinate order is preserved after dim passes.
-        acc = np.tensordot(acc, exps, axes=([0], [1]))
-    ka = fractional_degree(spec.dim, alpha, quad_points, transform_order)
-    nonneg = np.real(acc) * (ka / quad_points**spec.dim)
-
-    mirror = np.abs(np.arange(-reach, reach + 1))
-    values = nonneg[np.ix_(*[mirror] * spec.dim)].copy()
-    if not np.all(np.isfinite(values)) or not np.all(values > 0):
+    axes = [np.arange(reach + 1)] * spec.dim
+    nonneg = ka * _green(axes, alpha, _t_max(reach), _PANEL)
+    if not np.all(np.isfinite(nonneg)) or not np.all(nonneg > 0):
         raise ArithmeticError(
-            "kernel table failed positivity; increase quad_points or the "
-            "transform order"
+            f"kernel table for N={spec.dim}, r={spec.radius}, alpha={alpha} is "
+            "not finite and positive; this is a fault in the kernel evaluation"
         )
+    coarse = ka * _green(axes, alpha, _t_max(reach) / 10.0, _PANEL + 0.5)
+    mirror = np.abs(np.arange(-reach, reach + 1))
     table = KernelTable(
-        dim=spec.dim,
-        radius=spec.radius,
-        alpha=float(alpha),
-        quad_points=int(quad_points),
-        transform_order=int(transform_order),
-        k_alpha=ka,
-        values=values,
+        **meta,
+        values=nonneg[np.ix_(*[mirror] * spec.dim)],
+        error_estimate=float(np.max(np.abs(coarse - nonneg) / nonneg)),
     )
     if path:
         os.makedirs(cache_dir, exist_ok=True)

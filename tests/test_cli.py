@@ -234,6 +234,22 @@ def test_kernel_artifacts(tmp_path, capsys):
     lines = (out / "kernel.csv").read_text().strip().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) == 1 + (4 * 6 + 1)
+    meta = json.loads(lines[0][1:])
+    assert meta["method"] == "subordination"
+    assert meta["error_estimate"] <= 1e-12
+
+
+def test_solve_3d_radius_8_alpha_1(tmp_path, capsys):
+    # this model passed admissibility but crashed the node-transform kernel
+    # table with an uncaught ArithmeticError (exit 1)
+    data = base_config(dim=3, radius=8, p=2, alpha=1.0, solver={"n_starts": 2})
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    # box levels do not increase with r; 6.11805791207 is the r = 6 level
+    assert 6.1 < report["c"] <= 6.11805791207
 
 
 def test_fiber_artifacts(tmp_path, capsys):

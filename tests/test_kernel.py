@@ -1,6 +1,7 @@
 """Lattice kernel: symbol, normalization constant, table, convolution."""
 
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -65,7 +66,35 @@ def test_normalization_matches_adaptive_quadrature():
 @pytest.mark.parametrize("d", [0, 3, 10])
 def test_kernel_matches_adaptive_quadrature(d):
     got = riesz_kernel((d,), 1, 0.5, 4096)
-    assert got == pytest.approx(ORACLE_R[d], rel=1e-6)
+    assert got == pytest.approx(ORACLE_R[d], rel=1e-12)
+
+
+def closed_form_1d(alpha, reach):
+    # R(n) = K Gamma(1-a) Gamma(n+a/2) / (Gamma(a/2) Gamma(1-a/2) Gamma(n+1-a/2))
+    # with K = Gamma(1+a) / Gamma(1+a/2)^2 (Ciaurri et al., Adv. Math. 330,
+    # 2018), by the ratio R(n+1) / R(n) = (n+a/2) / (n+1-a/2) from n = 0
+    k = gamma(1.0 + alpha) / gamma(1.0 + alpha / 2.0) ** 2
+    r0 = k * gamma(1.0 - alpha) / gamma(1.0 - alpha / 2.0) ** 2
+    n = np.arange(reach)
+    ratios = (n + alpha / 2.0) / (n + 1.0 - alpha / 2.0)
+    return r0 * np.concatenate([[1.0], np.cumprod(ratios)])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("radius", [8, 64])
+def test_table_matches_closed_form_one_dim(alpha, radius):
+    table = build_table(LatticeSpec(1, radius), alpha)
+    exact = closed_form_1d(alpha, 2 * radius)
+    got = table.values[2 * radius :]
+    assert float(np.max(np.abs(got - exact) / exact)) <= 1e-12
+    assert table.error_estimate <= 1e-12
+
+
+def test_table_3d_positive_with_small_error_estimate():
+    table = build_table(LatticeSpec(3, 10), 1.5)
+    assert np.all(np.isfinite(table.values))
+    assert np.all(table.values > 0)
+    assert table.error_estimate <= 1e-12
 
 
 def test_kernel_even_in_d():
@@ -278,6 +307,22 @@ def test_build_table_cache(tmp_path):
     assert expected.exists()
     again = build_table(spec, 0.5, 256, cache_dir=str(tmp_path))
     assert np.array_equal(first.values, again.values)
+    assert again.error_estimate == first.error_estimate
+
+
+def test_build_table_cache_skips_file_without_method(tmp_path):
+    # a file of the same name from the node-transform era carries no
+    # "method"; its values must not be loaded
+    spec = LatticeSpec(1, 4)
+    fresh = build_table(spec, 0.5, 256)
+    path = tmp_path / "kernel_dim1_r4_alpha0.5_M256_T3.npz"
+    meta = {k: v for k, v in fresh._meta().items() if k != "method"}
+    np.savez(path, values=2.0 * fresh.values, meta=np.array(json.dumps(meta)))
+    with pytest.raises(ValueError, match="subordination"):
+        KernelTable.load(path)
+    again = build_table(spec, 0.5, 256, cache_dir=str(tmp_path))
+    assert np.array_equal(again.values, fresh.values)
+    assert KernelTable.load(path)._meta() == fresh._meta()
 
 
 def test_build_table_cache_env_var(tmp_path, monkeypatch):
