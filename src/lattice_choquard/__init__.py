@@ -18,7 +18,6 @@ from .lattice import (
     DomainError,
     Field,
     LatticeSpec,
-    ibp_check,
     lp_norm,
     p_laplacian,
     random_field,
@@ -68,16 +67,12 @@ from .energy import (
 from .nehari import (
     FiberProbe,
     fiber_max_golden,
-    fiber_phi,
     fiber_probe,
     golden_max,
-    m_inverse,
     project_su,
     psi,
-    psi_grad_pairing,
 )
 from .solver import (
-    GeometryProbe,
     MountainPassLevel,
     NonconvergenceError,
     SolveReport,
@@ -85,7 +80,6 @@ from .solver import (
     StartDiagnostics,
     center_normalize,
     minimize_ground_state,
-    mountain_pass_geometry_probe,
     mountain_pass_level,
 )
 from .verify import (

@@ -57,14 +57,14 @@ _TOP_KEYS = {
     "radius",
     "p",
     "alpha",
-    "quad_points",
-    "transform_order",
     "cache_dir",
     "seed",
     "potential",
     "nonlinearity",
     "solver",
 }
+# settings of a quadrature the kernel no longer has
+_REMOVED_KEYS = {"quad_points", "transform_order"}
 _POTENTIAL_KEYS = {
     "constant": {"kind", "value"},
     "periodic": {"kind", "period", "cell"},
@@ -92,12 +92,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: model, solver knobs, kernel knobs, seed."""
+    """Validated run description: model, solver knobs, kernel cache, seed."""
 
     model: ModelSpec
     solver: SolverConfig
-    quad_points: int | None
-    transform_order: int | None
     cache_dir: str | None
     seed: int
     raw: dict
@@ -115,8 +113,13 @@ def _structural_errors(data) -> list[str]:
     errors: list[str] = []
     if not isinstance(data, dict):
         return ["config root must be an object"]
-    for key in sorted(set(data) - _TOP_KEYS):
+    for key in sorted(set(data) - _TOP_KEYS - _REMOVED_KEYS):
         errors.append(f"unknown key '{key}'")
+    for key in sorted(_REMOVED_KEYS & set(data)):
+        errors.append(
+            f"'{key}' is no longer a setting: the kernel's normalization "
+            "constant needs no quadrature points; delete the key"
+        )
     for key in ("dim", "radius"):
         if key not in data:
             errors.append(f"missing required key '{key}'")
@@ -127,9 +130,8 @@ def _structural_errors(data) -> list[str]:
             errors.append(f"missing required key '{key}'")
         elif not _is_num(data[key]):
             errors.append(f"'{key}' must be a number")
-    for key in ("quad_points", "transform_order", "seed"):
-        if key in data and not _is_int(data[key]):
-            errors.append(f"'{key}' must be an integer")
+    if "seed" in data and not _is_int(data["seed"]):
+        errors.append("'seed' must be an integer")
     if "cache_dir" in data and not isinstance(data["cache_dir"], str):
         errors.append("'cache_dir' must be a string")
 
@@ -246,8 +248,6 @@ def _config_from_data(data: dict) -> RunConfig:
     return RunConfig(
         model=model,
         solver=solver,
-        quad_points=data.get("quad_points"),
-        transform_order=data.get("transform_order"),
         cache_dir=data.get("cache_dir"),
         seed=seed,
         raw=copy.deepcopy(data),
@@ -293,18 +293,9 @@ def _json_dump(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _make_ctx(cfg: RunConfig):
-    return make_context(
-        cfg.model,
-        quad_points=cfg.quad_points,
-        transform_order=cfg.transform_order,
-        cache_dir=cfg.cache_dir,
-    )
-
-
 def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    ctx = _make_ctx(cfg)
+    ctx = make_context(cfg.model, cfg.cache_dir)
     report = minimize_ground_state(ctx, cfg.solver, threads=threads)
     u_out = report.u
     if cfg.model.potential.period is not None:
@@ -337,7 +328,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> 
         data = copy.deepcopy(cfg.raw)
         _set_dotted(data, key, value)
         run_cfg = _config_from_data(data)
-        ctx = _make_ctx(run_cfg)
+        ctx = make_context(run_cfg.model, run_cfg.cache_dir)
         report = minimize_ground_state(ctx, run_cfg.solver, threads=threads)
         rows.append(
             (
@@ -360,7 +351,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> 
 
 def _cmd_kernel(cfg: RunConfig, out_dir: str) -> int:
     t0 = time.perf_counter()
-    table = _make_ctx(cfg).table
+    table = make_context(cfg.model, cfg.cache_dir).table
     path = os.path.join(out_dir, "kernel.csv")
     table.write_csv(path)
     wall = time.perf_counter() - t0
@@ -378,7 +369,7 @@ def _cmd_fiber(cfg: RunConfig, out_dir: str, field_path: str) -> int:
             "field file lattice (dim "
             f"{u.spec.dim}, radius {u.spec.radius}) does not match the config"
         )
-    ctx = _make_ctx(cfg)
+    ctx = make_context(cfg.model, cfg.cache_dir)
     s_u, _ = project_su(ctx, u)
     grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 81)
     probe = fiber_probe(ctx, u, grid)
@@ -392,7 +383,7 @@ def _cmd_fiber(cfg: RunConfig, out_dir: str, field_path: str) -> int:
 
 
 def _cmd_check(cfg: RunConfig, out_dir: str) -> int:
-    ctx = _make_ctx(cfg)
+    ctx = make_context(cfg.model, cfg.cache_dir)
     reports = run_all_checks(ctx, seed=cfg.seed)
     write_checks_json(reports, os.path.join(out_dir, "checks.json"))
     for rep in reports:

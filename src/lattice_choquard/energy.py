@@ -83,17 +83,11 @@ class EnergyContext:
 
 
 def make_context(
-    model: ModelSpec,
-    quad_points: int | None = None,
-    transform_order: int | None = None,
-    cache_dir: str | None = None,
-    table: KernelTable | None = None,
+    model: ModelSpec, cache_dir: str | None = None, table: KernelTable | None = None
 ) -> EnergyContext:
     """Build the evaluation context, constructing the kernel table if needed."""
     if table is None:
-        table = build_table(
-            model.lattice, model.alpha, quad_points, transform_order, cache_dir
-        )
+        table = build_table(model.lattice, model.alpha, cache_dir)
     h = model.potential.grid(model.lattice)
     return EnergyContext(model=model, table=table, h_grid=h)
 

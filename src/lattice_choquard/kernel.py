@@ -15,24 +15,28 @@ Varona, Adv. Math. 330, 2018), gives
 
 Subtracting delta_d e^{-t} (integral Gamma(s)) removes the t^{s-1}
 singularity at the origin; the integrand decays like t^{s-1-N/2}, so G_s
-exists for 0 < alpha < N.  The integral runs in x = log t over
-[-40, log t_max] on 20-point Gauss-Legendre panels; beyond t_max the
-six-term Hankel expansion of ive, multiplied across axes, is integrated
-term by term.  t_max grows with the reach but stays capped, because ive
-returns NaN for arguments beyond about 1.2e9.  A single value and a whole
-table share this one evaluation; a coarser rule (wider panels, a smaller
-t_max) gives the table's error estimate.
+exists for 0 < alpha < N.
 
-K_alpha has a bounded integrand with a Lipschitz corner at k = 0.  Its
-product midpoint rule substitutes k_j = T(xi_j) per axis, with Jacobian
-T'(xi) = (2 - 2 cos xi)^m / C(2m, m), which vanishes to order 2m at the
-corner and integrates to 2 pi over the period:
+K_alpha takes the same route with m = ceil(s) and sigma = m - s, writing
+mu^s = mu^m mu^{-sigma}:
 
-    T(xi) = xi + 2 / C(2m, m) * sum_{j=1}^{m} (-1)^j C(2m, m+j) sin(j xi) / j.
+    K_alpha = Gamma(sigma)^{-1} int_0^inf t^{sigma-1} E_m(t) dt,
+    E_m(t)  = (2 pi)^{-N} int mu^m e^{-t mu} dk = (-d/dt)^m ive(0, 2t)^N
+            = sum_{|beta|=m} (m! / beta!) prod_j a_{beta_j}(t),
 
-The nodes cluster near k = 0 and restore fast convergence.  `quad_points`
-and `transform_order` (m) set this rule and nothing else.  Symbol values
-are computed as 4 sin^2(k/2), accurate where 2 - 2 cos k underflows.
+where a_b(t) = (-d/dt)^b ive(0, 2t) is the stencil (2 - z - 1/z)^b applied
+to ive(., 2t).  Below t_0 = e^{-40} the integrand is E_m(0) t^{sigma-1},
+which gives the head term E_m(0) t_0^sigma / sigma; at integer s,
+K_alpha = E_m(0) exactly.
+
+Both integrals run in x = log t over [-40, log t_max] on 20-point
+Gauss-Legendre panels; beyond t_max the six-term Hankel expansion of ive,
+multiplied across axes, is integrated term by term.  t_max grows with the
+reach but stays capped, because ive returns NaN beyond about 1.2e9; K_alpha
+has no reach and a short t_max, where the cancellation in a_b costs least.
+A single value and a whole table share this one evaluation; a coarser rule
+(wider panels, a smaller t_max) gives the table's error estimate, K_alpha
+included.
 """
 
 from __future__ import annotations
@@ -40,14 +44,15 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
-from math import ceil, comb, gamma, log, pi, sqrt
+from functools import reduce
+from math import ceil, exp, factorial, gamma, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polypow
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import ive
+from scipy.special import ive, poch
 
 from .lattice import DomainError, Field, LatticeSpec
 
@@ -62,18 +67,15 @@ __all__ = [
     "CACHE_ENV_VAR",
 ]
 
-DEFAULT_QUAD_POINTS = {1: 4096, 2: 512, 3: 64}
-DEFAULT_TRANSFORM_ORDER = 3
 CACHE_ENV_VAR = "LATTICE_CHOQUARD_KERNEL_CACHE"
 METHOD = "subordination"
-_CACHE_NAME = (
-    "kernel_dim{dim}_r{radius}_alpha{alpha!r}_M{quad_points}_T{transform_order}.npz"
-)
+_CACHE_NAME = "kernel_dim{dim}_r{radius}_alpha{alpha!r}.npz"
 
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
 _LOG_T_MIN = -40.0
 _PANEL = 3.0  # panel width in log t; the error estimate uses 3.5
 _HANKEL_TERMS = 6
+_K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
 
 
 def mu(k: Sequence[float]) -> float:
@@ -82,65 +84,18 @@ def mu(k: Sequence[float]) -> float:
     return float(np.sum(4.0 * np.sin(arr / 2.0) ** 2))
 
 
-@lru_cache(maxsize=32)
-def _nodes(quad_points: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transformed midpoint nodes and weights on one axis of the torus."""
-    xi = 2.0 * pi * (np.arange(quad_points) + 0.5) / quad_points
-    if order == 0:
-        k, w = xi, np.ones(quad_points)
-    else:
-        c0 = comb(2 * order, order)
-        k = xi.copy()
-        for j in range(1, order + 1):
-            k += (2.0 * (-1) ** j * comb(2 * order, order + j) / c0) * np.sin(
-                j * xi
-            ) / j
-        w = (2.0 - 2.0 * np.cos(xi)) ** order / c0
-    k.setflags(write=False)
-    w.setflags(write=False)
-    return k, w
-
-
-def _validate_quad(quad_points: int, transform_order: int) -> None:
-    if not isinstance(quad_points, (int, np.integer)) or quad_points < 8:
-        raise ValueError("quad_points must be an integer >= 8")
-    if not isinstance(transform_order, (int, np.integer)) or transform_order < 0:
-        raise ValueError("transform_order must be a nonnegative integer")
-
-
-@lru_cache(maxsize=64)
-def _k_alpha(dim: int, alpha: float, quad_points: int, order: int) -> float:
-    k, w = _nodes(quad_points, order)
-    s = 4.0 * np.sin(k / 2.0) ** 2
-    grid = reduce(np.add.outer, [s] * dim)
-    weight = reduce(np.multiply.outer, [w] * dim)
-    return float(np.sum(grid ** (alpha / 2.0) * weight) / quad_points**dim)
-
-
-def fractional_degree(
-    dim: int,
-    alpha: float,
-    quad_points: int | None = None,
-    transform_order: int = DEFAULT_TRANSFORM_ORDER,
-) -> float:
-    """Normalization constant K_alpha = (2 pi)^{-N} int mu^{alpha/2} dk.
-
-    The integrand is bounded for every alpha > 0, so the constant exists
-    beyond the kernel's own range (0, N); alpha <= 0 is rejected.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if quad_points is None:
-        quad_points = DEFAULT_QUAD_POINTS.get(dim, 32)
-    _validate_quad(quad_points, transform_order)
-    return _k_alpha(int(dim), float(alpha), int(quad_points), int(transform_order))
-
-
 def _t_max(reach: int) -> float:
     """Where the Hankel tail takes over: far past reach^2, below ive's limit."""
     return min(max(100.0 * reach**2, 1e6), 1e8)
+
+
+def _panels(t_max: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights of dx, x = log t, over [-40, log t_max]."""
+    panels = ceil((log(t_max) - _LOG_T_MIN) / panel)
+    edges = np.linspace(_LOG_T_MIN, log(t_max), panels + 1)
+    half = np.diff(edges)[:, None] / 2.0
+    t = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+    return t, (half * _GL_WEIGHTS).ravel()
 
 
 def _hankel(nu: np.ndarray) -> np.ndarray:
@@ -156,11 +111,8 @@ def _green(
 ) -> np.ndarray:
     """G_s on the outer product of per-axis |d| values (module docstring)."""
     dim, s = len(axes), alpha / 2.0
-    panels = ceil((log(t_max) - _LOG_T_MIN) / panel)
-    edges = np.linspace(_LOG_T_MIN, log(t_max), panels + 1)
-    half = np.diff(edges)[:, None] / 2.0
-    t = np.exp((edges[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
-    weights = (half * _GL_WEIGHTS).ravel() * t**s  # t^{s-1} dt = t^s dx
+    t, dx = _panels(t_max, panel)
+    weights = dx * t**s  # t^{s-1} dt = t^s dx
     bessel, hankel = [], []
     for j, a in enumerate(axes):
         bessel += [ive(a, 2.0 * t[:, None]), [dim, j]]
@@ -175,6 +127,51 @@ def _green(
     return delta + (heat + tail - delta * np.dot(weights, np.exp(-t))) / gamma(s)
 
 
+def _k_alpha(dim: int, alpha: float, t_max: float, panel: float) -> float:
+    """K_alpha by subordination of mu^{s-m} (module docstring)."""
+    s = alpha / 2.0
+    m = ceil(s)
+    sigma = m - s
+    t, dx = _panels(t_max, panel)
+    # a_b(t) at n = 0 from ive(n, 2t) at n = -m..m, one second difference
+    # 2 - z - 1/z at a time; row 0 is t = 0, where ive(n, 0) = delta_n
+    v = ive(np.abs(np.arange(-m, m + 1)), 2.0 * np.r_[0.0, t][:, None])
+    series = []
+    for b in range(m + 1):
+        series.append(v[:, m - b] / factorial(b))
+        v = 2.0 * v[:, 1:-1] - v[:, :-2] - v[:, 2:]
+    # E_m = m! [x^m] (sum_b a_b x^b / b!)^N, the sum over beta above
+    power = series
+    for _ in range(dim - 1):
+        power = [
+            sum(power[i] * series[k - i] for i in range(k + 1)) for k in range(m + 1)
+        ]
+    moment = factorial(m) * power[m]  # E_m at t = 0, then at the nodes
+    if sigma == 0.0:
+        return float(moment[0])
+    # ive(0, 2t)^N ~ sum_k g_k t^{-q}, q = k + N/2, so E_m ~ sum_k g_k (q)_m
+    # t^{-q-m}, and t^{sigma-1} t^{-q-m} integrates to t_max^{-q-s} / (q+s)
+    g = polypow(_hankel(np.zeros(1))[:, 0], dim)
+    q = np.arange(g.size) + dim / 2.0
+    tail = np.sum(g * poch(q, m) * t_max ** -(q + s) / (q + s))
+    head = moment[0] * exp(_LOG_T_MIN * sigma) / sigma
+    heat = np.dot(dx * t**sigma, moment[1:])
+    return float((head + heat + tail) / gamma(sigma))
+
+
+def fractional_degree(dim: int, alpha: float) -> float:
+    """Normalization constant K_alpha = (2 pi)^{-N} int mu^{alpha/2} dk.
+
+    The integrand is bounded for every alpha > 0, so the constant exists
+    beyond the kernel's own range (0, N); alpha <= 0 is rejected.
+    """
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not np.isfinite(alpha) or alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return _k_alpha(int(dim), float(alpha), _K_T_MAX, _PANEL)
+
+
 def _check_kernel_params(dim: int, alpha: float) -> None:
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -185,25 +182,18 @@ def _check_kernel_params(dim: int, alpha: float) -> None:
         )
 
 
-def riesz_kernel(
-    d: Sequence[int],
-    dim: int,
-    alpha: float,
-    quad_points: int | None = None,
-    transform_order: int = DEFAULT_TRANSFORM_ORDER,
-) -> float:
+def riesz_kernel(d: Sequence[int], dim: int, alpha: float) -> float:
     """Kernel value R_alpha(d) for a single vector difference d.
 
-    The one-entry case of the table's subordination integral;
-    `quad_points` and `transform_order` set the quadrature of K_alpha.
-    Requires 0 < alpha < N.
+    The one-entry case of the table's subordination integral.  Requires
+    0 < alpha < N.
     """
     _check_kernel_params(dim, alpha)
     if len(d) != dim:
         raise ValueError(f"difference vector must have {dim} components")
-    ka = fractional_degree(dim, alpha, quad_points, transform_order)
     axes = [np.array([abs(int(c))]) for c in d]
-    return ka * _green(axes, alpha, _t_max(max(a[0] for a in axes)), _PANEL).item()
+    green = _green(axes, alpha, _t_max(max(a[0] for a in axes)), _PANEL)
+    return fractional_degree(dim, alpha) * green.item()
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,16 +202,14 @@ class KernelTable:
 
     `values` has shape (4r+1,)^N and is indexed by d + 2r per axis, so the
     table covers every difference of two sites of a radius-r box.  The table
-    carries the quadrature of its normalization constant k_alpha and
-    `error_estimate`, the largest relative change of an entry under a
-    coarser subordination rule (NaN when the values were not built here).
+    carries its normalization constant k_alpha and `error_estimate`, the
+    largest relative change of an entry, K_alpha included, under a coarser
+    subordination rule (NaN when the values were not built here).
     """
 
     dim: int
     radius: int
     alpha: float
-    quad_points: int
-    transform_order: int
     k_alpha: float
     values: np.ndarray
     error_estimate: float = float("nan")
@@ -254,12 +242,17 @@ class KernelTable:
 
     @staticmethod
     def load(path) -> "KernelTable":
-        """Read a saved table; files of another kernel method are refused."""
+        """Read a saved table; files of another kernel method or with other
+        metadata fields (an older format) are refused."""
         with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             values = np.array(data["values"])
-        if meta.pop("method", None) != METHOD:
-            raise ValueError(f"{path} does not hold a {METHOD} kernel table")
+        names = {f.name for f in fields(KernelTable)} - {"values"}
+        if meta.pop("method", None) != METHOD or set(meta) != names:
+            raise ValueError(
+                f"{path} does not hold a {METHOD} kernel table of this format; "
+                "rebuild it"
+            )
         return KernelTable(**meta, values=values)
 
     def write_csv(self, path) -> None:
@@ -275,18 +268,13 @@ class KernelTable:
 
 
 def build_table(
-    spec: LatticeSpec,
-    alpha: float,
-    quad_points: int | None = None,
-    transform_order: int | None = None,
-    cache_dir: str | None = None,
+    spec: LatticeSpec, alpha: float, cache_dir: str | None = None
 ) -> KernelTable:
     """Build (or load from cache) the kernel table for a box.
 
     All (4r+1)^N entries come from one subordination integral over the
     nonnegative orthant of differences; sign symmetry fills the rest, so
-    reflection invariance holds exactly.  `quad_points` and
-    `transform_order` set the quadrature of K_alpha only.
+    reflection invariance holds exactly.
 
     The cache location is `cache_dir`, or the LATTICE_CHOQUARD_KERNEL_CACHE
     environment variable when unset; with neither present nothing touches
@@ -294,17 +282,11 @@ def build_table(
     included, matches this build.
     """
     _check_kernel_params(spec.dim, alpha)
-    if quad_points is None:
-        quad_points = DEFAULT_QUAD_POINTS.get(spec.dim, 32)
-    if transform_order is None:
-        transform_order = DEFAULT_TRANSFORM_ORDER
-    ka = fractional_degree(spec.dim, alpha, quad_points, transform_order)
+    ka = fractional_degree(spec.dim, alpha)
     meta = {
         "dim": spec.dim,
         "radius": spec.radius,
         "alpha": float(alpha),
-        "quad_points": int(quad_points),
-        "transform_order": int(transform_order),
         "k_alpha": ka,
     }
 
@@ -316,7 +298,7 @@ def build_table(
         if os.path.exists(path):
             try:
                 cached = KernelTable.load(path)
-            except ValueError:  # another method's table: rebuild it
+            except ValueError:  # another method or format: rebuild it
                 cached = None
             if cached is not None and meta.items() <= cached._meta().items():
                 return cached
@@ -329,7 +311,10 @@ def build_table(
             f"kernel table for N={spec.dim}, r={spec.radius}, alpha={alpha} is "
             "not finite and positive; this is a fault in the kernel evaluation"
         )
-    coarse = ka * _green(axes, alpha, _t_max(reach) / 10.0, _PANEL + 0.5)
+    # the error estimate's rule: tails ten times earlier, wider panels
+    coarse = _k_alpha(spec.dim, alpha, _K_T_MAX / 10.0, _PANEL + 0.5) * _green(
+        axes, alpha, _t_max(reach) / 10.0, _PANEL + 0.5
+    )
     mirror = np.abs(np.arange(-reach, reach + 1))
     table = KernelTable(
         **meta,

@@ -28,7 +28,6 @@ __all__ = [
     "Field",
     "p_laplacian",
     "lp_norm",
-    "ibp_check",
     "random_field",
     "write_field_csv",
     "read_field_csv",
@@ -150,14 +149,6 @@ class Field:
             return float(self.values[self.spec.index_of(x)])
         return 0.0
 
-    def support_radius(self) -> int:
-        """Largest sup-norm coordinate carrying a nonzero value; -1 if u = 0."""
-        nz = np.flatnonzero(self.values)
-        if nz.size == 0:
-            return -1
-        coords = self.spec.coordinate_array()[nz]
-        return int(np.max(np.abs(coords)))
-
     def translated(self, shift: Sequence[int]) -> "Field":
         """Field x -> u(x - shift); values pushed outside the box are dropped."""
         if len(shift) != self.spec.dim:
@@ -246,51 +237,6 @@ def lp_norm(u: Field, p: float) -> float:
     if not p >= 1:
         raise ValueError("p must be >= 1 or infinity")
     return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
-
-
-def gradient_form_grid(u: Field, v: Field, margin: int = 1) -> np.ndarray:
-    """Gamma(u, v) on the box enlarged by `margin` sites per side."""
-    if u.spec != v.spec:
-        raise DomainError("fields live on different lattices")
-    ubig = _padded_grid(u, margin + 1)
-    vbig = _padded_grid(v, margin + 1)
-    ucore = ubig[_core(ubig.ndim)]
-    vcore = vbig[_core(vbig.ndim)]
-    acc = np.zeros_like(ucore)
-    for ax in range(ubig.ndim):
-        for step in (1, -1):
-            acc += (_shifted(ubig, ax, step) - ucore) * (
-                _shifted(vbig, ax, step) - vcore
-            )
-    return 0.5 * acc
-
-
-def ibp_check(u: Field, v: Field, p: float) -> tuple[float, float]:
-    """Summation-by-parts identity, both sides.
-
-    Returns (lhs, rhs) with
-
-        lhs = sum_x |grad u|^{p-2}(x) Gamma(u, v)(x)
-        rhs = -sum_x (Delta_p u)(x) v(x).
-
-    The identity is exact on the whole lattice for finitely supported fields;
-    under truncation it stays exact provided v vanishes within distance 2 of
-    the box boundary, which is enforced here.
-    """
-    if not np.isfinite(p) or p < 2:
-        raise ValueError("p must be >= 2")
-    if u.spec != v.spec:
-        raise DomainError("fields live on different lattices")
-    if v.support_radius() > v.spec.radius - 2:
-        raise ValueError(
-            "v must vanish within distance 2 of the box boundary for the "
-            "truncated identity to be exact"
-        )
-    gsq = grad_sq_grid(u, margin=1)
-    w = np.power(gsq, (p - 2.0) / 2.0)
-    lhs = float(np.sum(w * gradient_form_grid(u, v, margin=1)))
-    rhs = -float(np.sum(p_laplacian(u, p).values * v.values))
-    return lhs, rhs
 
 
 def random_field(

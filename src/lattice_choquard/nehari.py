@@ -32,20 +32,15 @@ from .energy import (
     energy_J,
     fiber_coefficients,
     h_norm,
-    nehari_functional,
-    pairing_field,
 )
 from .lattice import DomainError, Field
 from .model import ModelViolationError
 
 __all__ = [
     "FiberProbe",
-    "fiber_phi",
     "fiber_probe",
     "project_su",
-    "m_inverse",
     "psi",
-    "psi_grad_pairing",
     "golden_max",
     "fiber_max_golden",
 ]
@@ -54,15 +49,6 @@ _BRACKET_DOUBLINGS = 60
 _NEWTON_MAX_STEPS = 60
 # below this log step the next one is O(step^2): the root has full precision
 _NEWTON_STEP_TOL = 1e-9
-
-
-def fiber_phi(ctx: EnergyContext, u: Field, s: float) -> float:
-    """phi(s) = <J'(su), su>, evaluated directly at the scaled field."""
-    if s <= 0:
-        raise ValueError("the fiber parameter s must be positive")
-    if not np.any(u.values):
-        raise DomainError("the zero field has no fiber map")
-    return nehari_functional(ctx, Field(u.spec, s * u.values))
 
 
 def _phi_root(coeffs: FiberCoefficients) -> float:
@@ -124,20 +110,6 @@ def project_su(
     return s, Field(u.spec, s * u.values)
 
 
-def m_inverse(ctx: EnergyContext, u: Field) -> Field:
-    """Inverse of the sphere-to-manifold homeomorphism: u -> u / ||u||."""
-    coeffs = fiber_coefficients(ctx, u)
-    if coeffs.norm_pow == 0.0:
-        raise DomainError("the zero field is not on the constraint manifold")
-    defect = abs(coeffs.phi(1.0))
-    if defect > 1e-6 * coeffs.norm_pow:
-        raise DomainError(
-            f"field is not on the constraint manifold: |<J'(u), u>| = "
-            f"{defect:.3e} vs norm^p = {coeffs.norm_pow:.3e}"
-        )
-    return Field(u.spec, u.values / coeffs.norm_pow ** (1.0 / ctx.model.p))
-
-
 def psi(ctx: EnergyContext, w: Field) -> float:
     """Psi(w) = J(m(w)) for unit-norm w; equals max_s J(sw)."""
     norm = h_norm(ctx, w)
@@ -145,26 +117,6 @@ def psi(ctx: EnergyContext, w: Field) -> float:
         raise DomainError(f"psi requires a unit-norm field, got norm {norm!r}")
     s, coeffs = _project(ctx, w)
     return float(coeffs.energy(s))
-
-
-def psi_grad_pairing(ctx: EnergyContext, w: Field, z: Field) -> float:
-    """Directional derivative of Psi at w along a tangent direction z.
-
-    Computed as ||m(w)|| <grad J(m(w)), z>; requires ||w|| = 1 and z tangent
-    at w, i.e. (w, z) = 0 under the norm pairing.
-    """
-    norm = h_norm(ctx, w)
-    if abs(norm - 1.0) > 1e-8:
-        raise DomainError(f"psi requires a unit-norm field, got norm {norm!r}")
-    kappa = pairing_field(ctx, w)
-    tangency = float(np.dot(kappa.values, z.values))
-    scale = float(np.linalg.norm(kappa.values) * np.linalg.norm(z.values))
-    if abs(tangency) > 1e-6 * max(scale, 1e-300):
-        raise DomainError(
-            f"direction is not tangent: |(w, z)| = {abs(tangency):.3e}"
-        )
-    s, coeffs = _project(ctx, w)
-    return s * float(np.dot(coeffs.gradient(s, kappa), z.values))
 
 
 @dataclass(frozen=True)

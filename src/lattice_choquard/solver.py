@@ -45,8 +45,6 @@ __all__ = [
     "mountain_pass_level",
     "MountainPassLevel",
     "center_normalize",
-    "mountain_pass_geometry_probe",
-    "GeometryProbe",
 ]
 
 logger = logging.getLogger(__name__)
@@ -427,56 +425,3 @@ def center_normalize(ctx: EnergyContext, u: Field) -> Field:
         )
         return u
     return moved
-
-
-@dataclass(frozen=True)
-class GeometryProbe:
-    """Witnesses for the minimax geometry: a positive floor on a small
-    sphere, and a far point with negative energy."""
-
-    rho: float
-    sigma: float
-    witness: Field
-
-
-def mountain_pass_geometry_probe(
-    ctx: EnergyContext, n_samples: int = 64, seed: int = 0
-) -> GeometryProbe:
-    """Find rho > 0 with min J >= sigma > 0 on the norm sphere of radius rho,
-    plus a witness e beyond it with J(e) < 0.
-
-    Scans dyadic radii down to 1e-4, sampling `n_samples` random directions
-    per radius; raises when no radius yields a positive floor.
-    """
-    rng = np.random.default_rng(seed)
-    spec = ctx.spec
-    dirs = []
-    for _ in range(n_samples):
-        v = Field(spec, rng.standard_normal(spec.site_count))
-        dirs.append(Field(spec, v.values / h_norm(ctx, v)))
-
-    best_rho = 0.0
-    best_sigma = -np.inf
-    rho = 1.0
-    while rho >= 1e-4:
-        sigma = min(
-            energy_J(ctx, Field(spec, rho * d.values)) for d in dirs
-        )
-        if sigma > best_sigma:
-            best_rho, best_sigma = rho, sigma
-        rho *= 0.5
-    if best_sigma <= 0:
-        raise ModelViolationError(
-            "no radius down to 1e-4 gives a positive energy floor"
-        )
-
-    e_dir = dirs[0]
-    t = max(2.0 * best_rho, 1.0)
-    for _ in range(60):
-        witness = Field(spec, t * e_dir.values)
-        if energy_J(ctx, witness) < 0 and t > best_rho:
-            break
-        t *= 2.0
-    else:
-        raise ModelViolationError("energy never turns negative along a ray")
-    return GeometryProbe(rho=best_rho, sigma=best_sigma, witness=witness)

@@ -17,15 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    EnergyContext,
-    energy_J,
-    h_norm,
-    h_norm_pow,
-    interaction_energy,
-)
+from .energy import EnergyContext, energy_J, h_norm, interaction_energy
 from .kernel import convolve, dense_operator
-from .lattice import DomainError, Field, lp_norm
+from .lattice import DomainError, Field, LatticeSpec, lp_norm
 from .model import eval_F, exponent_margins
 from .nehari import fiber_coefficients, golden_max, project_su
 
@@ -334,19 +328,46 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     )
 
 
-def _direct_fiber_max(ctx: EnergyContext, K: np.ndarray, vals: np.ndarray) -> float:
-    """max_s J(s v) evaluated through the dense kernel matrix.
+def _difference_matrix(spec: LatticeSpec) -> np.ndarray:
+    """Dense D with rows (x, e) -> v(x + e) - v(x) for the zero-extended v,
+    over every site x within distance 1 of the box (the sites where |grad v|
+    can be nonzero) and, for each x in turn, the 2N unit steps e."""
+    near = LatticeSpec(spec.dim, spec.radius + 1).coordinate_array()
+    unit = np.eye(spec.dim, dtype=int)
+    steps = np.concatenate([unit, -unit])
+    D = np.zeros((len(near), len(steps), spec.site_count))
+    for j, e in enumerate(steps):
+        for sign, pts in ((1.0, near + e), (-1.0, near)):
+            inside = np.flatnonzero(np.all(np.abs(pts) <= spec.radius, axis=1))
+            cols = np.ravel_multi_index((pts[inside] + spec.radius).T, spec.shape)
+            D[inside, j, cols] += sign
+    return D.reshape(-1, spec.site_count)
+
+
+def _dense_norm_pow(ctx: EnergyContext, D: np.ndarray, vals: np.ndarray) -> float:
+    """norm^p(v) = sum_x |grad v|^p(x) + sum h |v|^p, with |grad v|^2(x) =
+    1/2 sum_e (D v)_{x,e}^2 per site (not a sum of |D v|^p over edges)."""
+    p = ctx.model.p
+    diffs = D @ vals  # array methods: np.sum's dispatch is most of the cost here
+    grad_sq = 0.5 * (diffs * diffs).reshape(-1, 2 * ctx.spec.dim).sum(axis=1)
+    pot = (ctx.h_flat * np.abs(vals) ** p).sum()
+    return float((grad_sq ** (p / 2.0)).sum() + pot)
+
+
+def _direct_fiber_max(
+    ctx: EnergyContext, K: np.ndarray, D: np.ndarray, vals: np.ndarray
+) -> float:
+    """max_s J(s v) evaluated through the dense kernel and difference matrices.
 
     This is the oracle's own fiber evaluation, kept apart from
     `energy.fiber_coefficients` on purpose: the fiber restriction of J is a
-    polynomial in s whose coefficients come from one norm evaluation and a
-    handful of dense quadratic forms, so the golden-section maximization runs
-    on plain floats.
+    polynomial in s whose coefficients come from one dense norm evaluation
+    and a handful of dense quadratic forms, so the golden-section
+    maximization runs on plain floats.
     """
     if not np.any(vals):
         return np.inf
-    u = Field(ctx.spec, vals)
-    A = h_norm_pow(ctx, u)
+    A = _dense_norm_pow(ctx, D, vals)
     p = ctx.model.p
     terms = ctx.model.nonlinearity.terms
     powers = [np.abs(vals) ** q for _, q in terms]
@@ -358,7 +379,10 @@ def _direct_fiber_max(ctx: EnergyContext, K: np.ndarray, vals: np.ndarray) -> fl
             pairs.append((0.5 * (ai / qi) * (aj / qj) * b, qi + qj))
 
     def fiber(s: float) -> float:
-        return A * s**p / p - sum(w * s**e for w, e in pairs)
+        tail = 0.0  # a plain loop: this runs about 50 times per call
+        for w, e in pairs:
+            tail += w * s**e
+        return A * s**p / p - tail
 
     hi = 1.0
     for _ in range(200):
@@ -400,18 +424,19 @@ def ground_state_oracle(
         )
     rng = np.random.default_rng(seed)
     K = dense_operator(ctx.table)
+    D = _difference_matrix(ctx.spec)
     n_sites = ctx.spec.site_count
 
     levels = np.empty(n_directions)
     dirs = rng.standard_normal((n_directions, n_sites))
     for i in range(n_directions):
-        levels[i] = _direct_fiber_max(ctx, K, dirs[i])
+        levels[i] = _direct_fiber_max(ctx, K, D, dirs[i])
 
     def pinned(v: np.ndarray) -> float:
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             return np.inf
-        return _direct_fiber_max(ctx, K, v) + (nrm - 1.0) ** 2
+        return _direct_fiber_max(ctx, K, D, v) + (nrm - 1.0) ** 2
 
     def polish(v0: np.ndarray) -> float:
         x = v0 / np.linalg.norm(v0)

@@ -3,12 +3,30 @@
 The library computes these quantities on whole grids, or with faster
 algorithms; the versions here follow the definitions site by site, or are
 the slow and plainly safe algorithms they replaced, so tests can compare
-the two.
+the two.  The last section holds probes of the theory (summation by parts,
+the sphere-to-manifold inverse, the mountain-pass geometry) that check the
+library from outside and that no library code calls.
 """
+
+from dataclasses import dataclass
+from functools import reduce
+from math import comb, pi
 
 import numpy as np
 
-from lattice_choquard import DomainError, Field, LatticeSpec
+from lattice_choquard import (
+    DomainError,
+    Field,
+    LatticeSpec,
+    ModelViolationError,
+    energy_J,
+    fiber_coefficients,
+    h_norm,
+    nehari_functional,
+    p_laplacian,
+    pairing_field,
+)
+from lattice_choquard.nehari import _phi_root
 
 
 def canonical_representatives(dim: int, radius: int) -> list[tuple[int, ...]]:
@@ -97,3 +115,184 @@ def bisection_phi_root(coeffs) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def k_alpha_midpoint(dim: int, alpha: float, quad_points: int) -> float:
+    """Oracle for K_alpha = (2 pi)^{-N} int mu^{alpha/2} dk: the transformed
+    product midpoint rule the library used before subordination.
+
+    The integrand has a Lipschitz corner at k = 0.  Per axis the rule
+    substitutes k = T(xi) with Jacobian T'(xi) = (2 - 2 cos xi)^m / C(2m, m),
+    m = 3, which vanishes to order 2m at the corner and integrates to 2 pi:
+
+        T(xi) = xi + 2 / C(2m, m) sum_{j=1}^{m} (-1)^j C(2m, m+j) sin(j xi) / j,
+
+    so the nodes cluster near k = 0 and convergence is fast.  It holds
+    quad_points^(N-1) values at a time (one slice of the first axis), so
+    keep N <= 4.
+    """
+    order = 3
+    c0 = comb(2 * order, order)
+    xi = 2.0 * pi * (np.arange(quad_points) + 0.5) / quad_points
+    k = xi.copy()
+    for j in range(1, order + 1):
+        k += (2.0 * (-1) ** j * comb(2 * order, order + j) / c0) * np.sin(j * xi) / j
+    w = (2.0 - 2.0 * np.cos(xi)) ** order / c0
+    sym = 4.0 * np.sin(k / 2.0) ** 2
+    rest = reduce(np.add.outer, [sym] * (dim - 1), np.zeros(()))
+    rest_w = reduce(np.multiply.outer, [w] * (dim - 1), np.ones(()))
+    total = sum(
+        wi * np.sum((si + rest) ** (alpha / 2.0) * rest_w) for si, wi in zip(sym, w)
+    )
+    return float(total / quad_points**dim)
+
+
+# -- probes of the theory ---------------------------------------------------
+
+
+def support_radius(u: Field) -> int:
+    """Largest sup-norm coordinate carrying a nonzero value; -1 if u = 0."""
+    nz = np.flatnonzero(u.values)
+    if nz.size == 0:
+        return -1
+    return int(np.max(np.abs(u.spec.coordinate_array()[nz])))
+
+
+def gradient_form_grid(u: Field, v: Field, margin: int = 1) -> np.ndarray:
+    """Gamma(u, v) on the box enlarged by `margin` sites per side."""
+    if u.spec != v.spec:
+        raise DomainError("fields live on different lattices")
+    ubig = np.pad(u.grid(), margin + 1)
+    vbig = np.pad(v.grid(), margin + 1)
+    core = (slice(1, -1),) * ubig.ndim
+    acc = np.zeros(ubig[core].shape)
+    for ax in range(ubig.ndim):
+        for step in (1, -1):
+            du = np.roll(ubig, -step, ax) - ubig
+            dv = np.roll(vbig, -step, ax) - vbig
+            acc += du[core] * dv[core]
+    return 0.5 * acc
+
+
+def ibp_check(u: Field, v: Field, p: float) -> tuple[float, float]:
+    """Summation-by-parts identity, both sides.
+
+    Returns (lhs, rhs) with
+
+        lhs = sum_x |grad u|^{p-2}(x) Gamma(u, v)(x)
+        rhs = -sum_x (Delta_p u)(x) v(x).
+
+    The identity is exact on the whole lattice for finitely supported fields;
+    under truncation it stays exact provided v vanishes within distance 2 of
+    the box boundary, which is enforced here.
+    """
+    if not np.isfinite(p) or p < 2:
+        raise ValueError("p must be >= 2")
+    if u.spec != v.spec:
+        raise DomainError("fields live on different lattices")
+    if support_radius(v) > v.spec.radius - 2:
+        raise ValueError(
+            "v must vanish within distance 2 of the box boundary for the "
+            "truncated identity to be exact"
+        )
+    w = gradient_form_grid(u, u) ** ((p - 2.0) / 2.0)
+    lhs = float(np.sum(w * gradient_form_grid(u, v)))
+    rhs = -float(np.sum(p_laplacian(u, p).values * v.values))
+    return lhs, rhs
+
+
+def fiber_phi(ctx, u: Field, s: float) -> float:
+    """phi(s) = <J'(su), su>, evaluated directly at the scaled field."""
+    if s <= 0:
+        raise ValueError("the fiber parameter s must be positive")
+    if not np.any(u.values):
+        raise DomainError("the zero field has no fiber map")
+    return nehari_functional(ctx, Field(u.spec, s * u.values))
+
+
+def m_inverse(ctx, u: Field) -> Field:
+    """Inverse of the sphere-to-manifold homeomorphism: u -> u / ||u||."""
+    coeffs = fiber_coefficients(ctx, u)
+    if coeffs.norm_pow == 0.0:
+        raise DomainError("the zero field is not on the constraint manifold")
+    defect = abs(coeffs.phi(1.0))
+    if defect > 1e-6 * coeffs.norm_pow:
+        raise DomainError(
+            f"field is not on the constraint manifold: |<J'(u), u>| = "
+            f"{defect:.3e} vs norm^p = {coeffs.norm_pow:.3e}"
+        )
+    return Field(u.spec, u.values / coeffs.norm_pow ** (1.0 / ctx.model.p))
+
+
+def psi_grad_pairing(ctx, w: Field, z: Field) -> float:
+    """Directional derivative of Psi at w along a tangent direction z.
+
+    Computed as ||m(w)|| <grad J(m(w)), z>; requires ||w|| = 1 and z tangent
+    at w, i.e. (w, z) = 0 under the norm pairing.
+    """
+    norm = h_norm(ctx, w)
+    if abs(norm - 1.0) > 1e-8:
+        raise DomainError(f"psi requires a unit-norm field, got norm {norm!r}")
+    kappa = pairing_field(ctx, w)
+    tangency = float(np.dot(kappa.values, z.values))
+    scale = float(np.linalg.norm(kappa.values) * np.linalg.norm(z.values))
+    if abs(tangency) > 1e-6 * max(scale, 1e-300):
+        raise DomainError(
+            f"direction is not tangent: |(w, z)| = {abs(tangency):.3e}"
+        )
+    coeffs = fiber_coefficients(ctx, w)
+    s = _phi_root(coeffs)
+    return s * float(np.dot(coeffs.gradient(s, kappa), z.values))
+
+
+@dataclass(frozen=True)
+class GeometryProbe:
+    """Witnesses for the minimax geometry: a positive floor on a small
+    sphere, and a far point with negative energy."""
+
+    rho: float
+    sigma: float
+    witness: Field
+
+
+def mountain_pass_geometry_probe(
+    ctx, n_samples: int = 64, seed: int = 0
+) -> GeometryProbe:
+    """Find rho > 0 with min J >= sigma > 0 on the norm sphere of radius rho,
+    plus a witness e beyond it with J(e) < 0.
+
+    Scans dyadic radii down to 1e-4, sampling `n_samples` random directions
+    per radius; raises when no radius yields a positive floor.
+    """
+    rng = np.random.default_rng(seed)
+    spec = ctx.spec
+    dirs = []
+    for _ in range(n_samples):
+        v = Field(spec, rng.standard_normal(spec.site_count))
+        dirs.append(Field(spec, v.values / h_norm(ctx, v)))
+
+    best_rho = 0.0
+    best_sigma = -np.inf
+    rho = 1.0
+    while rho >= 1e-4:
+        sigma = min(
+            energy_J(ctx, Field(spec, rho * d.values)) for d in dirs
+        )
+        if sigma > best_sigma:
+            best_rho, best_sigma = rho, sigma
+        rho *= 0.5
+    if best_sigma <= 0:
+        raise ModelViolationError(
+            "no radius down to 1e-4 gives a positive energy floor"
+        )
+
+    e_dir = dirs[0]
+    t = max(2.0 * best_rho, 1.0)
+    for _ in range(60):
+        witness = Field(spec, t * e_dir.values)
+        if energy_J(ctx, witness) < 0 and t > best_rho:
+            break
+        t *= 2.0
+    else:
+        raise ModelViolationError("energy never turns negative along a ray")
+    return GeometryProbe(rho=best_rho, sigma=best_sigma, witness=witness)

@@ -49,7 +49,6 @@ def test_parse_minimal_config():
     assert cfg.model.lattice.radius == 6
     assert cfg.model.p == 2.0
     assert cfg.solver.seed == 0  # inherits the top-level default
-    assert cfg.quad_points is None
 
 
 def test_parse_solver_seed_inheritance():
@@ -78,6 +77,18 @@ def test_parse_collects_all_structural_errors():
     assert "max_iter" in text
     assert "vallue" in text
     assert "dim" in text  # missing required key also reported
+
+
+def test_parse_refuses_removed_quadrature_keys():
+    # the kernel's normalization constant has no quadrature setting any
+    # more; the error names the key and says to delete it
+    for key, value in (("quad_points", 512), ("transform_order", 3)):
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(base_config(**{key: value})))
+        (message,) = err.value.errors
+        assert key in message
+        assert "delete" in message
+        assert "unknown key" not in message
 
 
 def test_parse_rejects_wrong_types():

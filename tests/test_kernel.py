@@ -25,8 +25,9 @@ from lattice_choquard import (
     random_field,
     riesz_kernel,
 )
+from lattice_choquard import kernel
 from lattice_choquard.kernel import CACHE_ENV_VAR
-from reference import canonical_representatives
+from reference import canonical_representatives, k_alpha_midpoint
 
 # Adaptive-quadrature oracle values (QAWS algebraic-endpoint rule on the
 # stable 4 sin^2(k/2) form of the symbol), frozen from an independent
@@ -44,28 +45,52 @@ def test_mu_corner_values():
 def test_normalization_closed_form_one_dim():
     # (1/2pi) int (2 - 2cos k)^s dk = Gamma(1+2s) / Gamma(1+s)^2, the
     # central binomial moment; with s = alpha/2 this is an exact oracle
-    # for the normalization constant in one dimension.
-    for alpha in (0.25, 0.5, 1.0, 1.5):
+    # for the normalization constant in one dimension.  Small alpha puts
+    # the most weight on the Hankel tail of the subordination integral.
+    for alpha in (0.001, 0.05, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0, 1.5):
         exact = gamma(1.0 + alpha) / gamma(1.0 + alpha / 2.0) ** 2
-        got = fractional_degree(1, alpha, 4096)
-        assert got == pytest.approx(exact, rel=1e-10)
+        got = fractional_degree(1, alpha)
+        assert got == pytest.approx(exact, rel=1e-13)
 
 
 def test_normalization_four_over_pi():
-    assert fractional_degree(1, 1.0, 4096) == pytest.approx(4.0 / np.pi, rel=1e-8)
+    assert fractional_degree(1, 1.0) == pytest.approx(4.0 / np.pi, rel=1e-8)
 
 
 def test_normalization_small_alpha_limit():
-    assert fractional_degree(1, 1e-12, 256) == pytest.approx(1.0, abs=1e-9)
+    assert fractional_degree(1, 1e-12) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_normalization_matches_adaptive_quadrature():
-    assert fractional_degree(1, 0.5, 4096) == pytest.approx(ORACLE_K_HALF, rel=1e-12)
+    assert fractional_degree(1, 0.5) == pytest.approx(ORACLE_K_HALF, rel=1e-12)
+
+
+# (dim, alpha, midpoint points per axis); s = alpha/2 close to ceil(s)
+# (alpha = 1.99, 2.999) needs the head term below t = e^{-40}, and
+# alpha = 2.0 is the exact moment E_1(0)
+K_ALPHA_CASES = (
+    [(2, a, 512) for a in (0.01, 0.5, 1.0, 1.5, 1.99)]
+    + [(3, a, 64) for a in (0.01, 0.5, 1.0, 1.5, 1.99, 2.0, 2.01, 2.5, 2.9, 2.999)]
+    + [(4, a, 48) for a in (1.0, 3.0)]
+)
+
+
+@pytest.mark.parametrize("dim,alpha,quad_points", K_ALPHA_CASES)
+def test_normalization_matches_midpoint_oracle(dim, alpha, quad_points):
+    expected = k_alpha_midpoint(dim, alpha, quad_points)
+    assert fractional_degree(dim, alpha) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_normalization_integer_moments(dim):
+    # mu = sum_j (2 - 2 cos k_j) has mean 2N and second moment 4N^2 + 2N
+    assert fractional_degree(dim, 2.0) == 2 * dim
+    assert fractional_degree(dim, 4.0) == 4 * dim**2 + 2 * dim
 
 
 @pytest.mark.parametrize("d", [0, 3, 10])
 def test_kernel_matches_adaptive_quadrature(d):
-    got = riesz_kernel((d,), 1, 0.5, 4096)
+    got = riesz_kernel((d,), 1, 0.5)
     assert got == pytest.approx(ORACLE_R[d], rel=1e-12)
 
 
@@ -98,8 +123,8 @@ def test_table_3d_positive_with_small_error_estimate():
 
 
 def test_kernel_even_in_d():
-    assert riesz_kernel((4,), 1, 0.5, 512) == pytest.approx(
-        riesz_kernel((-4,), 1, 0.5, 512), rel=1e-15
+    assert riesz_kernel((4,), 1, 0.5) == pytest.approx(
+        riesz_kernel((-4,), 1, 0.5), rel=1e-15
     )
 
 
@@ -110,23 +135,15 @@ def test_parameter_errors():
         riesz_kernel((0,), 1, -0.5)
     with pytest.raises(ValueError):
         fractional_degree(1, 0.0)
-    with pytest.raises(ValueError):
-        fractional_degree(1, 0.5, 4)  # too few quadrature points
 
 
 @pytest.mark.parametrize("dim,alpha", [(1, 0.5), (2, 1.0)])
 def test_self_convergence(dim, alpha):
-    # successive halved-step differences must not grow; the transformed
-    # rule reaches the roundoff floor by M=64, where ties are legitimate
-    ms = [64, 128, 256]
-    diffs = []
-    for m in ms:
-        a = fractional_degree(dim, alpha, m)
-        b = fractional_degree(dim, alpha, 2 * m)
-        diffs.append(abs(b - a) / abs(b))
-    for lo, hi in zip(diffs[1:], diffs[:-1]):
-        assert lo <= hi + 1e-15 or lo <= 1e-12
-    assert diffs[-1] <= 1e-6
+    # the main rule against the error estimate's coarser one (panels 0.5
+    # wider in log t, the Hankel tail from a ten times smaller t)
+    main = fractional_degree(dim, alpha)
+    coarse = kernel._k_alpha(dim, alpha, kernel._K_T_MAX / 10.0, kernel._PANEL + 0.5)
+    assert abs(coarse - main) <= 1e-13 * main
 
 
 def test_canonical_representative_counts():
@@ -137,12 +154,12 @@ def test_canonical_representative_counts():
 
 @pytest.fixture(scope="module")
 def table_1d():
-    return build_table(LatticeSpec(1, 8), 0.5, 512)
+    return build_table(LatticeSpec(1, 8), 0.5)
 
 
 @pytest.fixture(scope="module")
 def table_2d():
-    return build_table(LatticeSpec(2, 3), 1.0, 128)
+    return build_table(LatticeSpec(2, 3), 1.0)
 
 
 def test_table_positive_finite(table_1d, table_2d):
@@ -150,6 +167,7 @@ def test_table_positive_finite(table_1d, table_2d):
         assert table.k_alpha > 0
         assert np.all(np.isfinite(table.values))
         assert np.all(table.values > 0)
+        assert table.error_estimate <= 1e-12
 
 
 def test_table_symmetries(table_2d):
@@ -163,13 +181,15 @@ def test_table_symmetries(table_2d):
 
 
 def test_table_doubling_stability(table_1d):
-    finer = build_table(LatticeSpec(1, 8), 0.5, 1024)
-    rel = np.abs(finer.values - table_1d.values) / np.abs(finer.values)
-    assert float(np.max(rel)) <= 1e-6
+    # an entry does not depend on the box it was built for: the radius-16
+    # table holds the radius-8 one in its middle
+    doubled = build_table(LatticeSpec(1, 16), 0.5).values[16:-16]
+    rel = np.abs(doubled - table_1d.values) / np.abs(doubled)
+    assert float(np.max(rel)) <= 1e-13
 
 
 def test_kernel_decay_along_axis():
-    vals = [riesz_kernel((t, 0), 2, 1.0, 512) for t in range(1, 21)]
+    vals = [riesz_kernel((t, 0), 2, 1.0) for t in range(1, 21)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -232,8 +252,6 @@ def test_convolve_alias_free_transform_size(dim, radius):
         dim=dim,
         radius=radius,
         alpha=1.0,
-        quad_points=0,
-        transform_order=0,
         k_alpha=1.0,
         values=rng.uniform(0.1, 1.0, (4 * radius + 1,) * dim),
     )
@@ -302,10 +320,10 @@ def test_table_save_load_round_trip(tmp_path, table_2d):
 
 def test_build_table_cache(tmp_path):
     spec = LatticeSpec(1, 4)
-    first = build_table(spec, 0.5, 256, cache_dir=str(tmp_path))
-    expected = tmp_path / "kernel_dim1_r4_alpha0.5_M256_T3.npz"
+    first = build_table(spec, 0.5, cache_dir=str(tmp_path))
+    expected = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
     assert expected.exists()
-    again = build_table(spec, 0.5, 256, cache_dir=str(tmp_path))
+    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
     assert np.array_equal(first.values, again.values)
     assert again.error_estimate == first.error_estimate
 
@@ -314,20 +332,36 @@ def test_build_table_cache_skips_file_without_method(tmp_path):
     # a file of the same name from the node-transform era carries no
     # "method"; its values must not be loaded
     spec = LatticeSpec(1, 4)
-    fresh = build_table(spec, 0.5, 256)
-    path = tmp_path / "kernel_dim1_r4_alpha0.5_M256_T3.npz"
+    fresh = build_table(spec, 0.5)
+    path = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
     meta = {k: v for k, v in fresh._meta().items() if k != "method"}
     np.savez(path, values=2.0 * fresh.values, meta=np.array(json.dumps(meta)))
     with pytest.raises(ValueError, match="subordination"):
         KernelTable.load(path)
-    again = build_table(spec, 0.5, 256, cache_dir=str(tmp_path))
+    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
+    assert np.array_equal(again.values, fresh.values)
+    assert KernelTable.load(path)._meta() == fresh._meta()
+
+
+def test_build_table_cache_refuses_file_with_quadrature_fields(tmp_path):
+    # a table saved while K_alpha still had a quadrature setting carries
+    # quad_points and transform_order: loading it asks for a rebuild, and
+    # build_table does rebuild it
+    spec = LatticeSpec(1, 4)
+    fresh = build_table(spec, 0.5)
+    path = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
+    meta = {**fresh._meta(), "quad_points": 4096, "transform_order": 3}
+    np.savez(path, values=2.0 * fresh.values, meta=np.array(json.dumps(meta)))
+    with pytest.raises(ValueError, match="rebuild"):
+        KernelTable.load(path)
+    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
     assert np.array_equal(again.values, fresh.values)
     assert KernelTable.load(path)._meta() == fresh._meta()
 
 
 def test_build_table_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    build_table(LatticeSpec(1, 3), 0.5, 256)
+    build_table(LatticeSpec(1, 3), 0.5)
     assert any(p.suffix == ".npz" for p in tmp_path.iterdir())
 
 

@@ -7,7 +7,6 @@ from lattice_choquard import (
     DomainError,
     Field,
     LatticeSpec,
-    ibp_check,
     lp_norm,
     p_laplacian,
     random_field,
@@ -15,7 +14,13 @@ from lattice_choquard import (
     write_field_csv,
 )
 from lattice_choquard import lattice
-from reference import grad_norm, gradient_form, neighbors, padded_grid_by_np_pad
+from reference import (
+    grad_norm,
+    gradient_form,
+    ibp_check,
+    neighbors,
+    padded_grid_by_np_pad,
+)
 
 
 def inner_trim(u, margin=2):

@@ -17,22 +17,19 @@ from lattice_choquard import (
     energy_J,
     fiber_coefficients,
     fiber_max_golden,
-    fiber_phi,
     fiber_probe,
     golden_max,
     h_norm,
     h_norm_pow,
-    m_inverse,
     make_context,
     nehari_functional,
     project_su,
     psi,
-    psi_grad_pairing,
     random_field,
 )
 from conftest import make_model
 from lattice_choquard.nehari import _phi_root
-from reference import bisection_phi_root
+from reference import bisection_phi_root, fiber_phi, m_inverse, psi_grad_pairing
 
 
 @pytest.fixture(scope="module")

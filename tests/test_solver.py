@@ -17,12 +17,12 @@ from lattice_choquard import (
     h_norm_pow,
     make_context,
     minimize_ground_state,
-    mountain_pass_geometry_probe,
     mountain_pass_level,
     nehari_functional,
     pointwise_residual,
 )
 from conftest import make_model
+from reference import mountain_pass_geometry_probe
 
 # ground-state levels frozen from converged runs of this solver,
 # cross-checked against the dense-scan oracle on the small model

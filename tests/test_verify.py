@@ -10,14 +10,17 @@ import pytest
 
 import lattice_choquard
 from lattice_choquard import (
+    CoercivePotential,
     ConstantPotential,
     DomainError,
+    Field,
     LatticeSpec,
     ModelSpec,
     SumOfPowers,
     ar_condition_check,
     fiber_growth_check,
     ground_state_oracle,
+    h_norm_pow,
     hls_sampler,
     make_context,
     nehari_floor_check,
@@ -26,6 +29,7 @@ from lattice_choquard import (
     write_checks_json,
 )
 from conftest import make_model
+from lattice_choquard.verify import _dense_norm_pow, _difference_matrix
 
 TINY_LEVEL = 1.5906930092286227  # full-budget oracle value on the 7-site model
 
@@ -120,6 +124,22 @@ def test_oracle_smoke_small_budget(ctx_tiny):
     # a tiny budget lands close to the full-budget level
     level = ground_state_oracle(ctx_tiny, n_directions=300, refine=3, n_restarts=4)
     assert level == pytest.approx(TINY_LEVEL, rel=1e-4)
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 3), (1, 4), (2, 1), (2, 3), (3, 1)])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
+def test_oracle_dense_norm_matches_h_norm_pow(dim, radius, p):
+    # the oracle's difference-matrix norm against the library's padded-grid
+    # one, with a site-dependent potential so the h-weighted part is checked
+    potential = CoercivePotential(1.0, (0,) * dim, 1.0, 1.0)
+    model = make_model(dim, radius, p, 0.5, 4.0, potential=potential)
+    ctx = make_context(model)
+    D = _difference_matrix(ctx.spec)
+    rng = np.random.default_rng([dim, radius, int(10 * p)])
+    for _ in range(10):
+        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
+        dense = _dense_norm_pow(ctx, D, u.values)
+        assert dense == pytest.approx(h_norm_pow(ctx, u), rel=1e-12)
 
 
 def test_run_all_checks_composition(ctx_a):
