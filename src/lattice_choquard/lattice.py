@@ -27,6 +27,7 @@ __all__ = [
     "LatticeSpec",
     "Field",
     "p_laplacian",
+    "p_laplacian_diagonal",
     "lp_norm",
     "random_field",
     "write_field_csv",
@@ -199,6 +200,28 @@ def grad_sq_grid(u: Field, margin: int = 1) -> np.ndarray:
     return 0.5 * acc
 
 
+def _edge_weights(u: Field, p: float) -> np.ndarray:
+    """|grad u|^{p-2} on the box enlarged by one site per side."""
+    if not np.isfinite(p) or p < 2:
+        raise ValueError("p must be >= 2")
+    # p = 2 needs unit weights everywhere; np.power(0, 0) = 1 covers the
+    # zero-gradient sites without a branch.
+    return np.power(grad_sq_grid(u, margin=1), (p - 2.0) / 2.0)
+
+
+def p_laplacian_diagonal(u: Field, p: float) -> np.ndarray:
+    """Sum over y ~ x of the edge weights 1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y))
+    of Delta_p u, on the box grid: minus the diagonal of Delta_p with its
+    weights frozen at u.  Exterior neighbours count, as in p_laplacian."""
+    w = _edge_weights(u, p)
+    wc = w[_core(w.ndim)]
+    acc = np.zeros_like(wc)
+    for ax in range(w.ndim):
+        for step in (1, -1):
+            acc += _shifted(w, ax, step) + wc
+    return 0.5 * acc
+
+
 def p_laplacian(u: Field, p: float) -> Field:
     """Discrete p-Laplacian of a zero-extended field, evaluated on the box.
 
@@ -214,12 +237,7 @@ def p_laplacian(u: Field, p: float) -> Field:
     Field
         Delta_p u restricted to the box.
     """
-    if not np.isfinite(p) or p < 2:
-        raise ValueError("p must be >= 2")
-    gsq = grad_sq_grid(u, margin=1)
-    # p = 2 needs unit weights everywhere; np.power(0, 0) = 1 covers the
-    # zero-gradient sites without a branch.
-    w = np.power(gsq, (p - 2.0) / 2.0)
+    w = _edge_weights(u, p)
     big = _padded_grid(u, 1)
     uc = big[_core(big.ndim)]
     wc = w[_core(w.ndim)]

@@ -1,28 +1,42 @@
-"""Ground-state search by projected descent on the unit sphere.
+"""Ground-state search by preconditioned descent on the unit sphere.
 
 The scaling degree of freedom is eliminated through the fiber projection:
 minimizing J over the constraint manifold is the same as minimizing
 Psi(w) = J(m(w)) over the unit sphere S of the space norm.  Each iterate
 
     w_{k+1} = normalize(w_k + t_k z_k),
-    z_k     = -(g_k - (<g_k, kappa_k> / <kappa_k, kappa_k>) kappa_k),
+    z_k     = -(P^{-1} g_k - lambda_k P^{-1} kappa_k),
+    lambda_k = <kappa_k, P^{-1} g_k> / <kappa_k, P^{-1} kappa_k>,
 
-projects the full gradient g_k = grad J(m(w_k)) onto the tangent hyperplane
-{z : (w_k, z) = 0} of the norm pairing (kappa_k is the pairing field of w_k)
-and retracts radially.  The directional derivative of Psi along z is
-s_k <g_k, z>, so z_k is a descent direction whenever the projected gradient
-is nonzero; steps start from a Barzilai-Borwein estimate and backtrack under
-an Armijo test.  Multi-start guards against nonglobal minima; the best
-converged start wins.
+steps along the gradient g_k = grad J(m(w_k)) taken in the metric of P
+(a Sobolev gradient, Neuberger 1997) and projected in that metric onto the
+tangent hyperplane {z : <kappa_k, z> = 0} of the norm pairing (kappa_k is
+the pairing field of w_k), then retracts radially.  The directional
+derivative of Psi along z is s_k <g_k, z> <= 0, by Cauchy-Schwarz in the
+P^{-1} inner product.
+
+P^{-1} = S L^{-1} S, after Huang, Li & Liu (J. Sci. Comput. 32, 2007):
+L = -Delta + h0 on the box with zero extension (h0 the potential's floor) is
+diagonalized by the orthonormal DST-I, and the diagonal S rescales it to the
+linearized weighted p-Laplacian at w_k, whose diagonal is
+
+    a(x) = h(x) (|w|^{p-2}(x) + eps)
+           + sum_{y ~ x} [1/2 (|grad w|^{p-2}(x) + |grad w|^{p-2}(y)) + eps],
+
+with S = sqrt((2N + h0) / a).  For p = 2 and constant h, P = (1 + eps) L.
+Steps start from a Barzilai-Borwein estimate on differences of the
+direction and backtrack under an Armijo test.  Multi-start guards against
+nonglobal minima; the best converged start wins.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.fft import dstn, idstn
 
 from .energy import (
     EnergyContext,
@@ -32,7 +46,7 @@ from .energy import (
     pairing_field,
     pointwise_residual,
 )
-from .lattice import Field
+from .lattice import Field, p_laplacian_diagonal
 from .model import ModelViolationError
 from .nehari import fiber_coefficients, golden_max, _phi_root
 
@@ -50,6 +64,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _STEP_FLOOR = 1e-14
+_METRIC_EPS = 1e-3  # keeps the metric's weights positive where w or grad w is 0
 
 
 @dataclass(frozen=True)
@@ -82,12 +97,25 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StartDiagnostics:
+    """How one start ended; `stop` is "converged", "zero_direction",
+    "step_floor" or "max_iters".  Every trial solves one fiber root, and the
+    start itself one more."""
+
     start: int
     converged: bool
     iterations: int
     energy: float
     residual: float
-    hit_step_floor: bool
+    trials: int
+    roots: int
+    stop: str
+
+    def log_line(self) -> str:
+        return (
+            f"start {self.start}: {self.iterations} iterations, {self.trials} "
+            f"trials, {self.roots} fiber roots, residual={self.residual:.3e}, "
+            f"converged={self.converged}, stop={self.stop}"
+        )
 
 
 class NonconvergenceError(RuntimeError):
@@ -132,6 +160,7 @@ class SolveReport:
             "winner_start": self.winner_start,
             "start_energies": list(self.start_energies),
             "s_history": list(self.s_history),
+            "starts": [asdict(d) for d in self.diagnostics],
         }
 
 
@@ -139,14 +168,14 @@ class SolveReport:
 class _StartResult:
     w: Field
     s: float
-    psi: float
-    converged: bool
-    iterations: int
-    residual: float
-    hit_step_floor: bool
+    diag: StartDiagnostics
     s_history: list
     psi_history: list
     residual_history: list
+
+    @property
+    def iterations(self) -> int:
+        return self.diag.iterations
 
 
 def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
@@ -170,6 +199,46 @@ def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
     return fields
 
 
+def _dirichlet_eigenvalues(ctx: EnergyContext) -> np.ndarray:
+    """Eigenvalues of L = -Delta + h0 on the box with zero extension, on the
+    grid of the DST-I that diagonalizes it; cached on the context."""
+    eig = getattr(ctx, "_dirichlet_eigs", None)
+    if eig is None:
+        n = ctx.spec.side
+        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        eig = ctx.model.potential.floor + sum(np.ix_(*[axis] * ctx.spec.dim))
+        object.__setattr__(ctx, "_dirichlet_eigs", eig)
+    return eig
+
+
+def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
+    """P^{-1} v = S L^{-1} S v at the unit-norm iterate w, for a flat field v
+    or a stack of them (the last axis runs over sites)."""
+    p, dim = ctx.model.p, ctx.spec.dim
+    h0 = ctx.model.potential.floor
+    a = (
+        ctx.h_flat * (np.abs(w.values) ** (p - 2.0) + _METRIC_EPS)
+        + p_laplacian_diagonal(w, p).reshape(-1)
+        + 2 * dim * _METRIC_EPS
+    )
+    scale = np.sqrt((2 * dim + h0) / a)
+    axes = tuple(range(-dim, 0))
+    grid = (scale * v).reshape(v.shape[:-1] + ctx.spec.shape)
+    spec = dstn(grid, type=1, norm="ortho", axes=axes) / _dirichlet_eigenvalues(ctx)
+    out = idstn(spec, type=1, norm="ortho", axes=axes)
+    return scale * out.reshape(v.shape)
+
+
+def _tangent_direction(
+    ctx: EnergyContext, w: Field, g: np.ndarray, kappa: np.ndarray
+) -> np.ndarray:
+    """d = P^{-1} g - lambda P^{-1} kappa, so that <kappa, d> = 0 and the
+    descent direction z = -d has slope s <g, z> <= 0."""
+    pg, pk = _metric_inverse(ctx, w, np.stack((g, kappa)))
+    lam = float(np.dot(kappa, pg)) / float(np.dot(kappa, pk))
+    return pg - lam * pk
+
+
 def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _StartResult:
     norm0 = h_norm(ctx, w0)
     if norm0 == 0.0:
@@ -187,10 +256,9 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
     res_hist: list[float] = []
 
     prev_w = None
-    prev_grad_dir = None
+    prev_d = None
     step = cfg.step0
     converged = False
-    hit_floor = False
     it = 0
 
     for it in range(cfg.max_iters):
@@ -210,30 +278,26 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             stop = "converged"
             break
 
-        kn2 = float(np.dot(kappa.values, kappa.values))
-        kg = float(np.dot(g, kappa.values))
-        z = -(g - (kg / kn2) * kappa.values)
-        zn2 = float(np.dot(z, z))
-        if zn2 == 0.0:
+        d = _tangent_direction(ctx, w, g, kappa.values)
+        slope = -s * float(np.dot(g, d))  # d/dt Psi(retract(w - t d)) at t = 0
+        if not slope < 0:
             converged = resid <= cfg.grad_tol * scale
             stop = "zero_direction"
             break
-        slope = -s * zn2  # d/dt Psi(retract(w + t z)) at t = 0
 
         if prev_w is not None:
             dw = w.values - prev_w
-            dgrad = (-z) - prev_grad_dir
-            denom = float(np.dot(dw, dgrad))
+            denom = float(np.dot(dw, d - prev_d))
             num = float(np.dot(dw, dw))
             if denom > 0 and np.isfinite(denom) and num > 0:
                 step = min(max(num / denom, 1e-12), 1e6)
         prev_w = w.values.copy()
-        prev_grad_dir = -z
+        prev_d = d
 
         t = step
         accepted = False
         while t >= _STEP_FLOOR:
-            trial_vals = w.values + t * z
+            trial_vals = w.values - t * d
             trial = Field(ctx.spec, trial_vals)
             tnorm = h_norm(ctx, trial)
             trials += 1
@@ -253,25 +317,25 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
             # finite-precision stall: w did not move, so the residual from
             # the top of the loop is current; accept iff it already meets
             # the stationarity criterion
-            hit_floor = True
             converged = resid <= cfg.grad_tol * scale
             stop = "step_floor"
             break
 
-    final_resid = res_hist[-1] if res_hist else float("inf")
-    logger.info(
-        "start %d: %d iterations, %d trials, %d fiber roots, residual=%.3e, "
-        "converged=%s, stop=%s",
-        start, it + 1, trials, roots, final_resid, converged, stop,
+    diag = StartDiagnostics(
+        start=start,
+        converged=converged,
+        iterations=it + 1,
+        energy=psi_val,
+        residual=res_hist[-1] if res_hist else float("inf"),
+        trials=trials,
+        roots=roots,
+        stop=stop,
     )
+    logger.info(diag.log_line())
     return _StartResult(
         w=w,
         s=s,
-        psi=psi_val,
-        converged=converged,
-        iterations=it + 1,
-        residual=final_resid,
-        hit_step_floor=hit_floor,
+        diag=diag,
         s_history=s_hist,
         psi_history=psi_hist,
         residual_history=res_hist,
@@ -297,21 +361,11 @@ def minimize_ground_state(
     else:
         results = [_descend(ctx, cfg, w0, k) for k, w0 in enumerate(starts)]
 
-    diags = tuple(
-        StartDiagnostics(
-            start=k,
-            converged=r.converged,
-            iterations=r.iterations,
-            energy=r.psi,
-            residual=r.residual,
-            hit_step_floor=r.hit_step_floor,
-        )
-        for k, r in enumerate(results)
-    )
-    converged = [(k, r) for k, r in enumerate(results) if r.converged]
+    diags = tuple(r.diag for r in results)
+    converged = [(k, r) for k, r in enumerate(results) if r.diag.converged]
     if not converged:
         raise NonconvergenceError(list(diags))
-    winner_idx, winner = min(converged, key=lambda kr: (kr[1].psi, kr[0]))
+    winner_idx, winner = min(converged, key=lambda kr: (kr[1].diag.energy, kr[0]))
 
     u_star = Field(ctx.spec, winner.s * winner.w.values)
     energy = energy_J(ctx, u_star)
@@ -325,7 +379,7 @@ def minimize_ground_state(
         residual_history=tuple(winner.residual_history),
         iterations=winner.iterations,
         winner_start=winner_idx,
-        start_energies=tuple(r.psi for r in results),
+        start_energies=tuple(d.energy for d in diags),
         diagnostics=diags,
     )
     logger.info(

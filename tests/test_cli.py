@@ -158,10 +158,17 @@ def test_solve_artifacts(tmp_path, capsys):
         "winner_start",
         "start_energies",
         "s_history",
+        "starts",
         "config",
         "wall_time_s",
     }
     assert report["config"]["radius"] == 6
+    starts = report["starts"]
+    assert [d["start"] for d in starts] == list(range(len(report["start_energies"])))
+    assert [d["energy"] for d in starts] == report["start_energies"]
+    winner = starts[report["winner_start"]]
+    assert (winner["iterations"], winner["stop"]) == (report["iterations"], "converged")
+    assert all(d["roots"] == d["trials"] + 1 for d in starts)
 
     u = read_field_csv(out / "solution.csv")
     assert u.spec.radius == 6

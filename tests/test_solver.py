@@ -1,5 +1,7 @@
-"""Sphere descent, multistart, mountain-pass probes, centering."""
+"""Sphere descent and its metric, multistart, box levels, mountain-pass
+probes, centering."""
 
+import dataclasses
 import logging
 import re
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from lattice_choquard import (
+    ConstantPotential,
     Field,
     NonconvergenceError,
     PeriodicPotential,
@@ -19,7 +22,16 @@ from lattice_choquard import (
     minimize_ground_state,
     mountain_pass_level,
     nehari_functional,
+    p_laplacian,
+    pairing_field,
     pointwise_residual,
+)
+from lattice_choquard.energy import fiber_coefficients
+from lattice_choquard.nehari import _phi_root
+from lattice_choquard.solver import (
+    _METRIC_EPS,
+    _metric_inverse,
+    _tangent_direction,
 )
 from conftest import make_model
 from reference import mountain_pass_geometry_probe
@@ -86,11 +98,103 @@ def test_one_log_line_per_start(ctx_a, caplog):
     assert [int(m[1]) for m in lines] == [0, 1, 2]
     for m, diag in zip(lines, report.diagnostics):
         iterations, trials, roots = int(m[2]), int(m[3]), int(m[4])
-        assert iterations == diag.iterations
+        assert (iterations, trials, roots) == (diag.iterations, diag.trials, diag.roots)
         assert trials >= iterations - 1
         assert roots == trials + 1  # the start, then one per trial
         assert m[5] == str(diag.converged)
-        assert m[6] == "converged"
+        assert m[6] == diag.stop == "converged"
+
+
+def _unit_fields(ctx, count=3):
+    """Seeded decaying noise, scaled to unit space norm."""
+    coords = ctx.spec.coordinate_array()
+    envelope = np.exp(-0.5 * np.sqrt(np.sum(coords**2, axis=1)))
+    out = []
+    for k in range(count):
+        vals = np.random.default_rng([7, k]).standard_normal(ctx.spec.site_count)
+        u = Field(ctx.spec, vals * envelope)
+        out.append(Field(ctx.spec, u.values / h_norm(ctx, u)))
+    return out
+
+
+def test_metric_inverse_symmetric_positive(ctx_b):
+    rng = np.random.default_rng(11)
+    for w in _unit_fields(ctx_b):
+        a, b = rng.standard_normal((2, ctx_b.spec.site_count))
+        pa, pb = _metric_inverse(ctx_b, w, np.stack((a, b)))
+        assert np.array_equal(pa, _metric_inverse(ctx_b, w, a))  # row by row
+        lhs, rhs = float(np.dot(a, pb)), float(np.dot(pa, b))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert float(np.dot(a, pa)) > 0 and float(np.dot(b, pb)) > 0
+
+
+def test_tangent_direction_descends(ctx_b):
+    for w in _unit_fields(ctx_b):
+        coeffs = fiber_coefficients(ctx_b, w, norm_pow=1.0)
+        s = _phi_root(coeffs)
+        kappa_field = pairing_field(ctx_b, w)
+        kappa = kappa_field.values
+        g = coeffs.gradient(s, kappa_field)
+        d = _tangent_direction(ctx_b, w, g, kappa)
+        assert abs(np.dot(kappa, d)) <= 1e-12 * np.linalg.norm(kappa) * np.linalg.norm(d)
+        slope = s * float(np.dot(g, -d))  # the Armijo slope
+        assert slope < 0
+
+        def psi(t):  # Psi along the retracted ray w - t d
+            trial = Field(ctx_b.spec, w.values - t * d)
+            c = fiber_coefficients(ctx_b, trial)
+            return float(c.energy(_phi_root(c)))
+
+        h = 1e-5 / np.linalg.norm(d)
+        assert (psi(h) - psi(-h)) / (2 * h) == pytest.approx(slope, rel=1e-6)
+
+
+@pytest.mark.parametrize("dim, radius, h", [(1, 8, 1.0), (2, 4, 2.5)])
+def test_metric_inverts_shifted_laplacian_at_p2(dim, radius, h):
+    # for p = 2 and constant h the metric is (1 + eps)(-Delta + h), whatever w
+    ctx = make_context(
+        make_model(dim, radius, 2.0, 0.5, 4.0, potential=ConstantPotential(h))
+    )
+    rng = np.random.default_rng(3)
+    for w in _unit_fields(ctx, count=2):
+        v = rng.standard_normal(ctx.spec.site_count)
+        x = Field(ctx.spec, _metric_inverse(ctx, w, v))
+        back = (1.0 + _METRIC_EPS) * (-p_laplacian(x, 2.0).values + h * x.values)
+        np.testing.assert_allclose(back, v, rtol=0, atol=1e-12 * np.max(np.abs(v)))
+
+
+def test_iterations_small_and_steady(model_b, ctx_b, report_b):
+    # the metric makes the count a property of the model, not of roundoff:
+    # a 1e-12 relative change of the kernel table leaves every start alone
+    counts = [d.iterations for d in report_b.diagnostics]
+    assert sum(counts) <= 200
+    for factor in (1.0 - 1e-12, 1.0 + 1e-12):
+        table = dataclasses.replace(ctx_b.table, values=ctx_b.table.values * factor)
+        again = minimize_ground_state(make_context(model_b, table=table))
+        assert [d.iterations for d in again.diagnostics] == counts
+
+
+def test_worst_start_iterations_do_not_grow_with_radius(report_b):
+    ctx = make_context(make_model(2, 12, 3.0, 1.0, 4.0))
+    worst_12 = max(d.iterations for d in minimize_ground_state(ctx).diagnostics)
+    worst_6 = max(d.iterations for d in report_b.diagnostics)
+    assert worst_12 <= 4 * worst_6
+
+
+@pytest.mark.parametrize(
+    "dim, p, alpha, radii",
+    [(1, 2.0, 0.5, (4, 6, 8, 12)), (2, 3.0, 1.0, (4, 6, 8, 10))],
+    ids=["model_a", "model_b"],
+)
+def test_box_levels_nonincreasing(dim, p, alpha, radii):
+    # fields on B_r extend by zero to B_{r+2}, so the box level c_r can only
+    # fall as r grows; a rise means a multistart missed the ground state
+    levels = [
+        minimize_ground_state(make_context(make_model(dim, r, p, alpha, 4.0))).energy
+        for r in radii
+    ]
+    for small, big in zip(levels, levels[1:]):
+        assert big <= small * (1.0 + 1e-12)
 
 
 def test_energy_is_the_fiber_value(ctx_a, report_a):
