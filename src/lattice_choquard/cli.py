@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import make_context
+from .kernel import METHOD
 from .lattice import DomainError, LatticeSpec, read_field_csv, write_field_csv
 from .model import (
     CoercivePotential,
@@ -304,6 +305,11 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
 
     payload = report.scalars()
     payload["config"] = cfg.raw
+    err = ctx.table.error_estimate
+    payload["kernel"] = {
+        "method": METHOD,
+        "error_estimate": err if np.isfinite(err) else None,
+    }
     payload["wall_time_s"] = wall
     _json_dump(payload, os.path.join(out_dir, "report.json"))
     write_field_csv(u_out, os.path.join(out_dir, "solution.csv"))

@@ -340,6 +340,34 @@ def dense_operator(table: KernelTable) -> np.ndarray:
     return mat
 
 
+def _spectrum(table: KernelTable) -> tuple[tuple[int, ...], np.ndarray]:
+    """The transform shape and the kernel's spectrum, cached on the table.
+
+    The spectrum has the shape of one field's transform, so its size is
+    the memory one field adds to a stacked transform.
+    """
+    cached = getattr(table, "_spectrum", None)
+    if cached is None:
+        fshape = (next_fast_len(4 * table.radius + 1, True),) * table.dim
+        cached = (fshape, rfftn(table.values, fshape))
+        object.__setattr__(table, "_spectrum", cached)
+    return cached
+
+
+def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
+    """R_alpha * w for each box grid w on the trailing N axes of `grids`.
+
+    One transform serves one field (shape `spec.shape`) or a stack of
+    them (shape `(m, *spec.shape)`); each row of a stack comes out with
+    the bits a single field would get.
+    """
+    fshape, spectrum = _spectrum(table)
+    axes = tuple(range(-table.dim, 0))
+    out = irfftn(rfftn(grids, fshape, axes) * spectrum, fshape, axes)
+    start = 2 * table.radius
+    return out[(...,) + (slice(start, start + 2 * table.radius + 1),) * table.dim]
+
+
 def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
     """Nonlocal convolution (R_alpha * w)(x) = sum_y R_alpha(x - y) w(y).
 
@@ -353,22 +381,13 @@ def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
         the linear convolution of the (4r+1)^N table with the (2r+1)^N box
         has support [0, 6r], and the aliases n +- L of an output index
         n in [2r, 4r] fall outside it, so the window read back is exact.
+        The kernel's spectrum is cached on the table.
         "direct" is the quadratic-cost reference sum.
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
     if method == "fft":
-        # the transform shape and the kernel's spectrum are cached on the table
-        cached = getattr(table, "_spectrum", None)
-        if cached is None:
-            fshape = (next_fast_len(4 * table.radius + 1, True),) * table.dim
-            cached = (fshape, rfftn(table.values, fshape))
-            object.__setattr__(table, "_spectrum", cached)
-        fshape, spectrum = cached
-        out = irfftn(rfftn(w.grid(), fshape) * spectrum, fshape)
-        start = 2 * table.radius
-        window = tuple(slice(start, start + n) for n in w.spec.shape)
-        return Field(w.spec, out[window].reshape(-1))
+        return Field(w.spec, _fft_convolve(table, w.grid()).reshape(-1))
     if method == "direct":
         mat = dense_operator(table)
         return Field(w.spec, mat @ w.values)

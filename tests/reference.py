@@ -19,9 +19,11 @@ from lattice_choquard import (
     Field,
     LatticeSpec,
     ModelViolationError,
+    convolve,
     energy_J,
     fiber_coefficients,
     h_norm,
+    lp_norm,
     nehari_functional,
     p_laplacian,
     pairing_field,
@@ -85,6 +87,30 @@ def random_supported_by_sites(spec: LatticeSpec, rng, scale: float) -> Field:
         site = tuple(int(center[j]) + offset[j] - sub for j in range(spec.dim))
         vals[spec.index_of(site)] = v * scale
     return Field(spec, vals)
+
+
+def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndarray:
+    """Oracle for `verify._hls_ratios`: the per-sample loop it replaced.
+
+    Each sample draws its scale and field (then the same two for v in the
+    bilinear form), convolves that one field, and takes its norms and the
+    pairing with `lp_norm` and a BLAS dot."""
+    spec = ctx.spec
+    ratios = np.empty(n)
+    target = None
+    if s is None:
+        target = ctx.model.dim * r / (ctx.model.dim - ctx.model.alpha * r)
+    for i in range(n):
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        u = random_supported_by_sites(spec, rng, scale)
+        conv = convolve(ctx.table, u)
+        if s is None:
+            ratios[i] = lp_norm(conv, target) / lp_norm(u, r)
+        else:
+            v = random_supported_by_sites(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0))
+            num = abs(float(np.dot(conv.values, v.values)))
+            ratios[i] = num / (lp_norm(u, r) * lp_norm(v, s))
+    return ratios
 
 
 def padded_grid_by_np_pad(u: Field, margin: int) -> np.ndarray:

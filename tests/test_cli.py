@@ -160,9 +160,13 @@ def test_solve_artifacts(tmp_path, capsys):
         "s_history",
         "starts",
         "config",
+        "kernel",
         "wall_time_s",
     }
     assert report["config"]["radius"] == 6
+    kernel = report["kernel"]
+    assert kernel["method"] == "subordination"
+    assert 0.0 <= kernel["error_estimate"] <= 1e-12
     starts = report["starts"]
     assert [d["start"] for d in starts] == list(range(len(report["start_energies"])))
     assert [d["energy"] for d in starts] == report["start_energies"]
@@ -200,6 +204,33 @@ def test_solve_deterministic_artifacts(tmp_path, capsys):
     assert (outs[0] / "solution.csv").read_bytes() == (
         outs[1] / "solution.csv"
     ).read_bytes()
+
+
+def test_solve_kernel_provenance_cold_and_warm_cache(tmp_path, capsys):
+    # a cache hit writes the same report as the build that filled the cache;
+    # a cached table without an error estimate reports it as null
+    cache = tmp_path / "cache"
+    path = write_config(tmp_path, base_config(cache_dir=str(cache)))
+    reports = []
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert main(["solve", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_time_s"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["kernel"]["method"] == "subordination"
+
+    (cached,) = cache.iterdir()
+    table = lattice_choquard.KernelTable.load(cached)
+    lattice_choquard.KernelTable(
+        table.dim, table.radius, table.alpha, table.k_alpha, table.values
+    ).save(cached)
+    out = tmp_path / "unknown"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["kernel"] == {"method": "subordination", "error_estimate": None}
 
 
 def test_solve_radius_and_seed_overrides(tmp_path, capsys):

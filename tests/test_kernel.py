@@ -268,6 +268,24 @@ def test_convolve_alias_free_transform_size(dim, radius):
         assert fshape == (4 * radius + 1,) * dim
 
 
+@pytest.mark.parametrize("dim,radius", [(1, 8), (2, 3), (3, 2)])
+def test_stacked_fft_rows_equal_single_field_convolve(dim, radius):
+    # one transform over a stack of 7 fields gives each row the bits of a
+    # single-field convolve
+    spec = LatticeSpec(dim, radius)
+    table = build_table(spec, 0.5)
+    rng = np.random.default_rng([dim, radius, 7])
+    stack = rng.standard_normal((7, *spec.shape))
+    rows = kernel._fft_convolve(table, stack)
+    assert rows.shape == stack.shape
+    for grid, row in zip(stack, rows):
+        w = Field(spec, grid.reshape(-1))
+        assert row.reshape(-1).tobytes() == convolve(table, w).values.tobytes()
+        slow = convolve(table, w, method="direct").values
+        err = float(np.max(np.abs(row.reshape(-1) - slow)))
+        assert err <= 1e-12 * float(np.max(np.abs(slow)))
+
+
 def test_convolve_positivity(table_2d):
     spec = LatticeSpec(2, 3)
     rng = np.random.default_rng(2)

@@ -181,9 +181,60 @@ def test_random_supported_matches_site_by_site_fill():
     for dim, radius in ((1, 1), (1, 8), (2, 6), (3, 2)):
         spec = LatticeSpec(dim, radius)
         for seed in range(20):
-            fast = _random_supported(spec, np.random.default_rng(seed), 3.5)
+            fast = np.zeros(spec.shape)
+            _random_supported(spec, np.random.default_rng(seed), 3.5, fast)
             slow = random_supported_by_sites(spec, np.random.default_rng(seed), 3.5)
-            assert np.array_equal(fast.values, slow.values)
+            assert np.array_equal(fast.reshape(-1), slow.values)
+
+
+@pytest.fixture(scope="module")
+def ctx_3d():
+    return make_context(make_model(3, 3, 2.0, 1.0, 4.0))
+
+
+@pytest.mark.parametrize("name", ["ctx_a", "ctx_b", "ctx_3d"])
+@pytest.mark.parametrize("form", ["bilinear", "operator"])
+@pytest.mark.parametrize("fields", [None, 7])
+def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request, monkeypatch):
+    # stacks of the default size (431, 25 and 4 fields on these boxes) and of
+    # 7 fields; 97 samples leave a short last stack either way
+    from lattice_choquard import verify
+    from lattice_choquard.kernel import _spectrum
+    from reference import hls_ratios_by_sample
+
+    ctx = request.getfixturevalue(name)
+    if fields is not None:
+        budget = fields * _spectrum(ctx.table)[1].nbytes
+        monkeypatch.setattr(verify, "_STACK_BYTES", budget)
+    N, alpha = ctx.model.dim, ctx.model.alpha
+    if form == "bilinear":
+        r = s = 2.0 * N / (N + alpha)
+    else:
+        r, s = 0.5 * (1.0 + N / alpha), None
+    n = 97
+    assert n % verify._stack_size(ctx.table) != 0
+    fast = verify._hls_ratios(ctx, r, s, n, np.random.default_rng(7))
+    slow = hls_ratios_by_sample(ctx, r, s, n, np.random.default_rng(7))
+    assert np.max(np.abs(fast - slow) / slow) <= 1e-10
+    assert np.argmax(fast) == np.argmax(slow)
+    assert np.max(fast) == pytest.approx(np.max(slow), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,radius", [(2, 6), (3, 6), (3, 16)])
+def test_hls_stack_stays_within_byte_budget(dim, radius):
+    # a stack's spectrum holds one transform per field: the stack fills the
+    # budget, and a field larger than the budget (3D r=16) goes alone
+    from lattice_choquard.kernel import KernelTable, _spectrum
+    from lattice_choquard.verify import _STACK_BYTES, _stack_size
+
+    side = 4 * radius + 1
+    table = KernelTable(dim, radius, 1.0, 1.0, np.ones((side,) * dim))
+    per_field = _spectrum(table)[1].nbytes
+    size = _stack_size(table)
+    if radius == 16:
+        assert per_field > _STACK_BYTES and size == 1
+    else:
+        assert size * per_field <= _STACK_BYTES < (size + 1) * per_field
 
 
 def test_import_does_not_load_scipy_optimize():
