@@ -13,7 +13,7 @@ from lattice_choquard import (
     LatticeSpec,
     ModelSpec,
     SumOfPowers,
-    fiber_probe,
+    fiber_coefficients,
     h_norm,
     make_context,
     project_su,
@@ -40,9 +40,10 @@ def main():
 
     print("\nfiber profile along the ray (phi changes sign at s_u):")
     grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 13)
-    probe = fiber_probe(ctx, u, grid)
+    coeffs = fiber_coefficients(ctx, u)
+    energies = coeffs.energy(grid)
     print(f"  {'s':>12s} {'J(su)':>14s} {'phi(s)':>14s}")
-    for s, en, ph in zip(probe.s_values, probe.energies, probe.phi_values):
+    for s, en, ph in zip(grid, energies, coeffs.phi(grid)):
         marker = " <- maximum" if abs(s - s_u) == min(abs(grid - s_u)) else ""
         print(f"  {s:12.6f} {en:14.8f} {ph:+14.6f}{marker}")
 
@@ -50,7 +51,7 @@ def main():
     # about the scale of the representative
     unit = Field(ctx.spec, u.values / h_norm(ctx, u))
     print(f"\npsi(u/||u||)   = {psi(ctx, unit):.10f}")
-    print(f"J at projection = {probe.energies.max():.10f} (grid approximation)")
+    print(f"J at projection = {energies.max():.10f} (grid approximation)")
 
 
 if __name__ == "__main__":

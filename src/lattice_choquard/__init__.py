@@ -18,7 +18,6 @@ from .lattice import (
     DomainError,
     Field,
     LatticeSpec,
-    lp_norm,
     p_laplacian,
     random_field,
     read_field_csv,
@@ -60,18 +59,10 @@ from .energy import (
     interaction_energy,
     make_context,
     nehari_functional,
-    pairing,
     pairing_field,
     pointwise_residual,
 )
-from .nehari import (
-    FiberProbe,
-    fiber_max_golden,
-    fiber_probe,
-    golden_max,
-    project_su,
-    psi,
-)
+from .nehari import fiber_max_golden, golden_max, project_su, psi
 from .solver import (
     MountainPassLevel,
     NonconvergenceError,

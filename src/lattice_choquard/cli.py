@@ -40,7 +40,7 @@ from .model import (
     SumOfPowers,
     validate_model,
 )
-from .nehari import fiber_probe, project_su
+from .nehari import _project
 from .solver import (
     NonconvergenceError,
     SolverConfig,
@@ -58,14 +58,22 @@ _TOP_KEYS = {
     "radius",
     "p",
     "alpha",
-    "cache_dir",
     "seed",
     "potential",
     "nonlinearity",
     "solver",
 }
-# settings of a quadrature the kernel no longer has
-_REMOVED_KEYS = {"quad_points", "transform_order"}
+# retired settings, each refused with the reason it went
+_QUADRATURE = "the kernel's normalization constant needs no quadrature points"
+_ARMIJO = "the line search's Armijo constants are fixed"
+_REMOVED_KEYS = {
+    "quad_points": _QUADRATURE,
+    "transform_order": _QUADRATURE,
+    "cache_dir": "kernel tables are no longer cached",
+    "solver.step0": _ARMIJO,
+    "solver.backtrack_factor": _ARMIJO,
+    "solver.sufficient_decrease": _ARMIJO,
+}
 _POTENTIAL_KEYS = {
     "constant": {"kind", "value"},
     "periodic": {"kind", "period", "cell"},
@@ -75,9 +83,6 @@ _SOLVER_KEYS = {
     "max_iters",
     "grad_tol",
     "energy_tol",
-    "step0",
-    "backtrack_factor",
-    "sufficient_decrease",
     "n_starts",
     "seed",
 }
@@ -93,11 +98,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: model, solver knobs, kernel cache, seed."""
+    """Validated run description: model, solver knobs, seed."""
 
     model: ModelSpec
     solver: SolverConfig
-    cache_dir: str | None
     seed: int
     raw: dict
 
@@ -110,17 +114,25 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _key_errors(keys, allowed: set, prefix: str = "") -> list[str]:
+    """One error per key outside `allowed`; a retired key says why it went."""
+    errors = []
+    for key in sorted(set(keys) - allowed):
+        name = prefix + key
+        if name in _REMOVED_KEYS:
+            errors.append(
+                f"'{name}' is no longer a setting ({_REMOVED_KEYS[name]}); "
+                "delete the key"
+            )
+        else:
+            errors.append(f"unknown key '{name}'")
+    return errors
+
+
 def _structural_errors(data) -> list[str]:
-    errors: list[str] = []
     if not isinstance(data, dict):
         return ["config root must be an object"]
-    for key in sorted(set(data) - _TOP_KEYS - _REMOVED_KEYS):
-        errors.append(f"unknown key '{key}'")
-    for key in sorted(_REMOVED_KEYS & set(data)):
-        errors.append(
-            f"'{key}' is no longer a setting: the kernel's normalization "
-            "constant needs no quadrature points; delete the key"
-        )
+    errors = _key_errors(data, _TOP_KEYS)
     for key in ("dim", "radius"):
         if key not in data:
             errors.append(f"missing required key '{key}'")
@@ -133,8 +145,6 @@ def _structural_errors(data) -> list[str]:
             errors.append(f"'{key}' must be a number")
     if "seed" in data and not _is_int(data["seed"]):
         errors.append("'seed' must be an integer")
-    if "cache_dir" in data and not isinstance(data["cache_dir"], str):
-        errors.append("'cache_dir' must be a string")
 
     pot = data.get("potential")
     if pot is None:
@@ -146,9 +156,7 @@ def _structural_errors(data) -> list[str]:
             "'potential.kind' must be one of: " + ", ".join(sorted(_POTENTIAL_KEYS))
         )
     else:
-        allowed = _POTENTIAL_KEYS[pot["kind"]]
-        for key in sorted(set(pot) - allowed):
-            errors.append(f"unknown key 'potential.{key}'")
+        errors += _key_errors(pot, _POTENTIAL_KEYS[pot["kind"]], "potential.")
 
     nl = data.get("nonlinearity")
     if nl is None:
@@ -156,8 +164,7 @@ def _structural_errors(data) -> list[str]:
     elif not isinstance(nl, dict):
         errors.append("'nonlinearity' must be an object")
     else:
-        for key in sorted(set(nl) - {"terms"}):
-            errors.append(f"unknown key 'nonlinearity.{key}'")
+        errors += _key_errors(nl, {"terms"}, "nonlinearity.")
         terms = nl.get("terms")
         if (
             not isinstance(terms, list)
@@ -176,8 +183,7 @@ def _structural_errors(data) -> list[str]:
     if not isinstance(sol, dict):
         errors.append("'solver' must be an object")
     else:
-        for key in sorted(set(sol) - _SOLVER_KEYS):
-            errors.append(f"unknown key 'solver.{key}'")
+        errors += _key_errors(sol, _SOLVER_KEYS, "solver.")
         for key in ("max_iters", "n_starts", "seed"):
             if key in sol and not _is_int(sol[key]):
                 errors.append(f"'solver.{key}' must be an integer")
@@ -249,7 +255,6 @@ def _config_from_data(data: dict) -> RunConfig:
     return RunConfig(
         model=model,
         solver=solver,
-        cache_dir=data.get("cache_dir"),
         seed=seed,
         raw=copy.deepcopy(data),
     )
@@ -296,7 +301,7 @@ def _json_dump(payload: dict, path: str) -> None:
 
 def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
-    ctx = make_context(cfg.model, cfg.cache_dir)
+    ctx = make_context(cfg.model)
     report = minimize_ground_state(ctx, cfg.solver, threads=threads)
     u_out = report.u
     if cfg.model.potential.period is not None:
@@ -334,7 +339,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> 
         data = copy.deepcopy(cfg.raw)
         _set_dotted(data, key, value)
         run_cfg = _config_from_data(data)
-        ctx = make_context(run_cfg.model, run_cfg.cache_dir)
+        ctx = make_context(run_cfg.model)
         report = minimize_ground_state(ctx, run_cfg.solver, threads=threads)
         rows.append(
             (
@@ -357,7 +362,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> 
 
 def _cmd_kernel(cfg: RunConfig, out_dir: str) -> int:
     t0 = time.perf_counter()
-    table = make_context(cfg.model, cfg.cache_dir).table
+    table = make_context(cfg.model).table
     path = os.path.join(out_dir, "kernel.csv")
     table.write_csv(path)
     wall = time.perf_counter() - t0
@@ -375,21 +380,19 @@ def _cmd_fiber(cfg: RunConfig, out_dir: str, field_path: str) -> int:
             "field file lattice (dim "
             f"{u.spec.dim}, radius {u.spec.radius}) does not match the config"
         )
-    ctx = make_context(cfg.model, cfg.cache_dir)
-    s_u, _ = project_su(ctx, u)
+    s_u, coeffs = _project(make_context(cfg.model), u)
     grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 81)
-    probe = fiber_probe(ctx, u, grid)
     path = os.path.join(out_dir, "fiber.csv")
     with open(path, "w") as fh:
         fh.write("s,energy,phi\n")
-        for s, e, ph in zip(probe.s_values, probe.energies, probe.phi_values):
+        for s, e, ph in zip(grid, coeffs.energy(grid), coeffs.phi(grid)):
             fh.write(f"{float(s)!r},{float(e)!r},{float(ph)!r}\n")
     print(f"s_u={s_u!r} -> {path}")
     return 0
 
 
 def _cmd_check(cfg: RunConfig, out_dir: str) -> int:
-    ctx = make_context(cfg.model, cfg.cache_dir)
+    ctx = make_context(cfg.model)
     reports = run_all_checks(ctx, seed=cfg.seed)
     write_checks_json(reports, os.path.join(out_dir, "checks.json"))
     for rep in reports:

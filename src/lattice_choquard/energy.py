@@ -48,7 +48,6 @@ __all__ = [
     "energy_J",
     "grad_J",
     "pairing_field",
-    "pairing",
     "nehari_functional",
     "pointwise_residual",
 ]
@@ -82,12 +81,10 @@ class EnergyContext:
         return self.h_grid.reshape(-1)
 
 
-def make_context(
-    model: ModelSpec, cache_dir: str | None = None, table: KernelTable | None = None
-) -> EnergyContext:
+def make_context(model: ModelSpec, table: KernelTable | None = None) -> EnergyContext:
     """Build the evaluation context, constructing the kernel table if needed."""
     if table is None:
-        table = build_table(model.lattice, model.alpha, cache_dir)
+        table = build_table(model.lattice, model.alpha)
     h = model.potential.grid(model.lattice)
     return EnergyContext(model=model, table=table, h_grid=h)
 
@@ -227,11 +224,6 @@ def pairing_field(ctx: EnergyContext, u: Field) -> Field:
     lap = p_laplacian(u, p)
     loc = ctx.h_flat * np.sign(u.values) * np.abs(u.values) ** (p - 1.0)
     return Field(ctx.spec, -lap.values + loc)
-
-
-def pairing(ctx: EnergyContext, u: Field, v: Field) -> float:
-    """Duality pairing (u, v) = sum (-Delta_p u + h |u|^{p-2} u) v."""
-    return float(np.dot(pairing_field(ctx, u).values, v.values))
 
 
 def grad_J(ctx: EnergyContext, u: Field) -> Field:

@@ -42,7 +42,6 @@ included.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields
 from functools import reduce
 from math import ceil, exp, factorial, gamma, log, pi, sqrt
@@ -64,12 +63,9 @@ __all__ = [
     "build_table",
     "convolve",
     "dense_operator",
-    "CACHE_ENV_VAR",
 ]
 
-CACHE_ENV_VAR = "LATTICE_CHOQUARD_KERNEL_CACHE"
 METHOD = "subordination"
-_CACHE_NAME = "kernel_dim{dim}_r{radius}_alpha{alpha!r}.npz"
 
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
 _LOG_T_MIN = -40.0
@@ -233,28 +229,6 @@ class KernelTable:
         del meta["values"]
         return {**meta, "method": METHOD}
 
-    def save(self, path) -> None:
-        np.savez(
-            path,
-            values=self.values,
-            meta=np.array(json.dumps(self._meta(), sort_keys=True)),
-        )
-
-    @staticmethod
-    def load(path) -> "KernelTable":
-        """Read a saved table; files of another kernel method or with other
-        metadata fields (an older format) are refused."""
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            values = np.array(data["values"])
-        names = {f.name for f in fields(KernelTable)} - {"values"}
-        if meta.pop("method", None) != METHOD or set(meta) != names:
-            raise ValueError(
-                f"{path} does not hold a {METHOD} kernel table of this format; "
-                "rebuild it"
-            )
-        return KernelTable(**meta, values=values)
-
     def write_csv(self, path) -> None:
         """Dump rows "d_1,...,d_N,value" over the full difference range."""
         lines = ["# " + json.dumps(self._meta(), sort_keys=True)]
@@ -267,42 +241,15 @@ class KernelTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def build_table(
-    spec: LatticeSpec, alpha: float, cache_dir: str | None = None
-) -> KernelTable:
-    """Build (or load from cache) the kernel table for a box.
+def build_table(spec: LatticeSpec, alpha: float) -> KernelTable:
+    """Build the kernel table for a box.
 
     All (4r+1)^N entries come from one subordination integral over the
     nonnegative orthant of differences; sign symmetry fills the rest, so
     reflection invariance holds exactly.
-
-    The cache location is `cache_dir`, or the LATTICE_CHOQUARD_KERNEL_CACHE
-    environment variable when unset; with neither present nothing touches
-    disk.  A cached file is used only when all of its metadata, the method
-    included, matches this build.
     """
     _check_kernel_params(spec.dim, alpha)
     ka = fractional_degree(spec.dim, alpha)
-    meta = {
-        "dim": spec.dim,
-        "radius": spec.radius,
-        "alpha": float(alpha),
-        "k_alpha": ka,
-    }
-
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, _CACHE_NAME.format(**meta))
-        if os.path.exists(path):
-            try:
-                cached = KernelTable.load(path)
-            except ValueError:  # another method or format: rebuild it
-                cached = None
-            if cached is not None and meta.items() <= cached._meta().items():
-                return cached
-
     reach = 2 * spec.radius
     axes = [np.arange(reach + 1)] * spec.dim
     nonneg = ka * _green(axes, alpha, _t_max(reach), _PANEL)
@@ -316,15 +263,14 @@ def build_table(
         axes, alpha, _t_max(reach) / 10.0, _PANEL + 0.5
     )
     mirror = np.abs(np.arange(-reach, reach + 1))
-    table = KernelTable(
-        **meta,
+    return KernelTable(
+        dim=spec.dim,
+        radius=spec.radius,
+        alpha=float(alpha),
+        k_alpha=ka,
         values=nonneg[np.ix_(*[mirror] * spec.dim)],
         error_estimate=float(np.max(np.abs(coarse - nonneg) / nonneg)),
     )
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        table.save(path)
-    return table
 
 
 def dense_operator(table: KernelTable) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "Field",
     "p_laplacian",
     "p_laplacian_diagonal",
-    "lp_norm",
     "random_field",
     "write_field_csv",
     "read_field_csv",
@@ -246,15 +245,6 @@ def p_laplacian(u: Field, p: float) -> Field:
         for step in (1, -1):
             acc += (_shifted(w, ax, step) + wc) * (_shifted(big, ax, step) - uc)
     return Field(u.spec, (0.5 * acc).reshape(-1))
-
-
-def lp_norm(u: Field, p: float) -> float:
-    """Counting-measure norm over the whole lattice (exact: support is in B)."""
-    if np.isinf(p):
-        return float(np.max(np.abs(u.values))) if u.values.size else 0.0
-    if not p >= 1:
-        raise ValueError("p must be >= 1 or infinity")
-    return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
 
 
 def random_field(

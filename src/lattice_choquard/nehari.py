@@ -21,8 +21,7 @@ curvature structure of phi makes monotone; one term needs one evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .lattice import DomainError, Field
 from .model import ModelViolationError
 
 __all__ = [
-    "FiberProbe",
-    "fiber_probe",
     "project_su",
     "psi",
     "golden_max",
@@ -84,11 +81,22 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
-def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients]:
+def _project(
+    ctx: EnergyContext, u: Field, tol: float = 1e-10
+) -> tuple[float, FiberCoefficients]:
+    """The fiber root s_u of u, with |phi(s_u)| <= tol * s_u^p * norm^p(u),
+    and the one evaluation of u it came from."""
     coeffs = fiber_coefficients(ctx, u)
     if coeffs.norm_pow == 0.0:
         raise DomainError("the zero field has no fiber projection")
-    return _phi_root(coeffs), coeffs
+    s = _phi_root(coeffs)
+    defect = abs(coeffs.phi(s))
+    scale = s**coeffs.p * coeffs.norm_pow
+    if defect > tol * scale:
+        raise ArithmeticError(
+            f"fiber root residual {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+        )
+    return s, coeffs
 
 
 def project_su(
@@ -100,13 +108,7 @@ def project_su(
     projection is scale invariant: rays through u and t u (t > 0) land on the
     same manifold point.
     """
-    s, coeffs = _project(ctx, u)
-    defect = abs(coeffs.phi(s))
-    scale = s**coeffs.p * coeffs.norm_pow
-    if defect > tol * scale:
-        raise ArithmeticError(
-            f"fiber root residual {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        )
+    s, _ = _project(ctx, u, tol)
     return s, Field(u.spec, s * u.values)
 
 
@@ -117,28 +119,6 @@ def psi(ctx: EnergyContext, w: Field) -> float:
         raise DomainError(f"psi requires a unit-norm field, got norm {norm!r}")
     s, coeffs = _project(ctx, w)
     return float(coeffs.energy(s))
-
-
-@dataclass(frozen=True)
-class FiberProbe:
-    """Sampled fiber data along one ray: s grid, J(su), and phi(s)."""
-
-    s_values: np.ndarray
-    energies: np.ndarray
-    phi_values: np.ndarray
-
-
-def fiber_probe(
-    ctx: EnergyContext, u: Field, s_values: Sequence[float]
-) -> FiberProbe:
-    """Evaluate the fiber maps on a grid of positive scales."""
-    s = np.asarray(s_values, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError("fiber scales must be positive")
-    coeffs = fiber_coefficients(ctx, u)
-    return FiberProbe(
-        s_values=s, energies=coeffs.energy(s), phi_values=coeffs.phi(s)
-    )
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

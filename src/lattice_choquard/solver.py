@@ -64,6 +64,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _STEP_FLOOR = 1e-14
+# Armijo line search: first step (before any Barzilai-Borwein estimate),
+# backtracking factor, and sufficient-decrease fraction of the slope
+_STEP0 = 1.0
+_BACKTRACK = 0.5
+_SUFFICIENT_DECREASE = 1e-4
 _METRIC_EPS = 1e-3  # keeps the metric's weights positive where w or grad w is 0
 
 
@@ -74,9 +79,6 @@ class SolverConfig:
     max_iters: int = 5000
     grad_tol: float = 1e-8
     energy_tol: float = 1e-12
-    step0: float = 1.0
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
     n_starts: int = 8
     seed: int = 0
 
@@ -85,12 +87,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.grad_tol > 0 or not self.energy_tol > 0:
             raise ValueError("tolerances must be positive")
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
 
@@ -257,7 +253,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
 
     prev_w = None
     prev_d = None
-    step = cfg.step0
+    step = _STEP0
     converged = False
     it = 0
 
@@ -308,11 +304,11 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
                 s_try = _phi_root(coeffs_try)
                 roots += 1
                 psi_try = float(coeffs_try.energy(s_try))
-                if psi_try <= psi_val + cfg.sufficient_decrease * t * slope:
+                if psi_try <= psi_val + _SUFFICIENT_DECREASE * t * slope:
                     w, coeffs, s, psi_val = w_try, coeffs_try, s_try, psi_try
                     accepted = True
                     break
-            t *= cfg.backtrack_factor
+            t *= _BACKTRACK
         if not accepted:
             # finite-precision stall: w did not move, so the residual from
             # the top of the loop is current; accept iff it already meets

@@ -105,9 +105,9 @@ def _stack_size(table) -> int:
 
 
 def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """The l^p norm of each row, with the bits `lp_norm` gives it: the root
-    is taken in scalar arithmetic, where numpy's vector pow may round
-    differently."""
+    """The l^p norm of each row, with the bits of the same norm of that row
+    alone: the root is taken in scalar arithmetic, where numpy's vector pow
+    may round differently."""
     sums = np.sum(np.abs(rows) ** p, axis=1)
     return np.array([x ** (1.0 / p) for x in sums.tolist()])
 

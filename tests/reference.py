@@ -23,7 +23,6 @@ from lattice_choquard import (
     energy_J,
     fiber_coefficients,
     h_norm,
-    lp_norm,
     nehari_functional,
     p_laplacian,
     pairing_field,
@@ -73,6 +72,16 @@ def gradient_form(u: Field, v: Field, x) -> float:
 def grad_norm(u: Field, x) -> float:
     """|grad u|(x) = sqrt(Gamma(u, u)(x))."""
     return float(np.sqrt(gradient_form(u, u, x)))
+
+
+def lp_norm(u: Field, p: float) -> float:
+    """Oracle norm: the counting-measure l^p norm of a field over the whole
+    lattice (exact, since the support lies in the box), p = inf included."""
+    if np.isinf(p):
+        return float(np.max(np.abs(u.values))) if u.values.size else 0.0
+    if not p >= 1:
+        raise ValueError("p must be >= 1 or infinity")
+    return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
 
 
 def random_supported_by_sites(spec: LatticeSpec, rng, scale: float) -> Field:

@@ -79,16 +79,32 @@ def test_parse_collects_all_structural_errors():
     assert "dim" in text  # missing required key also reported
 
 
-def test_parse_refuses_removed_quadrature_keys():
-    # the kernel's normalization constant has no quadrature setting any
-    # more; the error names the key and says to delete it
-    for key, value in (("quad_points", 512), ("transform_order", 3)):
-        with pytest.raises(ConfigError) as err:
-            parse_config(json.dumps(base_config(**{key: value})))
-        (message,) = err.value.errors
-        assert key in message
-        assert "delete" in message
-        assert "unknown key" not in message
+RETIRED_KEYS = [
+    ("quad_points", 512, "quadrature"),
+    ("transform_order", 3, "quadrature"),
+    ("cache_dir", "kernels", "no longer cached"),
+    ("solver.step0", 1.0, "Armijo"),
+    ("solver.backtrack_factor", 0.5, "Armijo"),
+    ("solver.sufficient_decrease", 1e-4, "Armijo"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, reason", RETIRED_KEYS, ids=[key for key, *_ in RETIRED_KEYS]
+)
+def test_parse_refuses_removed_quadrature_keys(key, value, reason):
+    # a retired setting is refused with its reason and the advice to delete
+    # it, not reported as an unknown key
+    data = base_config()
+    section, _, name = key.rpartition(".")
+    (data.setdefault(section, {}) if section else data)[name] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(data))
+    (message,) = err.value.errors
+    assert f"'{key}'" in message
+    assert reason in message
+    assert "delete" in message
+    assert "unknown key" not in message
 
 
 def test_parse_rejects_wrong_types():
@@ -206,31 +222,31 @@ def test_solve_deterministic_artifacts(tmp_path, capsys):
     ).read_bytes()
 
 
-def test_solve_kernel_provenance_cold_and_warm_cache(tmp_path, capsys):
-    # a cache hit writes the same report as the build that filled the cache;
-    # a cached table without an error estimate reports it as null
+def test_solve_writes_only_into_out(tmp_path, capsys, monkeypatch):
+    # solve writes its artifacts into --out and nowhere else, also with
+    # LATTICE_CHOQUARD_KERNEL_CACHE naming a directory
     cache = tmp_path / "cache"
-    path = write_config(tmp_path, base_config(cache_dir=str(cache)))
-    reports = []
-    for name in ("cold", "warm"):
-        out = tmp_path / name
-        assert main(["solve", "--config", path, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        del report["wall_time_s"]
-        reports.append(report)
-    assert reports[0] == reports[1]
-    assert reports[0]["kernel"]["method"] == "subordination"
-
-    (cached,) = cache.iterdir()
-    table = lattice_choquard.KernelTable.load(cached)
-    lattice_choquard.KernelTable(
-        table.dim, table.radius, table.alpha, table.k_alpha, table.values
-    ).save(cached)
-    out = tmp_path / "unknown"
+    cache.mkdir()
+    monkeypatch.setenv("LATTICE_CHOQUARD_KERNEL_CACHE", str(cache))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
     assert main(["solve", "--config", path, "--out", str(out)]) == 0
     capsys.readouterr()
-    report = json.loads((out / "report.json").read_text())
-    assert report["kernel"] == {"method": "subordination", "error_estimate": None}
+    assert list(cache.iterdir()) == [] and list(work.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "cache",
+        "config.json",
+        "out",
+        "work",
+    ]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "report.json",
+        "solution.csv",
+        "trace.csv",
+    ]
 
 
 def test_solve_radius_and_seed_overrides(tmp_path, capsys):
@@ -322,8 +338,12 @@ def test_fiber_artifacts(tmp_path, capsys):
     lines = (out / "fiber.csv").read_text().strip().splitlines()
     assert lines[0] == "s,energy,phi"
     assert len(lines) == 1 + 81
+    energies = [float(ln.split(",")[1]) for ln in lines[1:]]
     phis = [float(ln.split(",")[2]) for ln in lines[1:]]
     assert phis[0] > 0 > phis[-1]  # grid brackets the fiber maximum
+    # the energy peaks mid-grid, where phi changes sign
+    assert int(np.argmax(energies)) == 40
+    assert phis[39] > 0 > phis[41]
     # solved field projects to s_u = 1
     s_mid = float(lines[41].split(",")[0])
     assert s_mid == pytest.approx(1.0, rel=1e-6)

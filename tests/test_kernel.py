@@ -1,7 +1,6 @@
 """Lattice kernel: symbol, normalization constant, table, convolution."""
 
 import dataclasses
-import json
 import os
 import subprocess
 import sys
@@ -26,7 +25,6 @@ from lattice_choquard import (
     riesz_kernel,
 )
 from lattice_choquard import kernel
-from lattice_choquard.kernel import CACHE_ENV_VAR
 from reference import canonical_representatives, k_alpha_midpoint
 
 # Adaptive-quadrature oracle values (QAWS algebraic-endpoint rule on the
@@ -325,62 +323,6 @@ def test_dense_operator_matches_convolve(table_2d):
     assert mat.shape == (spec.site_count, spec.site_count)
     assert np.allclose(mat, mat.T, atol=1e-14)
     assert np.allclose(mat @ w.values, convolve(table_2d, w, method="direct").values)
-
-
-def test_table_save_load_round_trip(tmp_path, table_2d):
-    path = tmp_path / "table.npz"
-    table_2d.save(path)
-    loaded = type(table_2d).load(path)
-    assert loaded.dim == table_2d.dim
-    assert loaded.k_alpha == table_2d.k_alpha
-    assert np.array_equal(loaded.values, table_2d.values)
-
-
-def test_build_table_cache(tmp_path):
-    spec = LatticeSpec(1, 4)
-    first = build_table(spec, 0.5, cache_dir=str(tmp_path))
-    expected = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
-    assert expected.exists()
-    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
-    assert np.array_equal(first.values, again.values)
-    assert again.error_estimate == first.error_estimate
-
-
-def test_build_table_cache_skips_file_without_method(tmp_path):
-    # a file of the same name from the node-transform era carries no
-    # "method"; its values must not be loaded
-    spec = LatticeSpec(1, 4)
-    fresh = build_table(spec, 0.5)
-    path = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
-    meta = {k: v for k, v in fresh._meta().items() if k != "method"}
-    np.savez(path, values=2.0 * fresh.values, meta=np.array(json.dumps(meta)))
-    with pytest.raises(ValueError, match="subordination"):
-        KernelTable.load(path)
-    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
-    assert np.array_equal(again.values, fresh.values)
-    assert KernelTable.load(path)._meta() == fresh._meta()
-
-
-def test_build_table_cache_refuses_file_with_quadrature_fields(tmp_path):
-    # a table saved while K_alpha still had a quadrature setting carries
-    # quad_points and transform_order: loading it asks for a rebuild, and
-    # build_table does rebuild it
-    spec = LatticeSpec(1, 4)
-    fresh = build_table(spec, 0.5)
-    path = tmp_path / "kernel_dim1_r4_alpha0.5.npz"
-    meta = {**fresh._meta(), "quad_points": 4096, "transform_order": 3}
-    np.savez(path, values=2.0 * fresh.values, meta=np.array(json.dumps(meta)))
-    with pytest.raises(ValueError, match="rebuild"):
-        KernelTable.load(path)
-    again = build_table(spec, 0.5, cache_dir=str(tmp_path))
-    assert np.array_equal(again.values, fresh.values)
-    assert KernelTable.load(path)._meta() == fresh._meta()
-
-
-def test_build_table_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    build_table(LatticeSpec(1, 3), 0.5)
-    assert any(p.suffix == ".npz" for p in tmp_path.iterdir())
 
 
 def test_kernel_csv_dump(tmp_path, table_1d):

@@ -7,7 +7,6 @@ from lattice_choquard import (
     DomainError,
     Field,
     LatticeSpec,
-    lp_norm,
     p_laplacian,
     random_field,
     read_field_csv,
@@ -18,6 +17,7 @@ from reference import (
     grad_norm,
     gradient_form,
     ibp_check,
+    lp_norm,
     neighbors,
     padded_grid_by_np_pad,
 )

@@ -17,7 +17,6 @@ from lattice_choquard import (
     energy_J,
     fiber_coefficients,
     fiber_max_golden,
-    fiber_probe,
     golden_max,
     h_norm,
     h_norm_pow,
@@ -82,6 +81,13 @@ def test_projection_matches_golden_section(ctx):
         s_gold, val = fiber_max_golden(ctx, u, rel_tol=1e-10)
         assert s_gold == pytest.approx(s_root, rel=1e-6)
         assert val == pytest.approx(energy_J(ctx, Field(ctx.spec, s_root * u.values)))
+        # on a grid centred at s_u the fiber energy peaks at s_u, where phi
+        # changes sign
+        coeffs = fiber_coefficients(ctx, u)
+        grid = np.geomspace(s_root / 4.0, 4.0 * s_root, 41)
+        energies, phis = coeffs.energy(grid), coeffs.phi(grid)
+        assert int(np.argmax(energies)) == 20
+        assert phis[0] > 0 and phis[19] > 0 > phis[21] and phis[-1] < 0
 
 
 def test_projection_scale_invariance(ctx):
@@ -280,26 +286,6 @@ def test_psi_gradient_pairing_matches_differences(ctx_p3):
         dn = unit(ctx_p3, Field(ctx_p3.spec, w.values - eps * z.values))
         fd = (psi(ctx_p3, up) - psi(ctx_p3, dn)) / (2.0 * eps)
         assert psi_grad_pairing(ctx_p3, w, z) == pytest.approx(fd, rel=1e-4)
-
-
-def test_fiber_probe_brackets_the_maximum(ctx):
-    rng = np.random.default_rng(12)
-    u = random_field(ctx.spec, rng)
-    s_u, _ = project_su(ctx, u)
-    grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 41)
-    probe = fiber_probe(ctx, u, grid)
-    assert probe.s_values.shape == probe.energies.shape == probe.phi_values.shape
-    k = int(np.argmax(probe.energies))
-    assert 0 < k < len(grid) - 1  # interior maximum
-    assert probe.phi_values[0] > 0 > probe.phi_values[-1]
-    # phi changes sign exactly where the energy peaks
-    assert probe.phi_values[k - 1] > 0 >= probe.phi_values[k + 1]
-
-
-def test_fiber_probe_rejects_nonpositive_s(ctx):
-    u = Field.delta(ctx.spec)
-    with pytest.raises(ValueError):
-        fiber_probe(ctx, u, np.array([0.0, 1.0]))
 
 
 def test_golden_max_on_parabola():

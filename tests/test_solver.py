@@ -230,8 +230,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
 
 
