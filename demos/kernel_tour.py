@@ -9,8 +9,9 @@ Run from the repository root:
     python3 demos/kernel_tour.py
 """
 
+from math import gamma
+
 import numpy as np
-from scipy.special import gamma
 
 from lattice_choquard import (
     Field,

@@ -7,11 +7,11 @@ The kernel on Z^N is R_alpha = K_alpha G_s with s = alpha / 2, where
 
 and mu(k) = 2N - 2 sum_j cos k_j.  Writing mu^{-s} as Gamma(s)^{-1} times
 int_0^inf t^{s-1} e^{-t mu} dt, with the heat kernel of Z^N factorised per
-axis as e^{-2t} I_d(2t) = ive(d, 2t) (Ciaurri, Roncal, Stinga, Torrea and
+axis as p_t(d) = e^{-2t} I_d(2t) (Ciaurri, Roncal, Stinga, Torrea and
 Varona, Adv. Math. 330, 2018), gives
 
     G_s(d) = delta_d + Gamma(s)^{-1} int_0^inf t^{s-1}
-                 (prod_j ive(d_j, 2t) - delta_d e^{-t}) dt.
+                 (prod_j p_t(d_j) - delta_d e^{-t}) dt.
 
 Subtracting delta_d e^{-t} (integral Gamma(s)) removes the t^{s-1}
 singularity at the origin; the integrand decays like t^{s-1-N/2}, so G_s
@@ -21,22 +21,34 @@ K_alpha takes the same route with m = ceil(s) and sigma = m - s, writing
 mu^s = mu^m mu^{-sigma}:
 
     K_alpha = Gamma(sigma)^{-1} int_0^inf t^{sigma-1} E_m(t) dt,
-    E_m(t)  = (2 pi)^{-N} int mu^m e^{-t mu} dk = (-d/dt)^m ive(0, 2t)^N
+    E_m(t)  = (2 pi)^{-N} int mu^m e^{-t mu} dk = (-d/dt)^m p_t(0)^N
             = sum_{|beta|=m} (m! / beta!) prod_j a_{beta_j}(t),
 
-where a_b(t) = (-d/dt)^b ive(0, 2t) is the stencil (2 - z - 1/z)^b applied
-to ive(., 2t).  Below t_0 = e^{-40} the integrand is E_m(0) t^{sigma-1},
+where a_b(t) = (-d/dt)^b p_t(0) is the stencil (2 - z - 1/z)^b applied
+to p_t.  Below t_0 = e^{-40} the integrand is E_m(0) t^{sigma-1},
 which gives the head term E_m(0) t_0^sigma / sigma; at integer s,
 K_alpha = E_m(0) exactly.
 
+The rows p_t(0..M) come from the method of images: on Z/LZ the heat kernel
+is the inverse real FFT of e^{-t 4 sin^2(pi k / L)}, and it equals
+sum_j p_t(n + jL).  With L - M >= 14 sqrt(t) + 40 every image lies so far
+out that its weight is below roundoff of p_t(0), and nodes that share a
+power-of-two L go through one transform.  The transform is exact to
+roundoff of p_t(0), not of p_t(n), so where a row falls steeply
+(t < M^2 / 16, where p_t(M) / p_t(0) is below about e^-4) only p_t(0) is
+kept from it.  The ratios p_t(n) / p_t(n-1) = r_n there follow from the
+backward recurrence r_n = 1 / (n / t + r_{n+1}) (Gautschi, SIAM Rev. 9,
+1967), started from r = 0 at K with K^2 >= M^2 + 74 t: an error at K has
+shrunk by e^{-(K^2 - M^2) / 2t} <= e^{-37} by the time it reaches M.
+
 Both integrals run in x = log t over [-40, log t_max] on 20-point
-Gauss-Legendre panels; beyond t_max the six-term Hankel expansion of ive,
-multiplied across axes, is integrated term by term.  t_max grows with the
-reach but stays capped, because ive returns NaN beyond about 1.2e9; K_alpha
-has no reach and a short t_max, where the cancellation in a_b costs least.
-A single value and a whole table share this one evaluation; a coarser rule
-(wider panels, a smaller t_max) gives the table's error estimate, K_alpha
-included.
+Gauss-Legendre panels; beyond t_max the six-term Hankel expansion of p_t,
+multiplied across axes, is integrated term by term.  t_max = 100 reach^2
+leaves that expansion exact to roundoff; its cap of 1e8 bounds the
+transform length L.  K_alpha has no reach and a short t_max, where the
+cancellation in a_b costs least.  A single value and a whole table share
+this one evaluation; a coarser rule (wider panels, a smaller t_max) gives
+the table's error estimate, K_alpha included.
 """
 
 from __future__ import annotations
@@ -48,10 +60,9 @@ from math import ceil, exp, factorial, gamma, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
+from numpy.fft import irfft, irfftn, rfftn
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polypow
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import ive, poch
 
 from .lattice import DomainError, Field, LatticeSpec
 
@@ -81,8 +92,50 @@ def mu(k: Sequence[float]) -> float:
 
 
 def _t_max(reach: int) -> float:
-    """Where the Hankel tail takes over: far past reach^2, below ive's limit."""
-    return min(max(100.0 * reach**2, 1e6), 1e8)
+    """Where the Hankel tail takes over: far past reach^2, capped so that
+    the transform length of the heat rows stays bounded."""
+    return min(100.0 * max(reach, 1) ** 2, 1e8)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth number 2^a 3^b 5^c >= n, a fast real-FFT length."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # the smallest odd * 2^a >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _heat(t: np.ndarray, top: int) -> np.ndarray:
+    """Rows p_t(0..top) of the heat kernel of Z, one per node t (module
+    docstring): one inverse real FFT per group of nodes sharing L, and the
+    ratios of the steep rows by backward recurrence."""
+    rows = np.empty((t.size, top + 1))
+    need = top + 14.0 * np.sqrt(t) + 40.0
+    lengths = np.exp2(np.ceil(np.log2(need))).astype(int)
+    for n in sorted(set(lengths.tolist())):
+        group = lengths == n
+        symbol = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+        rows[group] = irfft(np.exp(-t[group, None] * symbol), n)[:, : top + 1]
+    steep = t < top**2 / 16.0
+    if np.any(steep):
+        ts = t[steep]
+        ratio = np.zeros(ts.size)
+        ratios = np.empty((ts.size, top))
+        for n in range(int(sqrt(top**2 + 74.0 * ts.max())) + 20, 0, -1):
+            ratio = 1.0 / (n / ts + ratio)
+            if n <= top:
+                ratios[:, n - 1] = ratio
+        rows[steep, 1:] = rows[steep, :1] * np.cumprod(ratios, axis=1)
+    # entries this small add nothing, and as subnormals they slow the
+    # products across axes
+    rows[np.abs(rows) < 1e-100] = 0.0
+    return rows
 
 
 def _panels(t_max: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
@@ -95,7 +148,7 @@ def _panels(t_max: float, panel: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hankel(nu: np.ndarray) -> np.ndarray:
-    """Rows h_k(nu) of the expansion ive(nu, 2t) ~ sum_k h_k(nu) t^{-k-1/2}."""
+    """Rows h_k(nu) of the expansion p_t(nu) ~ sum_k h_k(nu) t^{-k-1/2}."""
     h = np.ones((_HANKEL_TERMS, nu.size))
     for k in range(1, _HANKEL_TERMS):
         h[k] = h[k - 1] * ((2 * k - 1) ** 2 - 4.0 * nu**2) / (16.0 * k)
@@ -109,9 +162,10 @@ def _green(
     dim, s = len(axes), alpha / 2.0
     t, dx = _panels(t_max, panel)
     weights = dx * t**s  # t^{s-1} dt = t^s dx
+    rows = _heat(t, max(int(a.max()) for a in axes))
     bessel, hankel = [], []
     for j, a in enumerate(axes):
-        bessel += [ive(a, 2.0 * t[:, None]), [dim, j]]
+        bessel += [rows[:, a], [dim, j]]
         hankel += [_hankel(a), [dim + 1 + j, j]]
     out = list(range(dim))
     heat = np.einsum(weights, [dim], *bessel, out, optimize=True)
@@ -129,9 +183,9 @@ def _k_alpha(dim: int, alpha: float, t_max: float, panel: float) -> float:
     m = ceil(s)
     sigma = m - s
     t, dx = _panels(t_max, panel)
-    # a_b(t) at n = 0 from ive(n, 2t) at n = -m..m, one second difference
-    # 2 - z - 1/z at a time; row 0 is t = 0, where ive(n, 0) = delta_n
-    v = ive(np.abs(np.arange(-m, m + 1)), 2.0 * np.r_[0.0, t][:, None])
+    # a_b(t) at n = 0 from p_t(n) at n = -m..m, one second difference
+    # 2 - z - 1/z at a time; row 0 is t = 0, where p_0(n) = delta_n
+    v = np.vstack([np.eye(1, m + 1), _heat(t, m)])[:, np.abs(np.arange(-m, m + 1))]
     series = []
     for b in range(m + 1):
         series.append(v[:, m - b] / factorial(b))
@@ -145,11 +199,12 @@ def _k_alpha(dim: int, alpha: float, t_max: float, panel: float) -> float:
     moment = factorial(m) * power[m]  # E_m at t = 0, then at the nodes
     if sigma == 0.0:
         return float(moment[0])
-    # ive(0, 2t)^N ~ sum_k g_k t^{-q}, q = k + N/2, so E_m ~ sum_k g_k (q)_m
+    # p_t(0)^N ~ sum_k g_k t^{-q}, q = k + N/2, so E_m ~ sum_k g_k (q)_m
     # t^{-q-m}, and t^{sigma-1} t^{-q-m} integrates to t_max^{-q-s} / (q+s)
     g = polypow(_hankel(np.zeros(1))[:, 0], dim)
     q = np.arange(g.size) + dim / 2.0
-    tail = np.sum(g * poch(q, m) * t_max ** -(q + s) / (q + s))
+    rising = np.prod([q + i for i in range(m)], axis=0)  # (q)_m
+    tail = np.sum(g * rising * t_max ** -(q + s) / (q + s))
     head = moment[0] * exp(_LOG_T_MIN * sigma) / sigma
     heat = np.dot(dx * t**sigma, moment[1:])
     return float((head + heat + tail) / gamma(sigma))
@@ -294,8 +349,9 @@ def _spectrum(table: KernelTable) -> tuple[tuple[int, ...], np.ndarray]:
     """
     cached = getattr(table, "_spectrum", None)
     if cached is None:
-        fshape = (next_fast_len(4 * table.radius + 1, True),) * table.dim
-        cached = (fshape, rfftn(table.values, fshape))
+        fshape = (_fast_len(4 * table.radius + 1),) * table.dim
+        axes = tuple(range(table.dim))
+        cached = (fshape, rfftn(table.values, fshape, axes))
         object.__setattr__(table, "_spectrum", cached)
     return cached
 
@@ -309,7 +365,8 @@ def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
     """
     fshape, spectrum = _spectrum(table)
     axes = tuple(range(-table.dim, 0))
-    out = irfftn(rfftn(grids, fshape, axes) * spectrum, fshape, axes)
+    spectra = rfftn(grids, fshape, axes) * spectrum
+    out = irfftn(spectra, fshape, axes)
     start = 2 * table.radius
     return out[(...,) + (slice(start, start + 2 * table.radius + 1),) * table.dim]
 
@@ -323,10 +380,11 @@ def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
         Must match the field's lattice (dimension and radius).
     w : Field
     method : str
-        "fft" transforms at circular length L = next_fast_len(4r+1) per axis:
-        the linear convolution of the (4r+1)^N table with the (2r+1)^N box
-        has support [0, 6r], and the aliases n +- L of an output index
-        n in [2r, 4r] fall outside it, so the window read back is exact.
+        "fft" transforms at circular length L per axis, the smallest
+        5-smooth number >= 4r+1: the linear convolution of the (4r+1)^N
+        table with the (2r+1)^N box has support [0, 6r], and the aliases
+        n +- L of an output index n in [2r, 4r] fall outside it, so the
+        window read back is exact.
         The kernel's spectrum is cached on the table.
         "direct" is the quadratic-cost reference sum.
     """

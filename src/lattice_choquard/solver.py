@@ -17,7 +17,8 @@ P^{-1} inner product.
 
 P^{-1} = S L^{-1} S, after Huang, Li & Liu (J. Sci. Comput. 32, 2007):
 L = -Delta + h0 on the box with zero extension (h0 the potential's floor) is
-diagonalized by the orthonormal DST-I, and the diagonal S rescales it to the
+diagonalized by the orthonormal DST-I, applied per axis as a dense sine
+matrix (symmetric and its own inverse), and the diagonal S rescales it to the
 linearized weighted p-Laplacian at w_k, whose diagonal is
 
     a(x) = h(x) (|w|^{p-2}(x) + eps)
@@ -25,7 +26,8 @@ linearized weighted p-Laplacian at w_k, whose diagonal is
 
 with S = sqrt((2N + h0) / a).  For p = 2 and constant h, P = (1 + eps) L.
 Steps start from a Barzilai-Borwein estimate on differences of the
-direction and backtrack under an Armijo test.  Multi-start guards against
+direction and backtrack under an Armijo test, which allows Psi a few ulps of
+roundoff.  Multi-start guards against
 nonglobal minima; the best converged start wins.
 """
 
@@ -36,7 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, idstn
+from numpy.random import default_rng
 
 from .energy import (
     EnergyContext,
@@ -69,6 +71,9 @@ _STEP_FLOOR = 1e-14
 _STEP0 = 1.0
 _BACKTRACK = 0.5
 _SUFFICIENT_DECREASE = 1e-4
+# a trial that raises Psi by roundoff alone still passes: near a minimum the
+# slope term falls below Psi's last bits, and rejecting such steps stalls
+_ROUNDOFF = 4.0 * np.finfo(float).eps
 _METRIC_EPS = 1e-3  # keeps the metric's weights positive where w or grad w is 0
 
 
@@ -189,22 +194,36 @@ def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
     dist = np.sqrt(np.sum(spec.coordinate_array() ** 2, axis=1))
     envelope = np.exp(-0.5 * dist)
     for k in range(1, cfg.n_starts):
-        rng = np.random.default_rng([cfg.seed, k])
+        rng = default_rng([cfg.seed, k])
         vals = rng.standard_normal(spec.site_count) * envelope
         fields.append(Field(spec, vals))
     return fields
 
 
-def _dirichlet_eigenvalues(ctx: EnergyContext) -> np.ndarray:
-    """Eigenvalues of L = -Delta + h0 on the box with zero extension, on the
-    grid of the DST-I that diagonalizes it; cached on the context."""
-    eig = getattr(ctx, "_dirichlet_eigs", None)
-    if eig is None:
+def _dirichlet_basis(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal DST-I matrix of one box side, symmetric and its own
+    inverse, and the eigenvalues of L = -Delta + h0 on the box with zero
+    extension on the grid of the transform that diagonalizes L; cached on
+    the context."""
+    cached = getattr(ctx, "_dirichlet", None)
+    if cached is None:
         n = ctx.spec.side
-        axis = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        k = np.arange(1, n + 1)
+        phase = np.outer(k, k) % (2 * n + 2)  # exact reduction by the period
+        sine = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * phase / (n + 1))
+        axis = 2.0 - 2.0 * np.cos(np.pi * k / (n + 1))
         eig = ctx.model.potential.floor + sum(np.ix_(*[axis] * ctx.spec.dim))
-        object.__setattr__(ctx, "_dirichlet_eigs", eig)
-    return eig
+        cached = (sine, eig)
+        object.__setattr__(ctx, "_dirichlet", cached)
+    return cached
+
+
+def _sine_transform(grids: np.ndarray, sine: np.ndarray, dim: int) -> np.ndarray:
+    """The DST-I over the trailing `dim` axes, one axis at a time: each
+    pass transforms the last axis and moves it in front of the others."""
+    for _ in range(dim):
+        grids = np.moveaxis(grids @ sine, -1, -dim)
+    return grids
 
 
 def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
@@ -218,11 +237,10 @@ def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
         + 2 * dim * _METRIC_EPS
     )
     scale = np.sqrt((2 * dim + h0) / a)
-    axes = tuple(range(-dim, 0))
+    sine, eig = _dirichlet_basis(ctx)
     grid = (scale * v).reshape(v.shape[:-1] + ctx.spec.shape)
-    spec = dstn(grid, type=1, norm="ortho", axes=axes) / _dirichlet_eigenvalues(ctx)
-    out = idstn(spec, type=1, norm="ortho", axes=axes)
-    return scale * out.reshape(v.shape)
+    spec = _sine_transform(grid, sine, dim) / eig
+    return scale * _sine_transform(spec, sine, dim).reshape(v.shape)
 
 
 def _tangent_direction(
@@ -304,7 +322,8 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
                 s_try = _phi_root(coeffs_try)
                 roots += 1
                 psi_try = float(coeffs_try.energy(s_try))
-                if psi_try <= psi_val + _SUFFICIENT_DECREASE * t * slope:
+                bound = psi_val + _SUFFICIENT_DECREASE * t * slope
+                if psi_try <= bound + _ROUNDOFF * abs(psi_val):
                     w, coeffs, s, psi_val = w_try, coeffs_try, s_try, psi_try
                     accepted = True
                     break
@@ -424,7 +443,7 @@ def mountain_pass_level(
         rel_tol=1e-12,
     )
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     best = np.inf
     for _ in range(n_dirs):
         v = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))

@@ -11,11 +11,11 @@ not a crash.
 
 from __future__ import annotations
 
-import importlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .energy import EnergyContext, energy_J, h_norm, interaction_energy
 from .kernel import _fft_convolve, _spectrum, dense_operator
@@ -35,17 +35,6 @@ __all__ = [
     "write_checks_json",
 ]
 
-
-class _LazyModule:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(importlib.import_module(self._name), attr)
-
-
-# imported on first use: it takes about 0.3 s, and only the oracle needs it
-optimize = _LazyModule("scipy.optimize")
 
 _GRID_POINTS = 1024
 _T_LADDER = (1.0, 1.25, 2.0, 5.0, 10.0)
@@ -170,7 +159,7 @@ def hls_sampler(
     else:
         if not r < N / alpha:
             raise ValueError("operator form requires 1 < r < N/alpha")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     ratios = _hls_ratios(ctx, r, s, 2 * n, rng)
     sup_half = float(np.max(ratios[:n]))
     sup_full = float(np.max(ratios))
@@ -198,7 +187,7 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     D(t u) >= t^theta D(u) with 1e-10 relative slack, where D is the doubly
     convolved interaction sum and theta is the smallest nonlinearity exponent.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     theta = ctx.model.nonlinearity.theta
     worst = np.inf
     witness = ""
@@ -282,7 +271,7 @@ def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
                 "fiber uniqueness is not guaranteed for this model"
             ),
         )
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     bad = 0
     witness = ""
     for i in range(n):
@@ -325,7 +314,7 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     (with 1e-10 relative slack), and the projected norms must stay away from
     zero; together these witness that the constrained infimum is positive.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     p = ctx.model.p
     theta = ctx.model.nonlinearity.theta
     factor = 1.0 / p - 1.0 / theta
@@ -421,6 +410,56 @@ def _direct_fiber_max(
     return float(best)
 
 
+def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Minimize `fun` from x0 by the standard Nelder-Mead simplex method.
+
+    The non-adaptive method of scipy.optimize's "Nelder-Mead", step for
+    step: reflection 1, expansion 2, contraction and shrink 1/2, the
+    initial simplex x0 plus 5% of each nonzero coordinate (0.00025 for a
+    zero one), vertices re-sorted by value after every iteration, and a
+    stop once both the simplex and its values span no more than xatol and
+    fatol, or after maxiter iterations.  Returns the best vertex and value.
+    """
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([fun(x) for x in sim])
+    for it in range(maxiter):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+        if it == maxiter - 1 or (
+            np.max(np.abs(sim[1:] - sim[0])) <= xatol
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+        ):
+            break
+        xbar = sim[:-1].sum(axis=0) / n
+        xr = 2.0 * xbar - sim[-1]
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = fun(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+    return sim[0], fsim[0]
+
+
 def ground_state_oracle(
     ctx: EnergyContext,
     n_directions: int = 10_000,
@@ -448,7 +487,7 @@ def ground_state_oracle(
             "brute-force oracle is limited to site_count <= 9; "
             f"got {ctx.spec.site_count}"
         )
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     K = dense_operator(ctx.table)
     D = _difference_matrix(ctx.spec)
     n_sites = ctx.spec.site_count
@@ -467,14 +506,8 @@ def ground_state_oracle(
     def polish(v0: np.ndarray) -> float:
         x = v0 / np.linalg.norm(v0)
         for _ in range(2):
-            res = optimize.minimize(
-                pinned,
-                x,
-                method="Nelder-Mead",
-                options={"maxiter": 4000, "fatol": 1e-13, "xatol": 1e-10},
-            )
-            x = res.x
-        return float(res.fun)
+            x, fun = _nelder_mead(pinned, x, maxiter=4000, xatol=1e-10, fatol=1e-13)
+        return float(fun)
 
     best_idx = np.argsort(levels)[:refine]
     starts = [dirs[i] for i in best_idx]

@@ -402,3 +402,33 @@ def test_module_entry_point_imports_cleanly():
     flags = ["-W", "error::RuntimeWarning", "-m", "lattice_choquard.cli", "--help"]
     out = subprocess.run([sys.executable, *flags], env=env, capture_output=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_runs_load_no_scipy():
+    # importing scipy.fft or scipy.special alone costs about 0.25 s, more
+    # than a whole solve: neither the imports nor a solve or the oracle may
+    # load any scipy module, and a solve loads no module at all
+    code = """
+import json, sys
+import lattice_choquard as lc
+from lattice_choquard import cli
+
+def model(radius):
+    return lc.ModelSpec(
+        lattice=lc.LatticeSpec(1, radius), p=2.0, alpha=0.5,
+        potential=lc.ConstantPotential(1.0),
+        nonlinearity=lc.SumOfPowers(((1.0, 4.0),)),
+    )
+
+before = set(sys.modules)
+lc.minimize_ground_state(lc.make_context(model(8)))
+added = sorted(set(sys.modules) - before)
+lc.ground_state_oracle(lc.make_context(model(3)), 50, 1, 2)
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"added": added, "scipy": scipy}))
+"""
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"added": [], "scipy": []}

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
-from scipy.special import gamma
+from scipy.special import gamma, ive
 
 import lattice_choquard
 from lattice_choquard import (
@@ -142,6 +142,27 @@ def test_self_convergence(dim, alpha):
     main = fractional_degree(dim, alpha)
     coarse = kernel._k_alpha(dim, alpha, kernel._K_T_MAX / 10.0, kernel._PANEL + 0.5)
     assert abs(coarse - main) <= 1e-13 * main
+
+
+@pytest.mark.parametrize("reach", [12, 64])
+def test_heat_rows_match_bessel(reach):
+    # p_t(n) = e^{-2t} I_n(2t) by the method of images and, on steep rows,
+    # by ratio recurrence, against scipy's Bessel function over every node
+    # range the table's integral uses: to roundoff of p_t(0), and to 1e-13
+    # relative on each entry that is not flushed to zero
+    t_max = kernel._t_max(reach)
+    t = np.exp(np.linspace(-40.0, np.log(t_max), 400))
+    rows = kernel._heat(t, reach)
+    exact = ive(np.arange(reach + 1), 2.0 * t[:, None])
+    err = np.abs(rows - exact)
+    assert np.all(err <= 1e-14 * exact[:, :1])
+    kept = exact > 1e-90
+    assert np.all(err[kept] <= 1e-13 * exact[kept])
+
+
+def test_fast_len_matches_scipy():
+    for n in range(1, 2001):
+        assert kernel._fast_len(n) == next_fast_len(n, True), n
 
 
 def test_canonical_representative_counts():
@@ -338,8 +359,8 @@ def test_kernel_csv_dump(tmp_path, table_1d):
 
 
 def test_import_does_not_load_scipy_signal():
-    # scipy.signal costs about a second of import time; convolve needs only
-    # scipy.fft
+    # scipy.signal costs about a second of import time; convolve runs on
+    # numpy.fft
     src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
     code = "import sys, lattice_choquard; print('scipy.signal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import lattice_choquard
 from lattice_choquard import (
@@ -18,6 +19,7 @@ from lattice_choquard import (
     ModelSpec,
     SumOfPowers,
     ar_condition_check,
+    dense_operator,
     fiber_growth_check,
     ground_state_oracle,
     h_norm_pow,
@@ -29,7 +31,12 @@ from lattice_choquard import (
     write_checks_json,
 )
 from conftest import make_model
-from lattice_choquard.verify import _dense_norm_pow, _difference_matrix
+from lattice_choquard.verify import (
+    _dense_norm_pow,
+    _difference_matrix,
+    _direct_fiber_max,
+    _nelder_mead,
+)
 
 TINY_LEVEL = 1.5906930092286227  # full-budget oracle value on the 7-site model
 
@@ -124,6 +131,30 @@ def test_oracle_smoke_small_budget(ctx_tiny):
     # a tiny budget lands close to the full-budget level
     level = ground_state_oracle(ctx_tiny, n_directions=300, refine=3, n_restarts=4)
     assert level == pytest.approx(TINY_LEVEL, rel=1e-4)
+
+
+def test_nelder_mead_matches_scipy_bitwise(ctx_tiny):
+    # the oracle's simplex polish is scipy's standard Nelder-Mead, step for
+    # step, on its radially pinned objective; the short budget ends on the
+    # iteration limit, the long one on the tolerances
+    K = dense_operator(ctx_tiny.table)
+    D = _difference_matrix(ctx_tiny.spec)
+
+    def pinned(v):
+        nrm = np.linalg.norm(v)
+        return _direct_fiber_max(ctx_tiny, K, D, v) + (nrm - 1.0) ** 2
+
+    rng = np.random.default_rng(17)
+    starts = [np.ones(7), np.abs(rng.standard_normal(7)), rng.standard_normal(7)]
+    starts[2][3] = 0.0  # a zero coordinate takes the absolute simplex step
+    for x0 in starts:
+        x0 = x0 / np.linalg.norm(x0)
+        for maxiter in (40, 4000):
+            options = {"maxiter": maxiter, "fatol": 1e-13, "xatol": 1e-10}
+            res = optimize.minimize(pinned, x0, method="Nelder-Mead", options=options)
+            x, fun = _nelder_mead(pinned, x0, maxiter=maxiter, xatol=1e-10, fatol=1e-13)
+            assert x.tobytes() == res.x.tobytes()
+            assert fun == res.fun
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 3), (1, 4), (2, 1), (2, 3), (3, 1)])
@@ -238,7 +269,8 @@ def test_hls_stack_stays_within_byte_budget(dim, radius):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize costs about 0.3 s of import time; only the oracle uses it
+    # scipy.optimize costs about 0.3 s of import time; the oracle's
+    # Nelder-Mead is a port in verify
     src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
     code = "import sys, lattice_choquard; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
