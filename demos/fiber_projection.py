@@ -13,11 +13,11 @@ from lattice_choquard import (
     LatticeSpec,
     ModelSpec,
     SumOfPowers,
+    energy_J,
     fiber_coefficients,
     h_norm,
     make_context,
     project_su,
-    psi,
     random_field,
 )
 
@@ -47,11 +47,13 @@ def main():
         marker = " <- maximum" if abs(s - s_u) == min(abs(grid - s_u)) else ""
         print(f"  {s:12.6f} {en:14.8f} {ph:+14.6f}{marker}")
 
-    # psi is the fiber maximum seen from the unit sphere; it does not care
-    # about the scale of the representative
+    # the fiber maximum does not care about the scale of the representative:
+    # u and u/||u|| project to the same point
     unit = Field(ctx.spec, u.values / h_norm(ctx, u))
-    print(f"\npsi(u/||u||)   = {psi(ctx, unit):.10f}")
-    print(f"J at projection = {energies.max():.10f} (grid approximation)")
+    _, m_unit = project_su(ctx, unit)
+    print(f"\nJ(m(u/||u||)) = {energy_J(ctx, m_unit):.10f}")
+    print(f"J(m(u))       = {energy_J(ctx, w):.10f}")
+    print(f"max over grid = {energies.max():.10f} (grid approximation)")
 
 
 if __name__ == "__main__":

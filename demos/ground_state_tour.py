@@ -9,15 +9,16 @@ import numpy as np
 
 from lattice_choquard import (
     ConstantPotential,
+    Field,
     LatticeSpec,
     ModelSpec,
     SumOfPowers,
     energy_J,
-    fiber_max_golden,
     h_norm,
     make_context,
     minimize_ground_state,
-    mountain_pass_level,
+    project_su,
+    random_field,
     validate_model,
 )
 
@@ -49,16 +50,17 @@ def main():
         bar = "#" * int(40 * abs(val) / np.max(np.abs(u.values)))
         print(f"  {x[0]:+3d} : {val:+.6f} {bar}")
 
-    # the solution is a fiber maximum along its own ray
-    _, fiber_val = fiber_max_golden(ctx, u)
-    print(f"\nmax_s J(s u*) = {fiber_val:.12f} (equals c)")
+    # the solution is the fiber maximum of its own ray: it projects to itself
+    s_u, _ = project_su(ctx, u)
+    print(f"\nprojection scale of u*       = {s_u:.12f} (equals 1)")
 
-    mp = mountain_pass_level(ctx, u, n_dirs=200, seed=0)
-    print(f"mountain-pass path level    = {mp.path_level:.12f}")
-    print(f"min over random-ray maxima  = {mp.direction_min:.6f} (>= c)")
-    print(f"ray becomes negative at t   = {mp.t_negative:.3g}")
-    end = energy_J(ctx, type(u)(ctx.spec, mp.t_negative * u.values))
-    print(f"J at the ray end            = {end:.3f} (< 0)")
+    # every other ray peaks at or above c, and far out J turns negative
+    rng = np.random.default_rng(0)
+    peaks = [energy_J(ctx, project_su(ctx, random_field(ctx.spec, rng))[1])
+             for _ in range(200)]
+    print(f"min over 200 random-ray maxima = {min(peaks):.6f} (>= c)")
+    end = energy_J(ctx, Field(ctx.spec, 2.0 * u.values))
+    print(f"J(2 u*)                        = {end:.3f} (< 0)")
 
 
 if __name__ == "__main__":

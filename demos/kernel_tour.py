@@ -18,15 +18,12 @@ from lattice_choquard import (
     LatticeSpec,
     build_table,
     convolve,
+    dense_operator,
     fractional_degree,
-    mu,
-    riesz_kernel,
 )
 
 
 def main():
-    print("symbol values: mu(0) =", mu((0.0,)), " mu(pi) =", mu((np.pi,)))
-
     # in one dimension the normalization constant has a closed form:
     # (1/2pi) int (2 - 2 cos k)^{alpha/2} dk = Gamma(1+alpha)/Gamma(1+alpha/2)^2
     print("\nnormalization constant vs closed form (dim 1):")
@@ -35,10 +32,12 @@ def main():
         got = fractional_degree(1, alpha)
         print(f"  alpha={alpha:4.2f}: computed={got:.12f} exact={exact:.12f}")
 
+    # a table of radius r holds R(d) at index d + 2r per axis
+    wide = build_table(LatticeSpec(2, 15), 1.0)
     print("\nkernel decay along an axis (dim 2, alpha 1):")
     print("  t * R((t, 0)) is roughly constant once t >> 1:")
     for t in (2, 5, 10, 20, 30):
-        val = riesz_kernel((t, 0), 2, 1.0)
+        val = wide.values[30 + t, 30]
         print(f"  t={t:3d}: R={val:.6e}  t*R={t * val:.6f}")
 
     spec = LatticeSpec(1, 6)
@@ -51,14 +50,14 @@ def main():
     conv = convolve(table, Field.delta(spec))
     print("convolution identity R * delta = R:")
     for d in (0, 2, 5):
-        print(f"  d={d}: (R*delta)({d})={conv.value_at((d,)):.9f} "
-              f"R({d})={table.value((d,)):.9f}")
+        print(f"  d={d}: (R*delta)({d})={conv.values[6 + d]:.9f} "
+              f"R({d})={table.values[12 + d]:.9f}")
 
     rng = np.random.default_rng(0)
     w = Field(spec, rng.standard_normal(spec.site_count))
-    fast = convolve(table, w, method="fft").values
-    slow = convolve(table, w, method="direct").values
-    print(f"\nfast vs direct convolution, max abs diff: "
+    fast = convolve(table, w).values
+    slow = dense_operator(table) @ w.values
+    print(f"\nfft vs dense-matrix convolution, max abs diff: "
           f"{np.max(np.abs(fast - slow)):.3e}")
 
 

@@ -29,8 +29,6 @@ from .kernel import (
     convolve,
     dense_operator,
     fractional_degree,
-    mu,
-    riesz_kernel,
 )
 from .model import (
     CoercivePotential,
@@ -62,16 +60,14 @@ from .energy import (
     pairing_field,
     pointwise_residual,
 )
-from .nehari import fiber_max_golden, golden_max, project_su, psi
+from .nehari import golden_max, project_su
 from .solver import (
-    MountainPassLevel,
     NonconvergenceError,
     SolveReport,
     SolverConfig,
     StartDiagnostics,
     center_normalize,
     minimize_ground_state,
-    mountain_pass_level,
 )
 from .verify import (
     CheckReport,
@@ -87,10 +83,3 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-
-def __getattr__(name: str):
-    # cli loads on first use, so `python -m lattice_choquard.cli` runs it once
-    if name in ("ConfigError", "RunConfig", "main", "parse_config", "run"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

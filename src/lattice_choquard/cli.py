@@ -49,7 +49,7 @@ from .solver import (
 )
 from .verify import run_all_checks, write_checks_json
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -73,19 +73,14 @@ _REMOVED_KEYS = {
     "solver.step0": _ARMIJO,
     "solver.backtrack_factor": _ARMIJO,
     "solver.sufficient_decrease": _ARMIJO,
+    "solver.energy_tol": "the stall test's energy tolerance is fixed at 1e-12",
 }
 _POTENTIAL_KEYS = {
     "constant": {"kind", "value"},
     "periodic": {"kind", "period", "cell"},
     "coercive": {"kind", "floor", "scale", "exponent", "center"},
 }
-_SOLVER_KEYS = {
-    "max_iters",
-    "grad_tol",
-    "energy_tol",
-    "n_starts",
-    "seed",
-}
+_SOLVER_KEYS = {"max_iters", "grad_tol", "n_starts", "seed"}
 
 
 class ConfigError(ValueError):
@@ -409,34 +404,6 @@ def _cmd_check(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def run(subcommand: str, cfg: RunConfig, out_dir: str = ".", **options) -> int:
-    """Dispatch one subcommand against a validated config.
-
-    Accepts `threads` (solve, sweep), `key` and `values` (sweep), and
-    `field_path` (fiber).  Creates the output directory when missing.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    threads = options.get("threads") or 1
-    if subcommand == "solve":
-        return _cmd_solve(cfg, out_dir, threads)
-    if subcommand == "sweep":
-        key = options.get("key")
-        values = options.get("values")
-        if not key or not values:
-            raise ValueError("sweep requires --key and --values")
-        return _cmd_sweep(cfg, out_dir, threads, key, values)
-    if subcommand == "kernel":
-        return _cmd_kernel(cfg, out_dir)
-    if subcommand == "fiber":
-        field_path = options.get("field_path")
-        if not field_path:
-            raise ValueError("fiber requires --field")
-        return _cmd_fiber(cfg, out_dir, field_path)
-    if subcommand == "check":
-        return _cmd_check(cfg, out_dir)
-    raise ValueError(f"unknown subcommand '{subcommand}'")
-
-
 class _UsageError(Exception):
     pass
 
@@ -480,7 +447,7 @@ def _build_parser() -> _Parser:
             "--threads",
             type=int,
             default=1,
-            help="parallel starts/checks bound",
+            help="parallel solver starts, at least 1",
         )
         p.add_argument("--radius", type=int, default=None, help="override radius")
         p.add_argument("--verbose", action="store_true", help="log progress")
@@ -500,6 +467,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    if args.threads < 1:
+        message = f"--threads must be >= 1, got {args.threads}"
+        print(f"usage error: {message}", file=sys.stderr)
         return 1
 
     logging.basicConfig(
@@ -521,13 +492,17 @@ def main(argv=None) -> int:
     try:
         data = _apply_overrides(data, args)
         cfg = _config_from_data(data)
-        options = {"threads": args.threads}
+        os.makedirs(args.out, exist_ok=True)
+        if args.subcommand == "solve":
+            return _cmd_solve(cfg, args.out, args.threads)
         if args.subcommand == "sweep":
-            options["key"] = args.key
-            options["values"] = _parse_values(args.values)
+            values = _parse_values(args.values)
+            return _cmd_sweep(cfg, args.out, args.threads, args.key, values)
+        if args.subcommand == "kernel":
+            return _cmd_kernel(cfg, args.out)
         if args.subcommand == "fiber":
-            options["field_path"] = args.field
-        return run(args.subcommand, cfg, out_dir=args.out, **options)
+            return _cmd_fiber(cfg, args.out, args.field)
+        return _cmd_check(cfg, args.out)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
@@ -541,6 +516,13 @@ def main(argv=None) -> int:
         return 2
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
+        if all(d.stop == "max_iters" for d in exc.diagnostics):
+            print(
+                "advice: every start stopped at solver.max_iters = "
+                f"{exc.diagnostics[0].iterations}; raise solver.max_iters "
+                "in the config",
+                file=sys.stderr,
+            )
         return 3
     except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,9 +46,8 @@ Gauss-Legendre panels; beyond t_max the six-term Hankel expansion of p_t,
 multiplied across axes, is integrated term by term.  t_max = 100 reach^2
 leaves that expansion exact to roundoff; its cap of 1e8 bounds the
 transform length L.  K_alpha has no reach and a short t_max, where the
-cancellation in a_b costs least.  A single value and a whole table share
-this one evaluation; a coarser rule (wider panels, a smaller t_max) gives
-the table's error estimate, K_alpha included.
+cancellation in a_b costs least.  A coarser rule (wider panels, a smaller
+t_max) gives the table's error estimate, K_alpha included.
 """
 
 from __future__ import annotations
@@ -68,9 +67,7 @@ from .lattice import DomainError, Field, LatticeSpec
 
 __all__ = [
     "KernelTable",
-    "mu",
     "fractional_degree",
-    "riesz_kernel",
     "build_table",
     "convolve",
     "dense_operator",
@@ -85,16 +82,10 @@ _HANKEL_TERMS = 6
 _K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
 
 
-def mu(k: Sequence[float]) -> float:
-    """Lattice symbol mu(k) = 2N - 2 sum_j cos k_j, evaluated stably."""
-    arr = np.asarray(k, dtype=float)
-    return float(np.sum(4.0 * np.sin(arr / 2.0) ** 2))
-
-
 def _t_max(reach: int) -> float:
     """Where the Hankel tail takes over: far past reach^2, capped so that
     the transform length of the heat rows stays bounded."""
-    return min(100.0 * max(reach, 1) ** 2, 1e8)
+    return min(100.0 * reach**2, 1e8)
 
 
 def _fast_len(n: int) -> int:
@@ -233,20 +224,6 @@ def _check_kernel_params(dim: int, alpha: float) -> None:
         )
 
 
-def riesz_kernel(d: Sequence[int], dim: int, alpha: float) -> float:
-    """Kernel value R_alpha(d) for a single vector difference d.
-
-    The one-entry case of the table's subordination integral.  Requires
-    0 < alpha < N.
-    """
-    _check_kernel_params(dim, alpha)
-    if len(d) != dim:
-        raise ValueError(f"difference vector must have {dim} components")
-    axes = [np.array([abs(int(c))]) for c in d]
-    green = _green(axes, alpha, _t_max(max(a[0] for a in axes)), _PANEL)
-    return fractional_degree(dim, alpha) * green.item()
-
-
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """Precomputed kernel over all differences d in {-2r, ..., 2r}^N.
@@ -270,14 +247,6 @@ class KernelTable:
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
         self.values.setflags(write=False)
-
-    def value(self, d: Sequence[int]) -> float:
-        if len(d) != self.dim:
-            raise DomainError(f"difference vector must have {self.dim} components")
-        idx = tuple(int(c) + 2 * self.radius for c in d)
-        if any(not 0 <= i <= 4 * self.radius for i in idx):
-            raise DomainError(f"difference {tuple(d)} outside table range")
-        return float(self.values[idx])
 
     def _meta(self) -> dict:
         meta = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -371,28 +340,17 @@ def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
     return out[(...,) + (slice(start, start + 2 * table.radius + 1),) * table.dim]
 
 
-def convolve(table: KernelTable, w: Field, method: str = "fft") -> Field:
+def convolve(table: KernelTable, w: Field) -> Field:
     """Nonlocal convolution (R_alpha * w)(x) = sum_y R_alpha(x - y) w(y).
 
-    Parameters
-    ----------
-    table : KernelTable
-        Must match the field's lattice (dimension and radius).
-    w : Field
-    method : str
-        "fft" transforms at circular length L per axis, the smallest
-        5-smooth number >= 4r+1: the linear convolution of the (4r+1)^N
-        table with the (2r+1)^N box has support [0, 6r], and the aliases
-        n +- L of an output index n in [2r, 4r] fall outside it, so the
-        window read back is exact.
-        The kernel's spectrum is cached on the table.
-        "direct" is the quadratic-cost reference sum.
+    The table must match the field's lattice.  The transform runs at
+    circular length L per axis, the smallest 5-smooth number >= 4r+1: the
+    linear convolution of the (4r+1)^N table with the (2r+1)^N box has
+    support [0, 6r], and the aliases n +- L of an output index n in [2r, 4r]
+    fall outside it, so the window read back is exact.  The kernel's
+    spectrum is cached on the table; `dense_operator(table) @ w.values` is
+    the quadratic-cost reference sum.
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
-    if method == "fft":
-        return Field(w.spec, _fft_convolve(table, w.grid()).reshape(-1))
-    if method == "direct":
-        mat = dense_operator(table)
-        return Field(w.spec, mat @ w.values)
-    raise ValueError(f"unknown convolution method {method!r}")
+    return Field(w.spec, _fft_convolve(table, w.grid()).reshape(-1))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -129,10 +129,6 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
-    def zero(spec: LatticeSpec) -> "Field":
-        return Field(spec, np.zeros(spec.site_count))
-
-    @staticmethod
     def delta(spec: LatticeSpec, x: Sequence[int] | None = None) -> "Field":
         """Indicator of a single site (the origin by default)."""
         vals = np.zeros(spec.site_count)
@@ -142,12 +138,6 @@ class Field:
 
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.spec.shape)
-
-    def value_at(self, x: Sequence[int]) -> float:
-        """Zero-extended read: 0 for points outside the box."""
-        if self.spec.contains(x):
-            return float(self.values[self.spec.index_of(x)])
-        return 0.0
 
     def translated(self, shift: Sequence[int]) -> "Field":
         """Field x -> u(x - shift); values pushed outside the box are dropped."""

@@ -63,9 +63,6 @@ class ConstantPotential:
         if not np.isfinite(self.value) or self.value <= 0:
             raise ValueError("constant potential must be positive")
 
-    def __call__(self, x: Sequence[int]) -> float:
-        return self.value
-
     def grid(self, spec: LatticeSpec) -> np.ndarray:
         return np.full(spec.shape, self.value)
 
@@ -94,9 +91,6 @@ class PeriodicPotential:
         arr.setflags(write=False)
         object.__setattr__(self, "cell", arr)
         object.__setattr__(self, "period", int(self.period))
-
-    def __call__(self, x: Sequence[int]) -> float:
-        return float(self.cell[tuple(int(c) % self.period for c in x)])
 
     def grid(self, spec: LatticeSpec) -> np.ndarray:
         if self.cell.ndim != spec.dim:
@@ -129,10 +123,6 @@ class CoercivePotential:
             raise ValueError("exponent must be positive")
         object.__setattr__(self, "center", tuple(int(c) for c in self.center))
 
-    def __call__(self, x: Sequence[int]) -> float:
-        dist = sum(abs(int(c) - c0) for c, c0 in zip(x, self.center))
-        return self.floor + self.scale * float(dist) ** self.exponent
-
     def grid(self, spec: LatticeSpec) -> np.ndarray:
         if len(self.center) != spec.dim:
             raise ValueError("potential center dimension does not match lattice")
@@ -141,9 +131,9 @@ class CoercivePotential:
         return h.reshape(spec.shape)
 
 
-# A potential is callable as h(x) on Z^N and has `grid(spec)` (h over the
-# box, shaped like the box grid), `floor` (its infimum over Z^N, positive)
-# and `period` (1 for constant h, None when no translation preserves h).
+# A potential has `grid(spec)` (h over the box, shaped like the box grid),
+# `floor` (its infimum over Z^N, positive) and `period` (1 for constant h,
+# None when no translation preserves h).
 Potential = Union[ConstantPotential, PeriodicPotential, CoercivePotential]
 
 

@@ -23,29 +23,18 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
-from .energy import (
-    EnergyContext,
-    FiberCoefficients,
-    energy_J,
-    fiber_coefficients,
-    h_norm,
-)
+from .energy import EnergyContext, FiberCoefficients, fiber_coefficients
 from .lattice import DomainError, Field
 from .model import ModelViolationError
 
-__all__ = [
-    "project_su",
-    "psi",
-    "golden_max",
-    "fiber_max_golden",
-]
+__all__ = ["project_su", "golden_max"]
 
-_BRACKET_DOUBLINGS = 60
 _NEWTON_MAX_STEPS = 60
 # below this log step the next one is O(step^2): the root has full precision
 _NEWTON_STEP_TOL = 1e-9
+# a projection's |phi(s_u)| may be at most this fraction of s_u^p norm^p(u)
+_ROOT_TOL = 1e-10
+_GOLDEN_MAX_ITERS = 200
 
 
 def _phi_root(coeffs: FiberCoefficients) -> float:
@@ -81,10 +70,8 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
-def _project(
-    ctx: EnergyContext, u: Field, tol: float = 1e-10
-) -> tuple[float, FiberCoefficients]:
-    """The fiber root s_u of u, with |phi(s_u)| <= tol * s_u^p * norm^p(u),
+def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients]:
+    """The fiber root s_u of u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u),
     and the one evaluation of u it came from."""
     coeffs = fiber_coefficients(ctx, u)
     if coeffs.norm_pow == 0.0:
@@ -92,51 +79,36 @@ def _project(
     s = _phi_root(coeffs)
     defect = abs(coeffs.phi(s))
     scale = s**coeffs.p * coeffs.norm_pow
-    if defect > tol * scale:
+    if defect > _ROOT_TOL * scale:
         raise ArithmeticError(
-            f"fiber root residual {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"fiber root residual {defect:.3e} exceeds {_ROOT_TOL:.1e} * {scale:.3e}"
         )
     return s, coeffs
 
 
-def project_su(
-    ctx: EnergyContext, u: Field, tol: float = 1e-10
-) -> tuple[float, Field]:
+def project_su(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
     """Projection onto the constraint manifold along the ray through u.
 
-    Returns (s_u, s_u * u) with |phi(s_u)| <= tol * s_u^p * norm^p(u).  The
+    Returns (s_u, s_u * u) with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u).  The
     projection is scale invariant: rays through u and t u (t > 0) land on the
     same manifold point.
     """
-    s, _ = _project(ctx, u, tol)
+    s, _ = _project(ctx, u)
     return s, Field(u.spec, s * u.values)
-
-
-def psi(ctx: EnergyContext, w: Field) -> float:
-    """Psi(w) = J(m(w)) for unit-norm w; equals max_s J(sw)."""
-    norm = h_norm(ctx, w)
-    if abs(norm - 1.0) > 1e-8:
-        raise DomainError(f"psi requires a unit-norm field, got norm {norm!r}")
-    s, coeffs = _project(ctx, w)
-    return float(coeffs.energy(s))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-10,
-    max_iters: int = 200,
+    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-10
 ) -> tuple[float, float]:
     """Golden-section maximization of a unimodal function on [lo, hi]."""
     a, b = float(lo), float(hi)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iters):
+    for _ in range(_GOLDEN_MAX_ITERS):
         if b - a <= rel_tol * max(abs(a), abs(b), 1e-30):
             break
         if fc >= fd:
@@ -150,26 +122,3 @@ def golden_max(
     s = c if fc >= fd else d
     return float(s), float(max(fc, fd))
 
-
-def fiber_max_golden(
-    ctx: EnergyContext, u: Field, rel_tol: float = 1e-10
-) -> tuple[float, float]:
-    """Directly maximize s -> J(su) by golden section (independent of phi).
-
-    Each probe evaluates the energy at the scaled field from scratch, so this
-    serves as an optimization oracle for the root-based projection.
-    """
-    if not np.any(u.values):
-        raise DomainError("the zero field has no fiber map")
-
-    def val(s: float) -> float:
-        return energy_J(ctx, Field(u.spec, s * u.values))
-
-    hi = 1.0
-    for _ in range(_BRACKET_DOUBLINGS):
-        if val(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise ModelViolationError("fiber energy never turns negative")
-    return golden_max(val, 0.0, hi, rel_tol=rel_tol)

@@ -48,9 +48,8 @@ from .energy import (
     pairing_field,
     pointwise_residual,
 )
-from .lattice import Field, p_laplacian_diagonal
-from .model import ModelViolationError
-from .nehari import fiber_coefficients, golden_max, _phi_root
+from .lattice import Field, p_laplacian_diagonal, random_field
+from .nehari import fiber_coefficients, _phi_root
 
 __all__ = [
     "SolverConfig",
@@ -58,8 +57,6 @@ __all__ = [
     "StartDiagnostics",
     "NonconvergenceError",
     "minimize_ground_state",
-    "mountain_pass_level",
-    "MountainPassLevel",
     "center_normalize",
 ]
 
@@ -75,6 +72,9 @@ _SUFFICIENT_DECREASE = 1e-4
 # slope term falls below Psi's last bits, and rejecting such steps stalls
 _ROUNDOFF = 4.0 * np.finfo(float).eps
 _METRIC_EPS = 1e-3  # keeps the metric's weights positive where w or grad w is 0
+# a start converges once, besides the residual test, Psi fell by at most this
+# fraction of max(1, |Psi|) in its last step
+_ENERGY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,14 @@ class SolverConfig:
 
     max_iters: int = 5000
     grad_tol: float = 1e-8
-    energy_tol: float = 1e-12
     n_starts: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0 or not self.energy_tol > 0:
-            raise ValueError("tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError("grad_tol must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
 
@@ -126,7 +125,7 @@ class NonconvergenceError(RuntimeError):
         self.diagnostics = diagnostics
         lines = ", ".join(
             f"start {d.start}: iters={d.iterations} energy={d.energy:.6g} "
-            f"residual={d.residual:.3e}"
+            f"residual={d.residual:.3e} stop={d.stop}"
             for d in diagnostics
         )
         super().__init__(f"no start converged ({lines})")
@@ -182,21 +181,13 @@ class _StartResult:
 def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
     """Start 0 is a centered bump; the rest are seeded noise with decay."""
     spec = ctx.spec
-    bump = np.zeros(spec.site_count)
-    center = (0,) * spec.dim
-    bump[spec.index_of(center)] = 1.0
-    for j in range(spec.dim):
-        for sgn in (1, -1):
-            site = list(center)
-            site[j] += sgn
-            bump[spec.index_of(tuple(site))] = 0.5
+    unit = np.eye(spec.dim, dtype=int)
+    bump = Field.delta(spec).values + 0.5 * sum(
+        Field.delta(spec, e).values for e in np.vstack([unit, -unit])
+    )
     fields = [Field(spec, bump)]
-    dist = np.sqrt(np.sum(spec.coordinate_array() ** 2, axis=1))
-    envelope = np.exp(-0.5 * dist)
     for k in range(1, cfg.n_starts):
-        rng = default_rng([cfg.seed, k])
-        vals = rng.standard_normal(spec.site_count) * envelope
-        fields.append(Field(spec, vals))
+        fields.append(random_field(spec, default_rng([cfg.seed, k]), decay=0.5))
     return fields
 
 
@@ -286,7 +277,7 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _S
 
         scale = max(1.0, s ** (ctx.model.p - 1.0))
         if resid <= cfg.grad_tol * scale and it > 0 and (
-            psi_hist[-2] - psi_val <= cfg.energy_tol * max(1.0, abs(psi_val))
+            psi_hist[-2] - psi_val <= _ENERGY_TOL * max(1.0, abs(psi_val))
         ):
             converged = True
             stop = "converged"
@@ -407,52 +398,6 @@ def minimize_ground_state(
         winner.iterations,
     )
     return report
-
-
-@dataclass(frozen=True)
-class MountainPassLevel:
-    """Path level along the ray through the candidate, and a sampled bound."""
-
-    path_level: float
-    direction_min: float
-    t_negative: float
-
-
-def mountain_pass_level(
-    ctx: EnergyContext, u_star: Field, n_dirs: int = 1000, seed: int = 0
-) -> MountainPassLevel:
-    """Cross-check the minimax characterization of the level c.
-
-    Doubles t until J(t u*) < 0, maximizes J along the straight path from 0
-    to t u* (the max should reproduce J(u*)), and returns the minimum over
-    `n_dirs` random directions of the fiber maximum max_s J(su), which can
-    never undercut c.
-    """
-    t = 1.0
-    for _ in range(60):
-        t *= 2.0
-        if energy_J(ctx, Field(u_star.spec, t * u_star.values)) < 0:
-            break
-    else:
-        raise ModelViolationError("energy never turns negative along the ray")
-
-    _, path_level = golden_max(
-        lambda s: energy_J(ctx, Field(u_star.spec, s * t * u_star.values)),
-        0.0,
-        1.0,
-        rel_tol=1e-12,
-    )
-
-    rng = default_rng(seed)
-    best = np.inf
-    for _ in range(n_dirs):
-        v = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
-        coeffs = fiber_coefficients(ctx, v)
-        s_v = _phi_root(coeffs)
-        best = min(best, float(coeffs.energy(s_v)))
-    return MountainPassLevel(
-        path_level=float(path_level), direction_min=float(best), t_negative=t
-    )
 
 
 def center_normalize(ctx: EnergyContext, u: Field) -> Field:

@@ -4,8 +4,9 @@ The library computes these quantities on whole grids, or with faster
 algorithms; the versions here follow the definitions site by site, or are
 the slow and plainly safe algorithms they replaced, so tests can compare
 the two.  The last section holds probes of the theory (summation by parts,
-the sphere-to-manifold inverse, the mountain-pass geometry) that check the
-library from outside and that no library code calls.
+the sphere-to-manifold inverse, the fiber maximum by golden section, the
+mountain-pass geometry and level) that check the library from outside and
+that no library code calls.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from lattice_choquard import (
     convolve,
     energy_J,
     fiber_coefficients,
+    golden_max,
     h_norm,
     nehari_functional,
     p_laplacian,
@@ -57,15 +59,20 @@ def neighbors(x, spec: LatticeSpec) -> list[tuple[int, ...]]:
     return out
 
 
+def value_at(u: Field, x) -> float:
+    """Zero-extended read: u(x) on the box, 0 outside it."""
+    return float(u.values[u.spec.index_of(x)]) if u.spec.contains(x) else 0.0
+
+
 def gradient_form(u: Field, v: Field, x) -> float:
     """Gamma(u, v)(x) = 1/2 sum over neighbors of the difference products."""
     if u.spec != v.spec:
         raise DomainError("fields live on different lattices")
-    ux = u.value_at(x)
-    vx = v.value_at(x)
+    ux = value_at(u, x)
+    vx = value_at(v, x)
     acc = 0.0
     for y in neighbors(x, u.spec):
-        acc += (u.value_at(y) - ux) * (v.value_at(y) - vx)
+        acc += (value_at(u, y) - ux) * (value_at(v, y) - vx)
     return 0.5 * acc
 
 
@@ -331,3 +338,71 @@ def mountain_pass_geometry_probe(
     else:
         raise ModelViolationError("energy never turns negative along a ray")
     return GeometryProbe(rho=best_rho, sigma=best_sigma, witness=witness)
+
+
+def fiber_max_golden(ctx, u: Field, rel_tol: float = 1e-10) -> tuple[float, float]:
+    """Directly maximize s -> J(su) by golden section (independent of phi).
+
+    Each probe evaluates the energy at the scaled field from scratch, so this
+    serves as an optimization oracle for the root-based projection.
+    """
+    if not np.any(u.values):
+        raise DomainError("the zero field has no fiber map")
+
+    def val(s: float) -> float:
+        return energy_J(ctx, Field(u.spec, s * u.values))
+
+    hi = 1.0
+    for _ in range(60):
+        if val(hi) < 0:
+            break
+        hi *= 2.0
+    else:
+        raise ModelViolationError("fiber energy never turns negative")
+    return golden_max(val, 0.0, hi, rel_tol=rel_tol)
+
+
+@dataclass(frozen=True)
+class MountainPassLevel:
+    """Path level along the ray through the candidate, and a sampled bound."""
+
+    path_level: float
+    direction_min: float
+    t_negative: float
+
+
+def mountain_pass_level(
+    ctx, u_star: Field, n_dirs: int = 1000, seed: int = 0
+) -> MountainPassLevel:
+    """Cross-check the minimax characterization of the level c.
+
+    Doubles t until J(t u*) < 0, maximizes J along the straight path from 0
+    to t u* (the max should reproduce J(u*)), and returns the minimum over
+    `n_dirs` random directions of the fiber maximum max_s J(su), which can
+    never undercut c.
+    """
+    t = 1.0
+    for _ in range(60):
+        t *= 2.0
+        if energy_J(ctx, Field(u_star.spec, t * u_star.values)) < 0:
+            break
+    else:
+        raise ModelViolationError("energy never turns negative along the ray")
+
+    _, path_level = golden_max(
+        lambda s: energy_J(ctx, Field(u_star.spec, s * t * u_star.values)),
+        0.0,
+        1.0,
+        rel_tol=1e-12,
+    )
+
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for _ in range(n_dirs):
+        v = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
+        coeffs = fiber_coefficients(ctx, v)
+        s_v = _phi_root(coeffs)
+        best = min(best, float(coeffs.energy(s_v)))
+    return MountainPassLevel(
+        path_level=float(path_level), direction_min=float(best), t_negative=t
+    )

@@ -9,14 +9,8 @@ import numpy as np
 import pytest
 
 import lattice_choquard
-from lattice_choquard import (
-    ConfigError,
-    ModelRejectedError,
-    main,
-    parse_config,
-    read_field_csv,
-    run,
-)
+from lattice_choquard import ModelRejectedError, read_field_csv
+from lattice_choquard.cli import ConfigError, main, parse_config
 
 BASE = {
     "dim": 1,
@@ -86,6 +80,7 @@ RETIRED_KEYS = [
     ("solver.step0", 1.0, "Armijo"),
     ("solver.backtrack_factor", 0.5, "Armijo"),
     ("solver.sufficient_decrease", 1e-4, "Armijo"),
+    ("solver.energy_tol", 1e-12, "energy tolerance is fixed"),
 ]
 
 
@@ -150,10 +145,26 @@ def test_model_rejection_exits_two(tmp_path, capsys):
     assert "alpha must lie in" in err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    path = write_config(tmp_path, BASE)
+    argv = ["solve", "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--threads", threads]) == 1
+    assert f"--threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonconvergence_exits_three(tmp_path, capsys):
     data = base_config(solver={"max_iters": 1})
     path = write_config(tmp_path, data)
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "stop=max_iters" in err
+    assert "advice: every start stopped at solver.max_iters = 1" in err
+    # following the advice: the default limit converges
+    data["solver"]["max_iters"] = 5000
+    path = write_config(tmp_path, data)
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
 
 
@@ -380,10 +391,12 @@ def test_check_artifacts(tmp_path, capsys):
     assert len(data["checks"]) == 6
 
 
-def test_run_dispatcher(tmp_path):
-    cfg = parse_config(json.dumps(BASE))
+def test_run_dispatcher(tmp_path, capsys):
+    # main dispatches to the subcommand and creates a missing --out
+    path = write_config(tmp_path, BASE)
     out = tmp_path / "nested" / "dir"
-    assert run("kernel", cfg, out_dir=str(out)) == 0
+    assert main(["kernel", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
     assert (out / "kernel.csv").exists()
 
 

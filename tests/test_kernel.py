@@ -20,9 +20,7 @@ from lattice_choquard import (
     convolve,
     dense_operator,
     fractional_degree,
-    mu,
     random_field,
-    riesz_kernel,
 )
 from lattice_choquard import kernel
 from reference import canonical_representatives, k_alpha_midpoint
@@ -32,12 +30,6 @@ from reference import canonical_representatives, k_alpha_midpoint
 # computation.  dim=1, alpha=0.5.
 ORACLE_K_HALF = 1.0787052023767583
 ORACLE_R = {0: 1.2732395447351625, 3: 0.24803367754581082, 10: 0.13606458019472528}
-
-
-def test_mu_corner_values():
-    assert mu((0.0,)) == 0.0
-    assert mu((np.pi, np.pi)) == pytest.approx(8.0, abs=1e-14)
-    assert mu((np.pi / 2, np.pi / 2, np.pi / 2)) == pytest.approx(6.0, abs=1e-14)
 
 
 def test_normalization_closed_form_one_dim():
@@ -87,8 +79,8 @@ def test_normalization_integer_moments(dim):
 
 
 @pytest.mark.parametrize("d", [0, 3, 10])
-def test_kernel_matches_adaptive_quadrature(d):
-    got = riesz_kernel((d,), 1, 0.5)
+def test_kernel_matches_adaptive_quadrature(d, table_1d):
+    got = table_1d.values[16 + d]
     assert got == pytest.approx(ORACLE_R[d], rel=1e-12)
 
 
@@ -120,17 +112,11 @@ def test_table_3d_positive_with_small_error_estimate():
     assert table.error_estimate <= 1e-12
 
 
-def test_kernel_even_in_d():
-    assert riesz_kernel((4,), 1, 0.5) == pytest.approx(
-        riesz_kernel((-4,), 1, 0.5), rel=1e-15
-    )
-
-
 def test_parameter_errors():
     with pytest.raises(ValueError, match="alpha"):
-        riesz_kernel((0,), 1, 1.0)  # alpha = N: non-integrable
+        build_table(LatticeSpec(1, 2), 1.0)  # alpha = N: non-integrable
     with pytest.raises(ValueError):
-        riesz_kernel((0,), 1, -0.5)
+        build_table(LatticeSpec(1, 2), -0.5)
     with pytest.raises(ValueError):
         fractional_degree(1, 0.0)
 
@@ -171,6 +157,16 @@ def test_canonical_representative_counts():
     assert len(canonical_representatives(2, 2)) == 15
 
 
+def entry(table, d):
+    """The table entry R(d), indexed by d + 2r per axis."""
+    return table.values[tuple(c + 2 * table.radius for c in d)]
+
+
+def direct(table, w):
+    """The quadratic-cost reference sum R * w."""
+    return dense_operator(table) @ w.values
+
+
 @pytest.fixture(scope="module")
 def table_1d():
     return build_table(LatticeSpec(1, 8), 0.5)
@@ -193,10 +189,10 @@ def test_table_symmetries(table_2d):
     # sign flips reuse the same contraction and are literally equal;
     # axis permutations re-contract and agree to roundoff
     for d in [(1, 2), (3, 0), (2, 2)]:
-        base = table_2d.value(d)
-        assert table_2d.value((-d[0], -d[1])) == base
-        assert table_2d.value((d[0], -d[1])) == base
-        assert table_2d.value((d[1], d[0])) == pytest.approx(base, rel=1e-12)
+        base = entry(table_2d, d)
+        assert entry(table_2d, (-d[0], -d[1])) == base
+        assert entry(table_2d, (d[0], -d[1])) == base
+        assert entry(table_2d, (d[1], d[0])) == pytest.approx(base, rel=1e-12)
 
 
 def test_table_doubling_stability(table_1d):
@@ -208,15 +204,16 @@ def test_table_doubling_stability(table_1d):
 
 
 def test_kernel_decay_along_axis():
-    vals = [riesz_kernel((t, 0), 2, 1.0) for t in range(1, 21)]
+    table = build_table(LatticeSpec(2, 10), 1.0)
+    vals = [entry(table, (t, 0)) for t in range(1, 21)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_convolve_delta_reproduces_kernel(table_1d):
     spec = LatticeSpec(1, 8)
     conv = convolve(table_1d, Field.delta(spec))
-    for x in spec.sites():
-        assert conv.value_at(x) == pytest.approx(table_1d.value(x), rel=1e-12)
+    for x, value in zip(spec.sites(), conv.values):
+        assert value == pytest.approx(entry(table_1d, x), rel=1e-12)
 
 
 @pytest.mark.parametrize("fixture", ["table_1d", "table_2d"])
@@ -226,8 +223,8 @@ def test_convolve_fft_equals_direct(fixture, request):
     rng = np.random.default_rng(21)
     for _ in range(5):
         w = random_field(spec, rng)
-        fast = convolve(table, w, method="fft").values
-        slow = convolve(table, w, method="direct").values
+        fast = convolve(table, w).values
+        slow = direct(table, w)
         denom = max(float(np.max(np.abs(slow))), 1e-300)
         assert float(np.max(np.abs(fast - slow))) / denom <= 1e-10
 
@@ -245,7 +242,7 @@ def test_convolve_cached_spectrum_is_bitwise_stable(fixture, request):
         again = convolve(table, w).values
         fresh = convolve(dataclasses.replace(table), w).values
         assert first.tobytes() == again.tobytes() == fresh.tobytes()
-        slow = convolve(table, w, method="direct").values
+        slow = direct(table, w)
         err = float(np.max(np.abs(first - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
 
@@ -278,7 +275,7 @@ def test_convolve_alias_free_transform_size(dim, radius):
     fields += [corner_field(spec, rng), corner_field(spec, rng)]
     for w in fields:
         fast = convolve(table, w).values
-        slow = convolve(table, w, method="direct").values
+        slow = direct(table, w)
         err = float(np.max(np.abs(fast - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
     fshape, _ = table._spectrum
@@ -300,7 +297,7 @@ def test_stacked_fft_rows_equal_single_field_convolve(dim, radius):
     for grid, row in zip(stack, rows):
         w = Field(spec, grid.reshape(-1))
         assert row.reshape(-1).tobytes() == convolve(table, w).values.tobytes()
-        slow = convolve(table, w, method="direct").values
+        slow = direct(table, w)
         err = float(np.max(np.abs(row.reshape(-1) - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
 
@@ -343,7 +340,7 @@ def test_dense_operator_matches_convolve(table_2d):
     mat = dense_operator(table_2d)
     assert mat.shape == (spec.site_count, spec.site_count)
     assert np.allclose(mat, mat.T, atol=1e-14)
-    assert np.allclose(mat @ w.values, convolve(table_2d, w, method="direct").values)
+    assert np.allclose(mat @ w.values, convolve(table_2d, w).values)
 
 
 def test_kernel_csv_dump(tmp_path, table_1d):
@@ -354,7 +351,7 @@ def test_kernel_csv_dump(tmp_path, table_1d):
     data = lines[1:]
     assert len(data) == 4 * 8 + 1  # rows "d_1,value" over -2r..2r
     d0 = dict((int(r.split(",")[0]), float(r.split(",")[1])) for r in data)
-    assert d0[0] == pytest.approx(table_1d.value((0,)))
+    assert d0[0] == pytest.approx(entry(table_1d, (0,)))
     assert d0[5] == d0[-5]
 
 

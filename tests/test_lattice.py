@@ -20,6 +20,7 @@ from reference import (
     lp_norm,
     neighbors,
     padded_grid_by_np_pad,
+    value_at,
 )
 
 
@@ -65,8 +66,8 @@ def test_neighbors_include_outside_points():
 def test_delta_and_value_at():
     spec = LatticeSpec(1, 4)
     d = Field.delta(spec)
-    assert d.value_at((0,)) == 1.0
-    assert d.value_at((5,)) == 0.0  # zero extension outside the box
+    assert value_at(d, (0,)) == 1.0
+    assert value_at(d, (5,)) == 0.0  # zero extension outside the box
     assert lp_norm(d, 2.0) == 1.0
 
 

@@ -9,7 +9,6 @@ from lattice_choquard import (
     ConstantPotential,
     LatticeSpec,
     ModelRejectedError,
-    ModelSpec,
     PeriodicPotential,
     SumOfPowers,
     check_hypotheses,
@@ -21,9 +20,15 @@ from lattice_choquard import (
 from conftest import make_model
 
 
+def h_at(pot, x, radius=4):
+    """h(x), read from the potential's grid on a box that holds x."""
+    spec = LatticeSpec(len(x), radius)
+    return pot.grid(spec).reshape(-1)[spec.index_of(x)]
+
+
 def test_constant_potential():
     pot = ConstantPotential(2.5)
-    assert pot((7,)) == 2.5
+    assert h_at(pot, (4,)) == 2.5
     assert pot.floor == 2.5
     with pytest.raises(ValueError):
         ConstantPotential(0.0)
@@ -31,10 +36,10 @@ def test_constant_potential():
 
 def test_periodic_potential_wraps():
     pot = PeriodicPotential(period=2, cell=np.array([1.0, 3.0]))
-    assert pot((0,)) == 1.0
-    assert pot((1,)) == 3.0
-    assert pot((2,)) == 1.0
-    assert pot((-1,)) == 3.0
+    assert h_at(pot, (0,)) == 1.0
+    assert h_at(pot, (1,)) == 3.0
+    assert h_at(pot, (2,)) == 1.0
+    assert h_at(pot, (-1,)) == 3.0
     assert pot.floor == 1.0
     assert pot.period == 2
 
@@ -42,9 +47,9 @@ def test_periodic_potential_wraps():
 def test_periodic_potential_2d_cell():
     cell = np.array([[1.0, 2.0], [3.0, 4.0]])
     pot = PeriodicPotential(period=2, cell=cell)
-    assert pot((0, 1)) == 2.0
-    assert pot((3, 3)) == 4.0
-    assert pot((-2, -1)) == 2.0
+    assert h_at(pot, (0, 1)) == 2.0
+    assert h_at(pot, (3, 3)) == 4.0
+    assert h_at(pot, (-2, -1)) == 2.0
 
 
 def test_periodic_potential_rejects_nonpositive_cell():
@@ -54,11 +59,11 @@ def test_periodic_potential_rejects_nonpositive_cell():
 
 def test_coercive_potential_graph_distance():
     pot = CoercivePotential(floor=1.0, center=(0,), scale=1.0, exponent=1.0)
-    assert pot((4,)) == 5.0  # 1 + |4|
-    assert pot((-4,)) == 5.0
+    assert h_at(pot, (4,)) == 5.0  # 1 + |4|
+    assert h_at(pot, (-4,)) == 5.0
     pot2 = CoercivePotential(floor=0.5, center=(1, -1), scale=2.0, exponent=2.0)
     # l1 distance from (1,-1) to (3,0) is 3
-    assert pot2((3, 0)) == 0.5 + 2.0 * 9.0
+    assert h_at(pot2, (3, 0)) == 0.5 + 2.0 * 9.0
     assert pot2.period is None
 
 
@@ -67,7 +72,7 @@ def test_potential_grid_matches_pointwise():
     pot = PeriodicPotential(period=3, cell=np.array([1.0, 2.0, 5.0]))
     grid = pot.grid(spec)
     for i, x in enumerate(spec.sites()):
-        assert grid.reshape(-1)[i] == pot(x)
+        assert grid.reshape(-1)[i] == pot.cell[x[0] % 3]
 
 
 def test_nonlinearity_point_values():

@@ -18,10 +18,8 @@ from lattice_choquard import (
     center_normalize,
     energy_J,
     h_norm,
-    h_norm_pow,
     make_context,
     minimize_ground_state,
-    mountain_pass_level,
     nehari_functional,
     p_laplacian,
     pairing_field,
@@ -37,7 +35,7 @@ from lattice_choquard.solver import (
     _tangent_direction,
 )
 from conftest import make_model
-from reference import mountain_pass_geometry_probe
+from reference import mountain_pass_geometry_probe, mountain_pass_level
 
 # ground-state levels frozen from converged runs of this solver,
 # cross-checked against the dense-scan oracle on the small model
