@@ -60,7 +60,7 @@ from .energy import (
     pairing_field,
     pointwise_residual,
 )
-from .nehari import golden_max, project_su
+from .nehari import project_su
 from .solver import (
     NonconvergenceError,
     SolveReport,

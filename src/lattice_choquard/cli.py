@@ -330,26 +330,31 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
 def _cmd_sweep(cfg: RunConfig, out_dir: str, threads: int, key: str, values) -> int:
     t0 = time.perf_counter()
     rows = []
-    for value in values:
-        data = copy.deepcopy(cfg.raw)
-        _set_dotted(data, key, value)
-        run_cfg = _config_from_data(data)
-        ctx = make_context(run_cfg.model)
-        report = minimize_ground_state(ctx, run_cfg.solver, threads=threads)
-        rows.append(
-            (
-                value,
-                report.energy,
-                report.nehari_residual,
-                report.pointwise_residual,
-                report.iterations,
-            )
-        )
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("value,c,nehari_residual,pointwise_residual,iterations\n")
-        for value, c, nr, pr, iters in rows:
-            fh.write(f"{value},{c!r},{nr!r},{pr!r},{iters}\n")
+    try:
+        for value in values:
+            data = copy.deepcopy(cfg.raw)
+            _set_dotted(data, key, value)
+            run_cfg = _config_from_data(data)
+            ctx = make_context(run_cfg.model)
+            report = minimize_ground_state(ctx, run_cfg.solver, threads=threads)
+            rows.append(
+                (
+                    value,
+                    report.energy,
+                    report.nehari_residual,
+                    report.pointwise_residual,
+                    report.iterations,
+                )
+            )
+    finally:
+        # a failed value still leaves the rows finished before it
+        with open(path, "w") as fh:
+            fh.write("value,c,nehari_residual,pointwise_residual,iterations\n")
+            for value, c, nr, pr, iters in rows:
+                fh.write(f"{value},{c!r},{nr!r},{pr!r},{iters}\n")
+        if len(rows) < len(values):
+            print(f"sweep stopped at {key}={values[len(rows)]}", file=sys.stderr)
     wall = time.perf_counter() - t0
     print(f"sweep over {key}: {len(rows)} runs, wall={wall:.2f}s -> {path}")
     return 0
@@ -478,7 +483,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        text = open(args.config).read()
+        with open(args.config) as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 1

@@ -21,20 +21,18 @@ curvature structure of phi makes monotone; one term needs one evaluation.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .energy import EnergyContext, FiberCoefficients, fiber_coefficients
 from .lattice import DomainError, Field
 from .model import ModelViolationError
 
-__all__ = ["project_su", "golden_max"]
+__all__ = ["project_su"]
 
 _NEWTON_MAX_STEPS = 60
 # below this log step the next one is O(step^2): the root has full precision
 _NEWTON_STEP_TOL = 1e-9
 # a projection's |phi(s_u)| may be at most this fraction of s_u^p norm^p(u)
 _ROOT_TOL = 1e-10
-_GOLDEN_MAX_ITERS = 200
 
 
 def _phi_root(coeffs: FiberCoefficients) -> float:
@@ -95,30 +93,4 @@ def project_su(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
     """
     s, _ = _project(ctx, u)
     return s, Field(u.spec, s * u.values)
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(
-    fn: Callable[[float], float], lo: float, hi: float, rel_tol: float = 1e-10
-) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(_GOLDEN_MAX_ITERS):
-        if b - a <= rel_tol * max(abs(a), abs(b), 1e-30):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    s = c if fc >= fd else d
-    return float(s), float(max(fc, fd))
 

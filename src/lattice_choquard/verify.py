@@ -12,6 +12,7 @@ not a crash.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .energy import EnergyContext, energy_J, h_norm, interaction_energy
 from .kernel import _fft_convolve, _spectrum, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F, exponent_margins
-from .nehari import fiber_coefficients, golden_max, project_su
+from .nehari import fiber_coefficients, project_su
 
 __all__ = [
     "CheckReport",
@@ -40,6 +41,9 @@ _GRID_POINTS = 1024
 _T_LADDER = (1.0, 1.25, 2.0, 5.0, 10.0)
 _GROWTH_SLACK = 1e-10
 _ORACLE_SITE_LIMIT = 9
+_ORACLE_NEWTON_STEPS = 60
+# the Newton steps shrink quadratically: past this one the root is exact
+_ORACLE_STEP_TOL = 1e-12
 # spectrum bytes of one stacked HLS transform: 25 fields of a 2D r=6 box, and
 # one of a 3D r=6 box, where stacking two or more measured slower
 _STACK_BYTES = 1 << 17
@@ -375,10 +379,14 @@ def _direct_fiber_max(
     """max_s J(s v) evaluated through the dense kernel and difference matrices.
 
     This is the oracle's own fiber evaluation, kept apart from
-    `energy.fiber_coefficients` on purpose: the fiber restriction of J is a
-    polynomial in s whose coefficients come from one dense norm evaluation
-    and a handful of dense quadratic forms, so the golden-section
-    maximization runs on plain floats.
+    `energy.fiber_coefficients` and `nehari` on purpose.  The fiber
+    restriction of J is A s^p / p - sum_k w_k s^{e_k}, with A from one dense
+    norm evaluation and the w_k from a handful of dense quadratic forms.
+    Its maximum sits at the root of G(x) = log sum_k e_k w_k e^{(e_k - p) x}
+    - log A in x = log s.  G is convex and increasing, and the smallest
+    one-term root lies at or right of the root (it is the root for one
+    term), so Newton's method started there descends monotonically onto it.
+    Returns inf for the zero vector.
     """
     if not np.any(vals):
         return np.inf
@@ -393,21 +401,25 @@ def _direct_fiber_max(
             b = float(np.dot(images[i], powers[j]))
             pairs.append((0.5 * (ai / qi) * (aj / qj) * b, qi + qj))
 
-    def fiber(s: float) -> float:
-        tail = 0.0  # a plain loop: this runs about 50 times per call
-        for w, e in pairs:
-            tail += w * s**e
-        return A * s**p / p - tail
-
-    hi = 1.0
-    for _ in range(200):
-        if fiber(hi) < 0:
+    log_a = math.log(A)
+    slopes = [(e * w, e - p) for w, e in pairs]
+    x = min((log_a - math.log(c)) / d for c, d in slopes)
+    for _ in range(_ORACLE_NEWTON_STEPS):
+        total = slope = 0.0  # plain floats: numpy's call overhead would dominate
+        for c, d in slopes:
+            t = c * math.exp(d * x)
+            total += t
+            slope += d * t
+        step = (math.log(total) - log_a) * total / slope
+        x -= step
+        if abs(step) <= _ORACLE_STEP_TOL:
             break
-        hi *= 2.0
-    # the max is parabolic in s, so a 1e-9 bracket pins the value to
-    # machine precision
-    _, best = golden_max(fiber, 0.0, hi, rel_tol=1e-9)
-    return float(best)
+    else:
+        raise ArithmeticError(
+            f"oracle fiber maximum did not converge (last log step {step:.3e})"
+        )
+    s = math.exp(x)
+    return A * s**p / p - sum(w * s**e for w, e in pairs)
 
 
 def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
@@ -471,8 +483,8 @@ def ground_state_oracle(
 
     Two independent searches share the dense-matrix fiber evaluation.  The
     scan draws `n_directions` random directions and maps each to its fiber
-    maximum max_s J(su) by golden-section; the minimum over directions can
-    never undercut the true infimum.  The dense multi-restart search then
+    maximum max_s J(su); the minimum over directions can never undercut the
+    true infimum.  The dense multi-restart search then
     runs derivative-free local minimization from the best `refine` scan
     directions, their absolute values (which never raise the level, since
     rectification shrinks every difference while leaving the interaction

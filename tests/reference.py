@@ -11,7 +11,7 @@ that no library code calls.
 
 from dataclasses import dataclass
 from functools import reduce
-from math import comb, pi
+from math import comb, pi, sqrt
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from lattice_choquard import (
     convolve,
     energy_J,
     fiber_coefficients,
-    golden_max,
     h_norm,
     nehari_functional,
     p_laplacian,
@@ -338,6 +337,33 @@ def mountain_pass_geometry_probe(
     else:
         raise ModelViolationError("energy never turns negative along a ray")
     return GeometryProbe(rho=best_rho, sigma=best_sigma, witness=witness)
+
+
+_GOLDEN = (sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_MAX_ITERS = 200
+
+
+def golden_max(
+    fn, lo: float, hi: float, rel_tol: float = 1e-10
+) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal function on [lo, hi]."""
+    a, b = float(lo), float(hi)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(_GOLDEN_MAX_ITERS):
+        if b - a <= rel_tol * max(abs(a), abs(b), 1e-30):
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    s = c if fc >= fd else d
+    return float(s), float(max(fc, fd))
 
 
 def fiber_max_golden(ctx, u: Field, rel_tol: float = 1e-10) -> tuple[float, float]:

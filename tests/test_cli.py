@@ -301,6 +301,21 @@ def test_sweep_artifacts(tmp_path, capsys):
     assert float(rows["4"][1]) > 0
 
 
+def test_sweep_keeps_rows_finished_before_a_failure(tmp_path, capsys):
+    # model B: N=2, r=6, p=3, alpha=1, F = |t|^4 / 4
+    path = write_config(tmp_path, base_config(dim=2, p=3, alpha=1.0))
+    out = tmp_path / "out"
+    code = main(
+        ["sweep", "--config", path, "--out", str(out), "--key",
+         "solver.max_iters", "--values", "5000,1"]
+    )
+    assert code == 3
+    assert "sweep stopped at solver.max_iters=1" in capsys.readouterr().err
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("5000,")
+
+
 def test_kernel_artifacts(tmp_path, capsys):
     path = write_config(tmp_path, BASE)
     out = tmp_path / "out"
@@ -313,6 +328,18 @@ def test_kernel_artifacts(tmp_path, capsys):
     meta = json.loads(lines[0][1:])
     assert meta["method"] == "subordination"
     assert meta["error_estimate"] <= 1e-12
+
+
+def test_cli_closes_the_config_file(tmp_path):
+    # development mode reports every file left for the garbage collector
+    path = write_config(tmp_path, BASE)
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-X", "dev", "-m", "lattice_choquard.cli", "kernel",
+           "--config", path, "--out", str(tmp_path / "out")]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "ResourceWarning" not in out.stderr
 
 
 def test_solve_3d_radius_8_alpha_1(tmp_path, capsys):

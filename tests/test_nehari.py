@@ -16,7 +16,6 @@ from lattice_choquard import (
     convolve,
     energy_J,
     fiber_coefficients,
-    golden_max,
     h_norm,
     h_norm_pow,
     make_context,
@@ -30,6 +29,7 @@ from reference import (
     bisection_phi_root,
     fiber_max_golden,
     fiber_phi,
+    golden_max,
     m_inverse,
     psi_grad_pairing,
 )

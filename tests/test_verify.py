@@ -37,8 +37,10 @@ from lattice_choquard.verify import (
     _direct_fiber_max,
     _nelder_mead,
 )
+from reference import fiber_max_golden
 
-TINY_LEVEL = 1.5906930092286227  # full-budget oracle value on the 7-site model
+# full-budget oracle value on the 7-site model, which the solver also reaches
+TINY_LEVEL = 1.5906930102521835
 
 
 def test_hls_bilinear(ctx_a):
@@ -130,7 +132,7 @@ def test_oracle_smoke_small_budget(ctx_tiny):
     # the flat start already lies in the best basin on this model, so even
     # a tiny budget lands close to the full-budget level
     level = ground_state_oracle(ctx_tiny, n_directions=300, refine=3, n_restarts=4)
-    assert level == pytest.approx(TINY_LEVEL, rel=1e-4)
+    assert level == pytest.approx(TINY_LEVEL, rel=1e-9)
 
 
 def test_nelder_mead_matches_scipy_bitwise(ctx_tiny):
@@ -155,6 +157,49 @@ def test_nelder_mead_matches_scipy_bitwise(ctx_tiny):
             x, fun = _nelder_mead(pinned, x0, maxiter=maxiter, xatol=1e-10, fatol=1e-13)
             assert x.tobytes() == res.x.tobytes()
             assert fun == res.fun
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 3), (2, 1)])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("terms", [((1.0, 4.0),), ((1.0, 4.0), (0.5, 6.0))])
+def test_direct_fiber_max_matches_golden_section(dim, radius, p, terms):
+    # the oracle's Newton root in log s against golden section on the
+    # library's FFT energy, on the dense-oracle boxes
+    model = ModelSpec(
+        lattice=LatticeSpec(dim, radius),
+        p=p,
+        alpha=0.5,
+        potential=ConstantPotential(1.0),
+        nonlinearity=SumOfPowers(terms),
+    )
+    ctx = make_context(model)
+    K = dense_operator(ctx.table)
+    D = _difference_matrix(ctx.spec)
+    rng = np.random.default_rng([dim, int(p), len(terms)])
+    for _ in range(20):
+        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
+        _, golden = fiber_max_golden(ctx, u)
+        level = _direct_fiber_max(ctx, K, D, u.values)
+        assert level == pytest.approx(golden, rel=1e-12)
+    assert _direct_fiber_max(ctx, K, D, np.zeros(ctx.spec.site_count)) == np.inf
+
+
+def test_direct_fiber_max_refuses_an_unconverged_root(monkeypatch):
+    # two terms need more than one Newton step; one allowed step must raise
+    ctx = make_context(
+        ModelSpec(
+            lattice=LatticeSpec(1, 3),
+            p=2.0,
+            alpha=0.5,
+            potential=ConstantPotential(1.0),
+            nonlinearity=SumOfPowers(((1.0, 4.0), (0.5, 6.0))),
+        )
+    )
+    K = dense_operator(ctx.table)
+    D = _difference_matrix(ctx.spec)
+    monkeypatch.setattr(lattice_choquard.verify, "_ORACLE_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        _direct_fiber_max(ctx, K, D, np.ones(ctx.spec.site_count))
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 3), (1, 4), (2, 1), (2, 3), (3, 1)])
