@@ -8,10 +8,10 @@ over the constraint manifold {u != 0 : <J'(u), u> = 0}, where the norm
 couples a graph p-Laplacian with a positive potential and R_alpha is a
 Riesz-type lattice kernel.  Modules: `lattice` (box geometry and difference
 operators), `kernel` (subordination kernel table and convolution), `model`
-(potentials, nonlinearities, admissibility), `energy` (functionals and
-gradients), `nehari` (fiber maps and manifold projection), `solver`
-(multi-start descent), `verify` (sampling harness and brute-force oracle),
-`cli` (command-line front end).
+(potentials, nonlinearities, and the admissibility rule min q_i > p),
+`energy` (functionals and gradients), `nehari` (fiber maps and manifold
+projection), `solver` (multi-start descent), `verify` (sampling harness and
+brute-force oracle), `cli` (command-line front end).
 """
 
 from .lattice import (
@@ -33,17 +33,13 @@ from .kernel import (
 from .model import (
     CoercivePotential,
     ConstantPotential,
-    HypothesisReport,
-    HypothesisVerdict,
     ModelRejectedError,
     ModelSpec,
     ModelViolationError,
     PeriodicPotential,
     SumOfPowers,
-    check_hypotheses,
     eval_F,
     eval_f,
-    exponent_margins,
     validate_model,
 )
 from .energy import (

@@ -8,10 +8,11 @@ Configs are JSON.  A minimal solve config:
       "nonlinearity": {"terms": [[1.0, 4.0]]}
     }
 
-Parsing collects every structural error before failing; model admissibility
-is delegated to the hypothesis checker.  Exit codes: 0 success, 1 usage or
-configuration error, 2 model rejection (including failed checks), 3
-nonconvergence.
+Parsing collects every structural error, including the type of every
+potential field, before failing; a model that parses is then held to the
+admissibility rule min q_i > p (`model.validate_model`).  Exit codes: 0
+success, 1 usage or configuration error, 2 model rejection (including failed
+checks), 3 nonconvergence.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ _REMOVED_KEYS = {
     "solver.backtrack_factor": _ARMIJO,
     "solver.sufficient_decrease": _ARMIJO,
     "solver.energy_tol": "the stall test's energy tolerance is fixed at 1e-12",
+    "solver.seed": "the solver takes the top-level `seed`",
 }
 _POTENTIAL_KEYS = {
     "constant": {"kind", "value"},
     "periodic": {"kind", "period", "cell"},
     "coercive": {"kind", "floor", "scale", "exponent", "center"},
 }
-_SOLVER_KEYS = {"max_iters", "grad_tol", "n_starts", "seed"}
+_SOLVER_KEYS = {"max_iters", "grad_tol", "n_starts"}
 
 
 class ConfigError(ValueError):
@@ -107,6 +109,15 @@ def _is_int(v) -> bool:
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_num_list(v) -> bool:
+    """A nonempty list of numbers or, recursively, of such lists."""
+    return (
+        isinstance(v, list)
+        and bool(v)
+        and all(_is_num(x) or _is_num_list(x) for x in v)
+    )
 
 
 def _key_errors(keys, allowed: set, prefix: str = "") -> list[str]:
@@ -152,6 +163,19 @@ def _structural_errors(data) -> list[str]:
         )
     else:
         errors += _key_errors(pot, _POTENTIAL_KEYS[pot["kind"]], "potential.")
+        for key in ("value", "floor", "scale", "exponent"):
+            if key in pot and not _is_num(pot[key]):
+                errors.append(f"'potential.{key}' must be a number")
+        if "period" in pot and (not _is_int(pot["period"]) or pot["period"] < 1):
+            errors.append("'potential.period' must be a positive integer")
+        if "center" in pot and not (
+            isinstance(pot["center"], list)
+            and all(_is_int(c) for c in pot["center"])
+            and len(pot["center"]) == data.get("dim", len(pot["center"]))
+        ):
+            errors.append("'potential.center' must be a list of 'dim' integers")
+        if "cell" in pot and not _is_num_list(pot["cell"]):
+            errors.append("'potential.cell' must be a (nested) list of numbers")
 
     nl = data.get("nonlinearity")
     if nl is None:
@@ -179,10 +203,10 @@ def _structural_errors(data) -> list[str]:
         errors.append("'solver' must be an object")
     else:
         errors += _key_errors(sol, _SOLVER_KEYS, "solver.")
-        for key in ("max_iters", "n_starts", "seed"):
+        for key in ("max_iters", "n_starts"):
             if key in sol and not _is_int(sol[key]):
                 errors.append(f"'solver.{key}' must be an integer")
-        for key in _SOLVER_KEYS - {"max_iters", "n_starts", "seed"}:
+        for key in _SOLVER_KEYS - {"max_iters", "n_starts"}:
             if key in sol and not _is_num(sol[key]):
                 errors.append(f"'solver.{key}' must be a number")
     return errors
@@ -197,12 +221,11 @@ def _build_potential(pot: dict, dim: int):
             raise ValueError("periodic potential requires 'period' and 'cell'")
         cell = np.asarray(pot["cell"], dtype=float)
         if cell.ndim != dim:
-            cell = cell.reshape((int(pot["period"]),) * dim)
-        return PeriodicPotential(period=int(pot["period"]), cell=cell)
-    center = tuple(int(c) for c in pot.get("center", (0,) * dim))
+            cell = cell.reshape((pot["period"],) * dim)
+        return PeriodicPotential(period=pot["period"], cell=cell)
     return CoercivePotential(
         floor=float(pot.get("floor", 1.0)),
-        center=center,
+        center=tuple(pot.get("center", (0,) * dim)),
         scale=float(pot.get("scale", 1.0)),
         exponent=float(pot.get("exponent", 1.0)),
     )
@@ -243,10 +266,8 @@ def _config_from_data(data: dict) -> RunConfig:
         raise ModelRejectedError(model_errors)
     validate_model(model)
 
-    seed = int(data.get("seed", 0))
-    sol = dict(data.get("solver", {}))
-    sol.setdefault("seed", seed)
-    solver = SolverConfig(**sol)
+    seed = data.get("seed", 0)
+    solver = SolverConfig(seed=seed, **data.get("solver", {}))
     return RunConfig(
         model=model,
         solver=solver,
@@ -268,9 +289,6 @@ def _apply_overrides(data: dict, args) -> dict:
     data = copy.deepcopy(data)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-        data.setdefault("solver", {})
-        if isinstance(data["solver"], dict):
-            data["solver"]["seed"] = args.seed
     if getattr(args, "radius", None) is not None:
         data["radius"] = args.radius
     return data

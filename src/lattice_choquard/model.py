@@ -1,4 +1,4 @@
-"""Model data: potentials, power-sum nonlinearities, and admissibility checks.
+"""Model data: potentials, power-sum nonlinearities, and the admissibility rule.
 
 A model couples a lattice box with exponents (p, alpha), a potential h that is
 bounded below by a positive constant, and a nonlinearity given as a finite sum
@@ -6,10 +6,10 @@ of odd power terms
 
     f(t) = sum_i a_i |t|^{q_i - 2} t,      F(t) = sum_i (a_i / q_i) |t|^{q_i},
 
-so F is the exact antiderivative of f with F(0) = 0.  The admissibility report
-turns the standing structural assumptions into named machine checks; a model
-whose report fails is rejected by the command-line driver and flagged by the
-verification harness.
+so F is the exact antiderivative of f with F(0) = 0.  The constructors refuse
+a nonpositive potential, alpha outside (0, N) and p < 2; `validate_model` adds
+the one remaining condition, min q_i > p, and the command-line driver refuses
+a model that fails it.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ __all__ = [
     "ModelViolationError",
     "eval_f",
     "eval_F",
-    "HypothesisVerdict",
-    "HypothesisReport",
-    "check_hypotheses",
     "validate_model",
 ]
 
@@ -159,11 +156,6 @@ class SumOfPowers:
         """Superlinearity exponent: the smallest power in the sum."""
         return min(q for _, q in self.terms)
 
-    @property
-    def growth_exponent(self) -> float:
-        """Polynomial growth order: the largest power in the sum."""
-        return max(q for _, q in self.terms)
-
 
 def eval_f(nl: SumOfPowers, t) -> np.ndarray | float:
     """f(t); odd in t, vectorized over arrays."""
@@ -208,156 +200,21 @@ class ModelSpec:
     def dim(self) -> int:
         return self.lattice.dim
 
-    @property
-    def critical_threshold(self) -> float:
-        """Lower exponent bound (N + alpha) p / (2N) for the nonlocal coupling."""
-        n = self.lattice.dim
-        return (n + self.alpha) * self.p / (2.0 * n)
 
+def validate_model(spec: ModelSpec) -> None:
+    """Raise ModelRejectedError unless every exponent q_i exceeds p.
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
-    name: str
-    passed: bool
-    margin: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    verdicts: tuple[HypothesisVerdict, ...]
-
-    @property
-    def accepted(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def failing(self) -> list[str]:
-        return [v.name for v in self.verdicts if not v.passed]
-
-
-def exponent_margins(spec: ModelSpec) -> tuple[float, float]:
-    """(min q_i - p, min q_i - critical threshold); both must be positive."""
-    qs = [q for _, q in spec.nonlinearity.terms]
-    return min(qs) - spec.p, min(qs) - spec.critical_threshold
-
-
-def check_hypotheses(spec: ModelSpec) -> HypothesisReport:
-    """Machine-checkable admissibility report for a model.
-
-    Arithmetic verdicts (the potential floor, periodicity and coercivity,
-    exponent thresholds, the superlinearity inequality for power sums) are
-    exact.  Behavioral verdicts sample: the vanishing ratio f(t)/t^{p-1} on a
-    decade grid and the growth envelope constant.  Monotonicity of the scaled
-    nonlocal pairing t -> t^{-p} sum (R * F(tu)) f(tu) u follows from the
-    exponent argument valid for power sums.
+    The constructors already guarantee h >= floor > 0, 0 < alpha < N and
+    a_i > 0.  Given those, min q_i > p is the whole of the paper's hypotheses
+    for a power sum: f(t) = o(|t|^{p-1}) at 0, theta F(t) <= 2 f(t) t term by
+    term, 2 theta - 1 > p, and q_i above the coupling threshold
+    (N + alpha) p / (2N), which alpha < N puts below p.
     """
-    grid = np.logspace(-4, 2, 61)
-    nl = spec.nonlinearity
-    p = spec.p
-    pot = spec.potential
-    verdicts: list[HypothesisVerdict] = [
-        HypothesisVerdict(
-            name="potential_floor",
-            passed=pot.floor > 0,
-            margin=pot.floor,
-            detail=f"inf of h over Z^N = {pot.floor:.6g}",
-        )
-    ]
-    if isinstance(pot, PeriodicPotential):
-        verdicts.append(
-            HypothesisVerdict(
-                name="potential_periodicity",
-                passed=True,
-                margin=0.0,
-                detail=f"h(x) = cell[x mod {pot.period}], so h(x + T e_j) = h(x)",
-            )
-        )
-    if isinstance(pot, CoercivePotential):
-        # floor + scale * d^exponent grows without bound along every ray
-        # exactly when scale > 0 and exponent > 0
-        margin = min(pot.scale, pot.exponent)
-        verdicts.append(
-            HypothesisVerdict(
-                name="potential_coercivity",
-                passed=margin > 0,
-                margin=margin,
-                detail="nondecreasing in the l1 distance from the center",
-            )
-        )
-
-    # Vanishing at zero: f(t)/t^{p-1} -> 0, equivalent to min q_i > p.
-    gap_p, gap_crit = exponent_margins(spec)
-    small = grid[grid <= 1.0]
-    # the ratio is sum_i a_i t^{q_i - p}: it drains to 0 as t -> 0+
-    # exactly when every q_i > p, and is constant or growing otherwise
-    ratios = np.asarray(eval_f(nl, small)) / small ** (p - 1.0)
-    sampled_ok = bool(ratios[0] < 0.5 * ratios[-1])
-    verdicts.append(
-        HypothesisVerdict(
-            name="vanishing_at_zero",
-            passed=gap_p > 0 and sampled_ok,
-            margin=gap_p,
-            detail=f"min exponent {nl.theta:.6g} vs p = {p:.6g}",
-        )
-    )
-
-    tau = nl.growth_exponent
-    env = np.max(np.abs(np.asarray(eval_f(nl, grid))) / (1.0 + grid ** (tau - 1.0)))
-    verdicts.append(
-        HypothesisVerdict(
-            name="growth_bound",
-            passed=bool(np.isfinite(env)),
-            margin=float(env),
-            detail=f"measured envelope constant {env:.6g} at order {tau:.6g}",
-        )
-    )
-
-    theta = nl.theta
-    tgrid = np.concatenate([-grid[::-1], [0.0], grid])
-    slack = 2.0 * np.asarray(eval_f(nl, tgrid)) * tgrid - theta * np.asarray(
-        eval_F(nl, tgrid)
-    )
-    # exact for power sums: theta <= q_i <= 2 q_i termwise
-    verdicts.append(
-        HypothesisVerdict(
-            name="superlinearity",
-            passed=bool(np.all(slack >= 0)) and theta > p,
-            margin=float(min(np.min(slack), theta - p)),
-            detail=f"theta = {theta:.6g}; theta F(t) <= 2 f(t) t on the grid",
-        )
-    )
-
-    margin = 2.0 * theta - 1.0 - p
-    verdicts.append(
-        HypothesisVerdict(
-            name="fiber_monotonicity",
-            passed=margin > 0,
-            margin=margin,
-            detail="exponent argument: smallest pairing power is "
-            f"2 theta - 1 = {2 * theta - 1:.6g} > p",
-        )
-    )
-
-    verdicts.append(
-        HypothesisVerdict(
-            name="exponent_thresholds",
-            passed=gap_p > 0 and gap_crit > 0,
-            margin=min(gap_p, gap_crit),
-            detail=(
-                f"every exponent must exceed p = {p:.6g} and the coupling "
-                f"threshold {spec.critical_threshold:.6g}"
-            ),
-        )
-    )
-    return HypothesisReport(tuple(verdicts))
-
-
-def validate_model(spec: ModelSpec) -> HypothesisReport:
-    """check_hypotheses, raising ModelRejectedError when any verdict fails."""
-    report = check_hypotheses(spec)
-    if not report.accepted:
-        details = {v.name: v.detail for v in report.verdicts if not v.passed}
+    theta = spec.nonlinearity.theta
+    if theta <= spec.p:
         raise ModelRejectedError(
-            [f"{name} ({details[name]})" for name in report.failing()]
+            [
+                f"exponent_thresholds (smallest exponent {theta:.6g} must "
+                f"exceed p = {spec.p:.6g})"
+            ]
         )
-    return report

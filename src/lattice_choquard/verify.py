@@ -21,7 +21,7 @@ from numpy.random import default_rng
 from .energy import EnergyContext, energy_J, h_norm, interaction_energy
 from .kernel import _fft_convolve, _spectrum, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
-from .model import eval_F, exponent_margins
+from .model import eval_F
 from .nehari import fiber_coefficients, project_su
 
 __all__ = [
@@ -261,7 +261,7 @@ def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     exceed p is reported as an anomaly up front, since uniqueness is only
     guaranteed above that threshold.
     """
-    gap_p, _ = exponent_margins(ctx.model)
+    gap_p = ctx.model.nonlinearity.theta - ctx.model.p
     if gap_p <= 0:
         return CheckReport(
             name="su_uniqueness",

@@ -49,8 +49,12 @@ def test_parse_solver_seed_inheritance():
     cfg = parse_config(json.dumps(base_config(seed=9)))
     assert cfg.seed == 9
     assert cfg.solver.seed == 9
-    explicit = base_config(seed=9, solver={"seed": 3})
-    assert parse_config(json.dumps(explicit)).solver.seed == 3
+    # the top-level seed is the only one: a solver seed is refused by name
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(base_config(seed=9, solver={"seed": 3})))
+    (message,) = err.value.errors
+    assert "'solver.seed' is no longer a setting" in message
+    assert "top-level" in message
 
 
 def test_parse_rejects_invalid_json():
@@ -121,6 +125,24 @@ def test_parse_rejects_subcritical_exponent():
         parse_config(json.dumps(data))
     joined = " ".join(err.value.failures)
     assert "exponent_thresholds" in joined
+
+
+@pytest.mark.parametrize(
+    "potential, key",
+    [
+        ({"kind": "periodic", "period": 2.5, "cell": [1.0, 3.0]}, "potential.period"),
+        ({"kind": "coercive", "center": [0.7]}, "potential.center"),
+        ({"kind": "constant", "value": "abc"}, "potential.value"),
+    ],
+    ids=["fractional_period", "fractional_center", "string_value"],
+)
+def test_malformed_potential_field_exits_one(tmp_path, capsys, potential, key):
+    # each was truncated and solved, or refused as a model, before potential
+    # fields were type-checked with the rest of the config
+    path = write_config(tmp_path, base_config(potential=potential))
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: '{key}' must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_periodic_potential_cell():
@@ -314,6 +336,19 @@ def test_sweep_keeps_rows_finished_before_a_failure(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("5000,")
+
+
+def test_sweep_over_seed_ignores_the_seed_flag(tmp_path, capsys):
+    # model A: the swept top-level seed reaches the solver whatever --seed says
+    path = write_config(tmp_path, base_config(radius=8))
+    argv = ["sweep", "--config", path, "--key", "seed", "--values", "1,2,3"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "flag"), "--seed", "5"]) == 0
+    capsys.readouterr()
+    plain = (tmp_path / "plain" / "sweep.csv").read_text()
+    assert (tmp_path / "flag" / "sweep.csv").read_text() == plain
+    rows = plain.strip().splitlines()[1:]
+    assert len({row.split(",", 1)[1] for row in rows}) == 3
 
 
 def test_kernel_artifacts(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Potentials, nonlinearities, and admissibility checks."""
+"""Potentials, nonlinearities, and the admissibility rule min q_i > p."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from lattice_choquard import (
     LatticeSpec,
     ModelRejectedError,
     PeriodicPotential,
+    ModelSpec,
     SumOfPowers,
-    check_hypotheses,
     eval_F,
     eval_f,
-    exponent_margins,
+    make_context,
+    minimize_ground_state,
     validate_model,
 )
 from conftest import make_model
@@ -114,33 +115,81 @@ def test_theta_is_min_exponent():
     assert nl.theta == 3.5
 
 
-def test_exponent_margins():
-    spec = make_model(1, 8, 2.0, 0.5, 4.0)
-    gap_p, gap_threshold = exponent_margins(spec)
-    # q - p = 2 and q - (N + alpha) p / (2N) = 4 - 1.5 = 2.5
-    assert gap_p == pytest.approx(2.0)
-    assert gap_threshold == pytest.approx(2.5)
-
-
 def test_validate_model_accepts_reference_models():
     for model in (make_model(1, 8, 2.0, 0.5, 4.0), make_model(2, 6, 3.0, 1.0, 4.0)):
-        report = validate_model(model)
-        assert all(v.passed for v in report.verdicts)
+        assert validate_model(model) is None
 
 
 def test_validate_model_accepts_cubic_in_2d():
     # threshold (N + alpha) p / (2N) = 1.5 < 3 and q = 3 > p = 2
-    report = validate_model(make_model(2, 4, 2.0, 1.0, 3.0))
-    assert all(v.passed for v in report.verdicts)
+    assert validate_model(make_model(2, 4, 2.0, 1.0, 3.0)) is None
 
 
 def test_validate_model_rejects_quadratic_in_2d():
     with pytest.raises(ModelRejectedError) as err:
         validate_model(make_model(2, 4, 2.0, 1.0, 2.0))
-    joined = " ".join(err.value.failures)
-    assert "exponent_thresholds" in joined
-    assert "superlinearity" in joined
-    assert "vanishing_at_zero" in joined
+    (failure,) = err.value.failures
+    assert failure.startswith("exponent_thresholds")
+    assert "smallest exponent 2" in failure and "p = 2" in failure
+
+
+def two_term_model(p, q_low, q_high=4.0):
+    return ModelSpec(
+        lattice=LatticeSpec(1, 8),
+        p=p,
+        alpha=0.5,
+        potential=ConstantPotential(1.0),
+        nonlinearity=SumOfPowers(((1.0, q_high), (1.0, q_low))),
+    )
+
+
+# q just above p and a huge q were refused by sampled grid tests before
+# min q_i > p became the rule; the rest are admissible variations of model A
+ADMISSIBLE = {
+    "p2_q2.05": make_model(1, 8, 2.0, 0.5, 2.05),
+    "p3_q3.05": make_model(1, 8, 3.0, 0.5, 3.05),
+    "p2_q200": make_model(1, 8, 2.0, 0.5, 200.0),
+    "two_term_q2.01": two_term_model(2.0, 2.01),
+    "tiny_floor": make_model(1, 6, 2.0, 0.5, 4.0, potential=ConstantPotential(1e-12)),
+    "periodic": make_model(
+        1, 6, 2.0, 0.5, 4.0, potential=PeriodicPotential(2, np.array([1.0, 3.0]))
+    ),
+    "coercive": make_model(
+        1,
+        6,
+        2.0,
+        0.5,
+        4.0,
+        potential=CoercivePotential(floor=1.0, center=(1,), scale=0.5, exponent=1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ADMISSIBLE))
+def test_validate_model_accepts_min_exponent_above_p(name):
+    assert validate_model(ADMISSIBLE[name]) is None
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_model(1, 8, 2.0, 0.5, 2.0), make_model(1, 8, 3.0, 0.5, 3.0),
+     two_term_model(2.0, 2.0), two_term_model(3.0, 3.0, 5.0)],
+    ids=["q=p=2", "q=p=3", "two_term_min_2_at_p2", "two_term_min_3_at_p3"],
+)
+def test_validate_model_refuses_min_exponent_at_p(model):
+    with pytest.raises(ModelRejectedError) as err:
+        validate_model(model)
+    (failure,) = err.value.failures
+    assert failure.startswith("exponent_thresholds")
+
+
+def test_newly_admissible_models_solve():
+    # the models the sampled checks refused converge from every start
+    for name in ("p2_q2.05", "p3_q3.05", "p2_q200"):
+        report = minimize_ground_state(make_context(ADMISSIBLE[name]))
+        assert len(report.diagnostics) == 8
+        assert all(d.converged for d in report.diagnostics), name
+        assert report.energy > 0
 
 
 def test_model_spec_rejects_bad_alpha():
@@ -151,44 +200,3 @@ def test_model_spec_rejects_bad_alpha():
 def test_model_spec_rejects_small_p():
     with pytest.raises(ValueError):
         make_model(1, 4, 1.5, 0.5, 4.0)
-
-
-def test_check_hypotheses_verdict_names():
-    report = check_hypotheses(make_model(1, 6, 2.0, 0.5, 4.0))
-    names = [v.name for v in report.verdicts]
-    assert names == [
-        "potential_floor",
-        "vanishing_at_zero",
-        "growth_bound",
-        "superlinearity",
-        "fiber_monotonicity",
-        "exponent_thresholds",
-    ]
-    assert all(v.passed for v in report.verdicts)
-
-
-def test_superlinearity_margin_interval():
-    # theta F(t) <= 2 f(t) t with a factor-2 gap for a single power
-    report = check_hypotheses(make_model(1, 6, 2.0, 0.5, 4.0))
-    verdict = {v.name: v for v in report.verdicts}["superlinearity"]
-    assert verdict.passed
-    assert verdict.margin >= 0.0
-
-
-def test_potential_floor_verdict_fails_for_tiny_floor():
-    model = make_model(1, 6, 2.0, 0.5, 4.0, potential=ConstantPotential(1e-12))
-    report = check_hypotheses(model)
-    verdict = {v.name: v for v in report.verdicts}["potential_floor"]
-    # a positive constant is a legal floor no matter how small
-    assert verdict.passed
-
-
-def test_periodic_and_coercive_potential_verdicts_pass():
-    periodic = PeriodicPotential(2, np.array([1.0, 3.0]))
-    coercive = CoercivePotential(floor=1.0, center=(1,), scale=0.5, exponent=1.5)
-    for pot, name in (
-        (periodic, "potential_periodicity"),
-        (coercive, "potential_coercivity"),
-    ):
-        report = check_hypotheses(make_model(1, 6, 2.0, 0.5, 4.0, potential=pot))
-        assert {v.name: v.passed for v in report.verdicts}[name]
