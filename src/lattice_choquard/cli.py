@@ -21,6 +21,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -111,13 +112,15 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_num_list(v) -> bool:
-    """A nonempty list of numbers or, recursively, of such lists."""
-    return (
-        isinstance(v, list)
-        and bool(v)
-        and all(_is_num(x) or _is_num_list(x) for x in v)
-    )
+def _list_shape(v):
+    """The shape of a number, () , or of a rectangular nonempty nested list
+    of numbers; None for anything else, ragged lists included."""
+    if _is_num(v):
+        return ()
+    shapes = {_list_shape(x) for x in v} if isinstance(v, list) else set()
+    if len(shapes) != 1 or None in shapes:
+        return None
+    return (len(v), *shapes.pop())
 
 
 def _key_errors(keys, allowed: set, prefix: str = "") -> list[str]:
@@ -174,8 +177,15 @@ def _structural_errors(data) -> list[str]:
             and len(pot["center"]) == data.get("dim", len(pot["center"]))
         ):
             errors.append("'potential.center' must be a list of 'dim' integers")
-        if "cell" in pot and not _is_num_list(pot["cell"]):
-            errors.append("'potential.cell' must be a (nested) list of numbers")
+        shape = _list_shape(pot.get("cell"))
+        if pot["kind"] == "periodic" and not {"period", "cell"} <= pot.keys():
+            errors.append("a periodic 'potential' needs 'period' and 'cell'")
+        elif "cell" in pot and not shape:
+            errors.append("'potential.cell' must be a rectangular (nested) list of numbers")
+        elif "cell" in pot and not errors:  # so 'period' and 'dim' are valid
+            size = pot["period"] ** data["dim"]
+            if math.prod(shape) != size:
+                errors.append(f"'potential.cell' must hold period**dim = {size} numbers")
 
     nl = data.get("nonlinearity")
     if nl is None:
@@ -217,11 +227,7 @@ def _build_potential(pot: dict, dim: int):
     if kind == "constant":
         return ConstantPotential(value=float(pot.get("value", 1.0)))
     if kind == "periodic":
-        if "period" not in pot or "cell" not in pot:
-            raise ValueError("periodic potential requires 'period' and 'cell'")
-        cell = np.asarray(pot["cell"], dtype=float)
-        if cell.ndim != dim:
-            cell = cell.reshape((pot["period"],) * dim)
+        cell = np.reshape(pot["cell"], (pot["period"],) * dim)
         return PeriodicPotential(period=pot["period"], cell=cell)
     return CoercivePotential(
         floor=float(pot.get("floor", 1.0)),
@@ -541,10 +547,11 @@ def main(argv=None) -> int:
     except NonconvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         if all(d.stop == "max_iters" for d in exc.diagnostics):
+            swept = getattr(args, "key", None) == "solver.max_iters"
             print(
                 "advice: every start stopped at solver.max_iters = "
-                f"{exc.diagnostics[0].iterations}; raise solver.max_iters "
-                "in the config",
+                f"{exc.diagnostics[0].iterations}; raise "
+                + ("that sweep value in --values" if swept else "solver.max_iters in the config"),
                 file=sys.stderr,
             )
         return 3

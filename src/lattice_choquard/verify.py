@@ -12,8 +12,7 @@ not a crash.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -45,8 +44,12 @@ _ORACLE_NEWTON_STEPS = 60
 # the Newton steps shrink quadratically: past this one the root is exact
 _ORACLE_STEP_TOL = 1e-12
 # spectrum bytes of one stacked HLS transform: 25 fields of a 2D r=6 box, and
-# one of a 3D r=6 box, where stacking two or more measured slower
+# one of a 3D r=6 box, where stacking two or more measured slower; also the
+# bytes of the difference products of one stack of the oracle's scan
 _STACK_BYTES = 1 << 17
+# a simplex's trial points, each xbar * c + worst * (1 - c) as in scipy:
+# reflection, expansion, outside and inside contraction
+_NM_STEPS = np.array([[2.0], [3.0], [1.5], [0.5]])
 
 
 @dataclass(frozen=True)
@@ -66,17 +69,6 @@ class CheckReport:
     passed: bool
     seed: int
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "n_samples": self.n_samples,
-            "margin": self.margin,
-            "passed": self.passed,
-            "seed": self.seed,
-            "detail": self.detail,
-        }
 
 
 def _random_supported(spec, rng, scale: float, out: np.ndarray) -> None:
@@ -160,9 +152,8 @@ def hls_sampler(
             raise ValueError(
                 "exponent relation violated: 1/r + 1/s + (N - alpha)/N must equal 2"
             )
-    else:
-        if not r < N / alpha:
-            raise ValueError("operator form requires 1 < r < N/alpha")
+    elif not r < N / alpha:
+        raise ValueError("operator form requires 1 < r < N/alpha")
     rng = default_rng(seed)
     ratios = _hls_ratios(ctx, r, s, 2 * n, rng)
     sup_half = float(np.max(ratios[:n]))
@@ -232,7 +223,8 @@ def ar_condition_check(nl, grid=None, seed: int = 0) -> CheckReport:
     grid = np.asarray(grid, dtype=float)
     theta = nl.theta
     F_vals = theta * np.asarray(eval_F(nl, grid))
-    upper = 2.0 * np.asarray([_f_times_t(nl, t) for t in grid])
+    # f(t)*t = sum a_i |t|^{q_i}, even in t
+    upper = 2.0 * np.array([sum(a * abs(t) ** q for a, q in nl.terms) for t in grid])
     lower_margin = float(np.min(F_vals))
     upper_margin = float(np.min(upper - F_vals))
     margin = min(lower_margin, upper_margin)
@@ -245,11 +237,6 @@ def ar_condition_check(nl, grid=None, seed: int = 0) -> CheckReport:
         seed=seed,
         detail=f"min theta*F = {lower_margin:.3g}, min 2ft - theta*F = {upper_margin:.3g}",
     )
-
-
-def _f_times_t(nl, t: float) -> float:
-    # f(t)*t = sum a_i |t|^{q_i}, even in t
-    return float(sum(a * abs(t) ** q for a, q in nl.terms))
 
 
 def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
@@ -348,35 +335,38 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
 
 
 def _difference_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Dense D with rows (x, e) -> v(x + e) - v(x) for the zero-extended v,
-    over every site x within distance 1 of the box (the sites where |grad v|
-    can be nonzero) and, for each x in turn, the 2N unit steps e."""
+    """Dense D of shape (n, 2N, sites): D[k, e, x] is the weight of v_k in
+    v(x + e) - v(x) for the zero-extended v, over the 2N unit steps e and
+    every site x within distance 1 of the box (where |grad v| can be
+    nonzero)."""
     near = LatticeSpec(spec.dim, spec.radius + 1).coordinate_array()
     unit = np.eye(spec.dim, dtype=int)
     steps = np.concatenate([unit, -unit])
-    D = np.zeros((len(near), len(steps), spec.site_count))
+    D = np.zeros((spec.site_count, len(steps), len(near)))
     for j, e in enumerate(steps):
         for sign, pts in ((1.0, near + e), (-1.0, near)):
             inside = np.flatnonzero(np.all(np.abs(pts) <= spec.radius, axis=1))
             cols = np.ravel_multi_index((pts[inside] + spec.radius).T, spec.shape)
-            D[inside, j, cols] += sign
-    return D.reshape(-1, spec.site_count)
+            D[cols, j, inside] += sign
+    return D
 
 
-def _dense_norm_pow(ctx: EnergyContext, D: np.ndarray, vals: np.ndarray) -> float:
-    """norm^p(v) = sum_x |grad v|^p(x) + sum h |v|^p, with |grad v|^2(x) =
-    1/2 sum_e (D v)_{x,e}^2 per site (not a sum of |D v|^p over edges)."""
+def _dense_norm_pow(ctx: EnergyContext, D: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """norm^p(v) = sum_x |grad v|^p(x) + sum h |v|^p for each row v of V,
+    with |grad v|^2(x) = 1/2 sum_e (D v)_{e,x}^2 per site (not a sum of
+    |D v|^p over edges)."""
     p = ctx.model.p
-    diffs = D @ vals  # array methods: np.sum's dispatch is most of the cost here
-    grad_sq = 0.5 * (diffs * diffs).reshape(-1, 2 * ctx.spec.dim).sum(axis=1)
-    pot = (ctx.h_flat * np.abs(vals) ** p).sum()
-    return float((grad_sq ** (p / 2.0)).sum() + pot)
+    diffs = sum(v[:, None, None] * d for v, d in zip(V.T, D))
+    grad_sq = 0.5 * sum(g * g for g in diffs.transpose(1, 0, 2))
+    pot = (ctx.h_flat * np.abs(V) ** p).sum(1)
+    return (grad_sq ** (p / 2.0)).sum(1) + pot
 
 
 def _direct_fiber_max(
-    ctx: EnergyContext, K: np.ndarray, D: np.ndarray, vals: np.ndarray
-) -> float:
-    """max_s J(s v) evaluated through the dense kernel and difference matrices.
+    ctx: EnergyContext, K: np.ndarray, D: np.ndarray, V: np.ndarray
+) -> np.ndarray:
+    """max_s J(s v) for each row v of the stack V, through the dense kernel
+    and difference matrices; inf for a zero row.
 
     This is the oracle's own fiber evaluation, kept apart from
     `energy.fiber_coefficients` and `nehari` on purpose.  The fiber
@@ -386,90 +376,94 @@ def _direct_fiber_max(
     - log A in x = log s.  G is convex and increasing, and the smallest
     one-term root lies at or right of the root (it is the root for one
     term), so Newton's method started there descends monotonically onto it.
-    Returns inf for the zero vector.
+    The rows step together; each freezes once it has taken a step of at
+    most _ORACLE_STEP_TOL.  Only elementwise products and last-axis sums
+    touch the stack, so a row has the bits it has alone.
     """
-    if not np.any(vals):
-        return np.inf
-    A = _dense_norm_pow(ctx, D, vals)
-    p = ctx.model.p
-    terms = ctx.model.nonlinearity.terms
-    powers = [np.abs(vals) ** q for _, q in terms]
-    images = [K @ g for g in powers]
-    pairs = []
-    for i, (ai, qi) in enumerate(terms):
-        for j, (aj, qj) in enumerate(terms):
-            b = float(np.dot(images[i], powers[j]))
-            pairs.append((0.5 * (ai / qi) * (aj / qj) * b, qi + qj))
-
-    log_a = math.log(A)
-    slopes = [(e * w, e - p) for w, e in pairs]
-    x = min((log_a - math.log(c)) / d for c, d in slopes)
+    levels = np.full(len(V), np.inf)
+    live = V.any(1)
+    V = V[live]
+    p, terms = ctx.model.p, ctx.model.nonlinearity.terms
+    A = _dense_norm_pow(ctx, D, V)
+    w, e = [], []
+    for ai, qi in terms:
+        image = sum(g[:, None] * k for g, k in zip(np.abs(V.T) ** qi, K.T))
+        for aj, qj in terms:
+            w.append(0.5 * (ai / qi) * (aj / qj) * (image * np.abs(V) ** qj).sum(1))
+            e.append(qi + qj)
+    w, e = np.stack(w, 1), np.array(e)
+    log_a = np.log(A)
+    c, d = e * w, e - p
+    x = ((log_a[:, None] - np.log(c)) / d).min(1)
+    moving = np.ones(len(V), bool)
     for _ in range(_ORACLE_NEWTON_STEPS):
-        total = slope = 0.0  # plain floats: numpy's call overhead would dominate
-        for c, d in slopes:
-            t = c * math.exp(d * x)
-            total += t
-            slope += d * t
-        step = (math.log(total) - log_a) * total / slope
-        x -= step
-        if abs(step) <= _ORACLE_STEP_TOL:
+        t = c * np.exp(d * x[:, None])
+        step = (np.log(t.sum(1)) - log_a) * t.sum(1) / (d * t).sum(1)
+        x = np.where(moving, x - step, x)
+        moving &= np.abs(step) > _ORACLE_STEP_TOL
+        if not moving.any():
             break
     else:
         raise ArithmeticError(
-            f"oracle fiber maximum did not converge (last log step {step:.3e})"
+            f"oracle fiber maximum did not converge (last log step {max(abs(step[moving])):.3e})"
         )
-    s = math.exp(x)
-    return A * s**p / p - sum(w * s**e for w, e in pairs)
+    s = np.exp(x)
+    levels[live] = A * s**p / p - (w * s[:, None] ** e).sum(1)
+    return levels
 
 
-def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
-    """Minimize `fun` from x0 by the standard Nelder-Mead simplex method.
+def _nelder_mead(fun, X0, maxiter, xatol, fatol):
+    """Minimize `fun` from each row of X0 by the standard Nelder-Mead simplex
+    method, all simplices in lockstep.
 
     The non-adaptive method of scipy.optimize's "Nelder-Mead", step for
-    step: reflection 1, expansion 2, contraction and shrink 1/2, the
-    initial simplex x0 plus 5% of each nonzero coordinate (0.00025 for a
-    zero one), vertices re-sorted by value after every iteration, and a
-    stop once both the simplex and its values span no more than xatol and
-    fatol, or after maxiter iterations.  Returns the best vertex and value.
+    step on every row: reflection 1, expansion 2, contraction and shrink
+    1/2, the initial simplex x0 plus 5% of each nonzero coordinate (0.00025
+    for a zero one), vertices re-sorted by value after every iteration, and
+    a stop once both the simplex and its values span no more than xatol and
+    fatol, or after maxiter iterations.  `fun` maps a stack of points to
+    their values.  Each iteration makes one call on all four trial points of
+    every running simplex, from which each row keeps what scipy's branches
+    would, and one more on the vertices of the simplices that shrink.
+    Returns the best vertex and value of every row.
     """
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([fun(x) for x in sim])
+    B, n = X0.shape
+    sim = np.repeat(X0[:, None], n + 1, 1)
+    k = np.arange(n)
+    sim[:, k + 1, k] = np.where(X0, 1.05 * X0, 0.00025)
+    fsim = fun(sim.reshape(-1, n)).reshape(B, -1)
+    best_x, best_f = np.empty_like(X0), np.empty(B)
+    rows = np.arange(B)
     for it in range(maxiter):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        if it == maxiter - 1 or (
-            np.max(np.abs(sim[1:] - sim[0])) <= xatol
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
-        ):
-            break
-        xbar = sim[:-1].sum(axis=0) / n
-        xr = 2.0 * xbar - sim[-1]
-        fxr = fun(xr)
-        if fxr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]
-            fxe = fun(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = fun(xc)
-                shrink = not fxc <= fxr
-            else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = fun(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = fun(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-    return sim[0], fsim[0]
+        order = fsim.argsort(1)
+        at = np.arange(len(rows))[:, None]
+        sim, fsim = sim[at, order], fsim[at, order]
+        # sorted values span fsim[-1] - fsim[0], the max of |fsim[0] - fsim[j]|
+        done = (abs(sim[:, 1:] - sim[:, :1]).max((1, 2)) <= xatol) & (
+            fsim[:, -1] - fsim[:, 0] <= fatol
+        ) | (it == maxiter - 1)
+        if done.any():
+            best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fsim[done, 0]
+            rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
+            if not rows.size:
+                break
+        xbar = sim[:, :-1].sum(1)[:, None] / n
+        trial = xbar * _NM_STEPS + sim[:, -1:] * (1.0 - _NM_STEPS)
+        ftrial = fun(trial.reshape(-1, n)).reshape(-1, 4)
+        fr, fe, fo, fi = ftrial.T
+        # 0 reflect, 1 expand, 2 contract outside, 3 contract inside
+        pick = np.where(
+            fr < fsim[:, 0], fe < fr, np.where(fr < fsim[:, -2], 0, 3 - (fr < fsim[:, -1]))
+        )
+        shrink = np.where(pick == 2, ~(fo <= fr), (pick == 3) & ~(fi < fsim[:, -1]))
+        moved = np.flatnonzero(~shrink)
+        sim[moved, -1], fsim[moved, -1] = trial[moved, pick[moved]], ftrial[moved, pick[moved]]
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
+            sim[shrink] = s
+            fsim[shrink, 1:] = fun(s[:, 1:].reshape(-1, n)).reshape(-1, n)
+    return best_x, best_f
 
 
 def ground_state_oracle(
@@ -483,54 +477,40 @@ def ground_state_oracle(
 
     Two independent searches share the dense-matrix fiber evaluation.  The
     scan draws `n_directions` random directions and maps each to its fiber
-    maximum max_s J(su); the minimum over directions can never undercut the
-    true infimum.  The dense multi-restart search then
-    runs derivative-free local minimization from the best `refine` scan
-    directions, their absolute values (which never raise the level, since
-    rectification shrinks every difference while leaving the interaction
-    term unchanged), the flat direction, and `n_restarts` fresh random
-    starts.  The local objective pins the radius with a quadratic penalty
-    because the raw level is constant along rays, which stalls simplex
-    methods.  Returns the smallest level found.  Restricted to
-    site_count <= 9, where this start density is dense enough to trust.
+    maximum max_s J(su), a stack of directions at a time; the minimum over
+    directions can never undercut the true infimum.  The dense multi-restart
+    search then runs a derivative-free local minimization from each of the
+    best `refine` scan directions, their absolute values (which never raise
+    the level, since rectification shrinks every difference while leaving
+    the interaction term unchanged), the flat direction, and `n_restarts`
+    fresh random starts, all in lockstep.  The local objective pins the
+    radius with a quadratic penalty because the raw level is constant along
+    rays, which stalls simplex methods.  Returns the smallest level found.
+    Restricted to site_count <= 9, where this start density is dense enough
+    to trust.
     """
-    if ctx.spec.site_count > _ORACLE_SITE_LIMIT:
-        raise DomainError(
-            "brute-force oracle is limited to site_count <= 9; "
-            f"got {ctx.spec.site_count}"
-        )
+    n_sites = ctx.spec.site_count
+    if n_sites > _ORACLE_SITE_LIMIT:
+        raise DomainError(f"brute-force oracle is limited to site_count <= 9; got {n_sites}")
     rng = default_rng(seed)
     K = dense_operator(ctx.table)
     D = _difference_matrix(ctx.spec)
-    n_sites = ctx.spec.site_count
 
-    levels = np.empty(n_directions)
     dirs = rng.standard_normal((n_directions, n_sites))
-    for i in range(n_directions):
-        levels[i] = _direct_fiber_max(ctx, K, D, dirs[i])
+    size = max(1, _STACK_BYTES // D.nbytes)
+    levels = np.concatenate(
+        [_direct_fiber_max(ctx, K, D, dirs[i : i + size]) for i in range(0, n_directions, size)]
+    )
 
-    def pinned(v: np.ndarray) -> float:
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
-            return np.inf
-        return _direct_fiber_max(ctx, K, D, v) + (nrm - 1.0) ** 2
+    def pinned(V):
+        return _direct_fiber_max(ctx, K, D, V) + (np.linalg.norm(V, axis=1) - 1.0) ** 2
 
-    def polish(v0: np.ndarray) -> float:
-        x = v0 / np.linalg.norm(v0)
-        for _ in range(2):
-            x, fun = _nelder_mead(pinned, x, maxiter=4000, xatol=1e-10, fatol=1e-13)
-        return float(fun)
-
-    best_idx = np.argsort(levels)[:refine]
-    starts = [dirs[i] for i in best_idx]
-    starts += [np.abs(dirs[i]) for i in best_idx]
-    starts.append(np.ones(n_sites))
-    starts += list(rng.standard_normal((n_restarts, n_sites)))
-
-    best = float(np.min(levels))
-    for v0 in starts:
-        best = min(best, polish(v0))
-    return best
+    best = dirs[np.argsort(levels)[:refine]]
+    X = np.concatenate([best, abs(best), np.ones((1, n_sites)), rng.standard_normal((n_restarts, n_sites))])
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    for _ in range(2):
+        X, F = _nelder_mead(pinned, X, maxiter=4000, xatol=1e-10, fatol=1e-13)
+    return float(min(levels.min(), F.min()))
 
 
 def run_all_checks(ctx: EnergyContext, seed: int = 0) -> list[CheckReport]:
@@ -552,7 +532,7 @@ def run_all_checks(ctx: EnergyContext, seed: int = 0) -> list[CheckReport]:
 def write_checks_json(reports: list[CheckReport], path) -> None:
     payload = {
         "all_passed": all(r.passed for r in reports),
-        "checks": [r.as_dict() for r in reports],
+        "checks": [asdict(r) for r in reports],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

@@ -145,6 +145,40 @@ def test_malformed_potential_field_exits_one(tmp_path, capsys, potential, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "potential,message",
+    [
+        ({"kind": "periodic", "period": 2}, "a periodic 'potential' needs 'period' and 'cell'"),
+        (
+            {"kind": "periodic", "period": 2, "cell": [[1.0], [3.0, 2.0]]},
+            "'potential.cell' must be a rectangular (nested) list of numbers",
+        ),
+        (
+            {"kind": "periodic", "period": 2, "cell": [1.0, 3.0, 2.0]},
+            "'potential.cell' must hold period**dim = 4 numbers",
+        ),
+    ],
+    ids=["missing_cell", "ragged_cell", "cell_size"],
+)
+def test_malformed_periodic_potential_exits_one(tmp_path, capsys, potential, message):
+    # each was refused as a model (exit 2), the last two with numpy's
+    # message, though a malformed config exits 1
+    path = write_config(tmp_path, base_config(dim=2, potential=potential))
+    assert main(["kernel", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_periodic_potential_cell_any_nesting():
+    # a cell of period**dim numbers is read in row-major order, however nested
+    cells = []
+    for cell in ([1.0, 3.0, 2.0, 4.0], [[1.0, 3.0], [2.0, 4.0]], [[1.0, 3.0, 2.0, 4.0]]):
+        data = base_config(dim=2, potential={"kind": "periodic", "period": 2, "cell": cell})
+        cells.append(parse_config(json.dumps(data)).model.potential.cell)
+    for cell in cells:
+        assert np.array_equal(cell, [[1.0, 3.0], [2.0, 4.0]])
+
+
 def test_parse_periodic_potential_cell():
     data = base_config()
     data["potential"] = {"kind": "periodic", "period": 2, "cell": [1.0, 3.0]}
@@ -336,6 +370,22 @@ def test_sweep_keeps_rows_finished_before_a_failure(tmp_path, capsys):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("5000,")
+
+
+def test_sweep_max_iters_advice_names_the_sweep_value(tmp_path, capsys):
+    # the failing limit came from --values, not from the config
+    path = write_config(tmp_path, base_config())
+    argv = ["sweep", "--config", path, "--out", str(tmp_path / "out")]
+    assert main(argv + ["--key", "solver.max_iters", "--values", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "advice: every start stopped at solver.max_iters = 1; raise that " in err
+    assert "sweep value in --values" in err and "in the config" not in err
+    # a sweep over another key still points at the config
+    data = base_config(solver={"max_iters": 1})
+    path = write_config(tmp_path, data)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "out"),
+                 "--key", "radius", "--values", "6"]) == 3
+    assert "raise solver.max_iters in the config" in capsys.readouterr().err
 
 
 def test_sweep_over_seed_ignores_the_seed_flag(tmp_path, capsys):

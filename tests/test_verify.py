@@ -136,27 +136,46 @@ def test_oracle_smoke_small_budget(ctx_tiny):
 
 
 def test_nelder_mead_matches_scipy_bitwise(ctx_tiny):
-    # the oracle's simplex polish is scipy's standard Nelder-Mead, step for
-    # step, on its radially pinned objective; the short budget ends on the
-    # iteration limit, the long one on the tolerances
+    # the oracle's lockstep simplex polish is scipy's standard Nelder-Mead,
+    # step for step on every row, on its radially pinned objective; the
+    # short budget ends on the iteration limit, the long one on the
+    # tolerances, where the three rows stop at different iterations
     K = dense_operator(ctx_tiny.table)
     D = _difference_matrix(ctx_tiny.spec)
 
-    def pinned(v):
-        nrm = np.linalg.norm(v)
-        return _direct_fiber_max(ctx_tiny, K, D, v) + (nrm - 1.0) ** 2
+    def pinned(V):
+        return _direct_fiber_max(ctx_tiny, K, D, V) + (np.linalg.norm(V, axis=1) - 1.0) ** 2
 
     rng = np.random.default_rng(17)
-    starts = [np.ones(7), np.abs(rng.standard_normal(7)), rng.standard_normal(7)]
-    starts[2][3] = 0.0  # a zero coordinate takes the absolute simplex step
-    for x0 in starts:
-        x0 = x0 / np.linalg.norm(x0)
-        for maxiter in (40, 4000):
+    X0 = np.stack([np.ones(7), np.abs(rng.standard_normal(7)), rng.standard_normal(7)])
+    X0[2, 3] = 0.0  # a zero coordinate takes the absolute simplex step
+    X0 /= np.linalg.norm(X0, axis=1)[:, None]
+    for maxiter in (40, 4000):
+        X, F = _nelder_mead(pinned, X0, maxiter=maxiter, xatol=1e-10, fatol=1e-13)
+        nits = set()
+        for x0, x, fun in zip(X0, X, F):
             options = {"maxiter": maxiter, "fatol": 1e-13, "xatol": 1e-10}
-            res = optimize.minimize(pinned, x0, method="Nelder-Mead", options=options)
-            x, fun = _nelder_mead(pinned, x0, maxiter=maxiter, xatol=1e-10, fatol=1e-13)
+            res = optimize.minimize(
+                lambda v: pinned(v[None])[0], x0, method="Nelder-Mead", options=options
+            )
             assert x.tobytes() == res.x.tobytes()
             assert fun == res.fun
+            nits.add(res.nit)
+        assert len(nits) == (1 if maxiter == 40 else 3)
+
+
+def _dense_oracle_parts(dim, radius, p, terms):
+    """Context, dense kernel and difference matrix of a model with h = 1."""
+    ctx = make_context(
+        ModelSpec(
+            lattice=LatticeSpec(dim, radius),
+            p=p,
+            alpha=0.5,
+            potential=ConstantPotential(1.0),
+            nonlinearity=SumOfPowers(terms),
+        )
+    )
+    return ctx, dense_operator(ctx.table), _difference_matrix(ctx.spec)
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 3), (2, 1)])
@@ -165,41 +184,38 @@ def test_nelder_mead_matches_scipy_bitwise(ctx_tiny):
 def test_direct_fiber_max_matches_golden_section(dim, radius, p, terms):
     # the oracle's Newton root in log s against golden section on the
     # library's FFT energy, on the dense-oracle boxes
-    model = ModelSpec(
-        lattice=LatticeSpec(dim, radius),
-        p=p,
-        alpha=0.5,
-        potential=ConstantPotential(1.0),
-        nonlinearity=SumOfPowers(terms),
-    )
-    ctx = make_context(model)
-    K = dense_operator(ctx.table)
-    D = _difference_matrix(ctx.spec)
+    ctx, K, D = _dense_oracle_parts(dim, radius, p, terms)
     rng = np.random.default_rng([dim, int(p), len(terms)])
-    for _ in range(20):
-        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
-        _, golden = fiber_max_golden(ctx, u)
-        level = _direct_fiber_max(ctx, K, D, u.values)
+    V = rng.standard_normal((21, ctx.spec.site_count))
+    V[20] = 0.0
+    levels = _direct_fiber_max(ctx, K, D, V)
+    for v, level in zip(V[:20], levels):
+        _, golden = fiber_max_golden(ctx, Field(ctx.spec, v))
         assert level == pytest.approx(golden, rel=1e-12)
-    assert _direct_fiber_max(ctx, K, D, np.zeros(ctx.spec.site_count)) == np.inf
+    assert levels[20] == np.inf
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 3), (2, 1)])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("terms", [((1.0, 4.0),), ((1.0, 4.0), (0.5, 6.0))])
+def test_direct_fiber_max_rows_are_independent(dim, radius, p, terms):
+    # each row of a stack, the zero row among them, has the bits of the
+    # same row evaluated alone
+    ctx, K, D = _dense_oracle_parts(dim, radius, p, terms)
+    V = np.random.default_rng([dim, 7]).standard_normal((51, ctx.spec.site_count))
+    V[31] = 0.0
+    stacked = _direct_fiber_max(ctx, K, D, V)
+    alone = np.concatenate([_direct_fiber_max(ctx, K, D, v[None]) for v in V])
+    assert stacked.tobytes() == alone.tobytes()
+    assert stacked[31] == np.inf and np.all(np.isfinite(np.delete(stacked, 31)))
 
 
 def test_direct_fiber_max_refuses_an_unconverged_root(monkeypatch):
     # two terms need more than one Newton step; one allowed step must raise
-    ctx = make_context(
-        ModelSpec(
-            lattice=LatticeSpec(1, 3),
-            p=2.0,
-            alpha=0.5,
-            potential=ConstantPotential(1.0),
-            nonlinearity=SumOfPowers(((1.0, 4.0), (0.5, 6.0))),
-        )
-    )
-    K = dense_operator(ctx.table)
-    D = _difference_matrix(ctx.spec)
+    ctx, K, D = _dense_oracle_parts(1, 3, 2.0, ((1.0, 4.0), (0.5, 6.0)))
     monkeypatch.setattr(lattice_choquard.verify, "_ORACLE_NEWTON_STEPS", 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        _direct_fiber_max(ctx, K, D, np.ones(ctx.spec.site_count))
+        _direct_fiber_max(ctx, K, D, np.ones((3, ctx.spec.site_count)))
 
 
 @pytest.mark.parametrize("dim,radius", [(1, 3), (1, 4), (2, 1), (2, 3), (3, 1)])
@@ -212,10 +228,9 @@ def test_oracle_dense_norm_matches_h_norm_pow(dim, radius, p):
     ctx = make_context(model)
     D = _difference_matrix(ctx.spec)
     rng = np.random.default_rng([dim, radius, int(10 * p)])
-    for _ in range(10):
-        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
-        dense = _dense_norm_pow(ctx, D, u.values)
-        assert dense == pytest.approx(h_norm_pow(ctx, u), rel=1e-12)
+    V = rng.standard_normal((10, ctx.spec.site_count))
+    for v, dense in zip(V, _dense_norm_pow(ctx, D, V)):
+        assert dense == pytest.approx(h_norm_pow(ctx, Field(ctx.spec, v)), rel=1e-12)
 
 
 def test_run_all_checks_composition(ctx_a):
