@@ -89,18 +89,21 @@ def make_context(model: ModelSpec, table: KernelTable | None = None) -> EnergyCo
     return EnergyContext(model=model, table=table, h_grid=h)
 
 
-def h_norm_pow(ctx: EnergyContext, u: Field) -> float:
-    """The p-th power of the space norm: sum |grad u|^p + sum h |u|^p."""
+def h_norm_pow(ctx: EnergyContext, u: Field) -> float | list[float]:
+    """The p-th power of the space norm: sum |grad u|^p + sum h |u|^p; for a
+    stack of fields, a list with one value per row."""
     p = ctx.model.p
-    gsq = grad_sq_grid(u, margin=1)
-    grad_part = float(np.sum(gsq ** (p / 2.0)))
-    pot_part = float(np.sum(ctx.h_flat * np.abs(u.values) ** p))
-    return grad_part + pot_part
+    gsq = grad_sq_grid(u, margin=1).reshape(u.values.shape[:-1] + (-1,))
+    grad_part = (gsq ** (p / 2.0)).sum(axis=-1)
+    pot_part = (ctx.h_flat * np.abs(u.values) ** p).sum(axis=-1)
+    return (grad_part + pot_part).tolist()
 
 
-def h_norm(ctx: EnergyContext, u: Field) -> float:
-    """Space norm (sum |grad u|^p + sum h |u|^p)^{1/p}; zero iff u = 0."""
-    return h_norm_pow(ctx, u) ** (1.0 / ctx.model.p)
+def h_norm(ctx: EnergyContext, u: Field) -> float | list[float]:
+    """Space norm (sum |grad u|^p + sum h |u|^p)^{1/p}; zero iff u = 0.  A
+    stack's roots are plain floats, as numpy's vector pow rounds otherwise."""
+    pows, root = h_norm_pow(ctx, u), 1.0 / ctx.model.p
+    return [x**root for x in pows] if isinstance(pows, list) else pows**root
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,37 +174,31 @@ class FiberCoefficients:
 
 def fiber_coefficients(
     ctx: EnergyContext, u: Field, norm_pow: float | None = None
-) -> FiberCoefficients:
+) -> FiberCoefficients | list[FiberCoefficients]:
     """Evaluate a field once: its norm power, one convolution per
     nonlinearity term, and the fiber polynomials built from them.  A caller
-    that knows norm^p(u) already (a unit-norm trial) passes it as `norm_pow`."""
+    that knows norm^p(u) already (a unit-norm trial) passes it as `norm_pow`.
+    A stack of fields gets one convolution per term in all, and a list with
+    the coefficients of each row, which has the bits it has alone."""
     if norm_pow is None:
         norm_pow = h_norm_pow(ctx, u)
-    terms = ctx.model.nonlinearity.terms
-    absu = np.abs(u.values)
-    convs = []
-    powers = []
-    for _, q in terms:
-        w = absu**q
-        powers.append(w)
-        convs.append(convolve(ctx.table, Field(ctx.spec, w)).values)
-    rows = []  # (exponent, phi weight, energy weight)
-    for (a_i, q_i), conv in zip(terms, convs):
-        c = a_i / q_i
-        for (a_j, q_j), power in zip(terms, powers):
-            b = float(np.dot(conv, power))
-            rows.append((q_i + q_j, c * a_j * b, 0.5 * c * (a_j / q_j) * b))
-    exps, wphi, wen = zip(*sorted(rows, key=lambda row: row[0]))
-    return FiberCoefficients(
-        p=ctx.model.p,
-        norm_pow=norm_pow,
-        exponents=exps,
-        phi_weights=wphi,
-        energy_weights=wen,
-        nonlinearity=ctx.model.nonlinearity,
-        u=u.values,
-        conv_fields=tuple(convs),
-    )
+    nl = ctx.model.nonlinearity
+    stack = u.values.reshape(-1, ctx.spec.site_count)
+    absu = np.abs(stack)
+    powers = [absu**q for _, q in nl.terms]
+    convs = [convolve(ctx.table, Field(ctx.spec, w)).values for w in powers]
+    out = []
+    for k, a in enumerate(norm_pow if isinstance(norm_pow, list) else [norm_pow] * len(stack)):
+        rows = []  # (exponent, phi weight, energy weight)
+        for (a_i, q_i), conv in zip(nl.terms, convs):
+            c = a_i / q_i
+            for (a_j, q_j), power in zip(nl.terms, powers):
+                b = float(np.dot(conv[k], power[k]))
+                rows.append((q_i + q_j, c * a_j * b, 0.5 * c * (a_j / q_j) * b))
+        exps, wphi, wen = zip(*sorted(rows, key=lambda row: row[0]))
+        conv_k = tuple(conv[k] for conv in convs)
+        out.append(FiberCoefficients(ctx.model.p, a, exps, wphi, wen, nl, stack[k], conv_k))
+    return out if u.values.ndim == 2 else out[0]
 
 
 def interaction_energy(ctx: EnergyContext, u: Field) -> float:
@@ -215,7 +212,8 @@ def energy_J(ctx: EnergyContext, u: Field) -> float:
 
 
 def pairing_field(ctx: EnergyContext, u: Field) -> Field:
-    """The local part of the gradient: -Delta_p u + h |u|^{p-2} u.
+    """The local part of the gradient: -Delta_p u + h |u|^{p-2} u, row by
+    row for a stack.
 
     Pairing this field against v in the counting measure realizes the weak
     form of the norm term; against u itself it returns norm^p(u) exactly.

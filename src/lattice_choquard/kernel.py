@@ -80,6 +80,10 @@ _LOG_T_MIN = -40.0
 _PANEL = 3.0  # panel width in log t; the error estimate uses 3.5
 _HANKEL_TERMS = 6
 _K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
+# spectrum bytes of one stacked transform: 25 fields of a 2D r=6 box, one of
+# a 3D r=6 box (where two or more ran slower, and eight solver starts raised
+# the peak RSS by 5 MB); also the bytes of one oracle scan stack's differences
+_STACK_BYTES = 1 << 17
 
 
 def _t_max(reach: int) -> float:
@@ -325,6 +329,12 @@ def _spectrum(table: KernelTable) -> tuple[tuple[int, ...], np.ndarray]:
     return cached
 
 
+def _stack_size(table: KernelTable) -> int:
+    """Fields per stacked transform: as many as keep the stack's spectrum
+    within _STACK_BYTES, and at least one."""
+    return max(1, _STACK_BYTES // _spectrum(table)[1].nbytes)
+
+
 def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
     """R_alpha * w for each box grid w on the trailing N axes of `grids`.
 
@@ -349,8 +359,9 @@ def convolve(table: KernelTable, w: Field) -> Field:
     support [0, 6r], and the aliases n +- L of an output index n in [2r, 4r]
     fall outside it, so the window read back is exact.  The kernel's
     spectrum is cached on the table; `dense_operator(table) @ w.values` is
-    the quadratic-cost reference sum.
+    the quadratic-cost reference sum.  A stack of fields goes through one
+    transform.
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
-    return Field(w.spec, _fft_convolve(table, w.grid()).reshape(-1))
+    return Field(w.spec, _fft_convolve(table, w.grid()).reshape(w.values.shape))

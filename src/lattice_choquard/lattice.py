@@ -17,6 +17,7 @@ ordinary graph Laplacian.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -113,18 +114,21 @@ class Field:
     """Real-valued function on the box sites, implicitly zero outside.
 
     Values are stored flat in the index order of ``spec`` and must be finite.
+    A 2-D array of ``site_count`` columns is a stack of fields, one per row,
+    which the stencils, norms and convolutions treat as each field alone.
     """
 
     spec: LatticeSpec
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.size != self.spec.site_count:
-            raise ValueError(
-                f"expected {self.spec.site_count} values, got {vals.size}"
-            )
-        if not np.all(np.isfinite(vals)):
+        vals = np.asarray(self.values, dtype=float)
+        n = self.spec.site_count
+        if vals.ndim != 2 or vals.shape[1] != n:
+            vals = vals.reshape(-1)
+            if vals.size != n:
+                raise ValueError(f"expected {n} values, got {vals.size}")
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -137,7 +141,7 @@ class Field:
         return Field(spec, vals)
 
     def grid(self) -> np.ndarray:
-        return self.values.reshape(self.spec.shape)
+        return self.values.reshape(self.values.shape[:-1] + self.spec.shape)
 
     def translated(self, shift: Sequence[int]) -> "Field":
         """Field x -> u(x - shift); values pushed outside the box are dropped."""
@@ -157,20 +161,23 @@ class Field:
 
 def _padded_grid(u: Field, margin: int) -> np.ndarray:
     """Zero-padded value grid covering the box enlarged by `margin`."""
-    out = np.zeros((u.spec.side + 2 * margin,) * u.spec.dim)
-    out[(slice(margin, margin + u.spec.side),) * u.spec.dim] = u.grid()
+    out = np.zeros(u.values.shape[:-1] + (u.spec.side + 2 * margin,) * u.spec.dim)
+    out[(..., *[slice(margin, -margin)] * u.spec.dim)] = u.grid()
     return out
 
 
-def _core(ndim: int) -> tuple[slice, ...]:
-    return (slice(1, -1),) * ndim
-
-
-def _shifted(arr: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """View of `arr` over the 1:-1 core window, offset by `step` along `axis`."""
-    idx = [slice(1, -1)] * arr.ndim
-    idx[axis] = slice(1 + step, arr.shape[axis] - 1 + step)
-    return arr[tuple(idx)]
+def _neighbours(arr: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Views of `arr` over the core window of its trailing `dim` axes (one
+    site in from each side): the window, and the window offset by +1 and
+    then -1 along each of those axes in turn."""
+    core = (..., *[slice(1, -1)] * dim)
+    ends = [arr.shape[ax - dim] for ax in range(dim)]
+    shifted = [
+        arr[core[: 1 + ax] + (window,) + core[2 + ax :]]
+        for ax, n in enumerate(ends)
+        for window in (slice(2, n), slice(0, n - 2))
+    ]
+    return arr[core], shifted
 
 
 def grad_sq_grid(u: Field, margin: int = 1) -> np.ndarray:
@@ -179,19 +186,17 @@ def grad_sq_grid(u: Field, margin: int = 1) -> np.ndarray:
     With zero extension, sites at sup-distance >= r+2 from the origin have
     zero gradient, so margin=1 already captures every nonzero value.
     """
-    big = _padded_grid(u, margin + 1)
-    center = big[_core(big.ndim)]
+    center, shifted = _neighbours(_padded_grid(u, margin + 1), u.spec.dim)
     acc = np.zeros_like(center)
-    for ax in range(big.ndim):
-        for step in (1, -1):
-            d = _shifted(big, ax, step) - center
-            acc += d * d
+    for view in shifted:
+        d = view - center
+        acc += d * d
     return 0.5 * acc
 
 
 def _edge_weights(u: Field, p: float) -> np.ndarray:
     """|grad u|^{p-2} on the box enlarged by one site per side."""
-    if not np.isfinite(p) or p < 2:
+    if not math.isfinite(p) or p < 2:
         raise ValueError("p must be >= 2")
     # p = 2 needs unit weights everywhere; np.power(0, 0) = 1 covers the
     # zero-gradient sites without a branch.
@@ -202,12 +207,10 @@ def p_laplacian_diagonal(u: Field, p: float) -> np.ndarray:
     """Sum over y ~ x of the edge weights 1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y))
     of Delta_p u, on the box grid: minus the diagonal of Delta_p with its
     weights frozen at u.  Exterior neighbours count, as in p_laplacian."""
-    w = _edge_weights(u, p)
-    wc = w[_core(w.ndim)]
+    wc, shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
     acc = np.zeros_like(wc)
-    for ax in range(w.ndim):
-        for step in (1, -1):
-            acc += _shifted(w, ax, step) + wc
+    for view in shifted:
+        acc += view + wc
     return 0.5 * acc
 
 
@@ -226,15 +229,12 @@ def p_laplacian(u: Field, p: float) -> Field:
     Field
         Delta_p u restricted to the box.
     """
-    w = _edge_weights(u, p)
-    big = _padded_grid(u, 1)
-    uc = big[_core(big.ndim)]
-    wc = w[_core(w.ndim)]
+    wc, w_shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
+    uc, u_shifted = _neighbours(_padded_grid(u, 1), u.spec.dim)
     acc = np.zeros_like(uc)
-    for ax in range(big.ndim):
-        for step in (1, -1):
-            acc += (_shifted(w, ax, step) + wc) * (_shifted(big, ax, step) - uc)
-    return Field(u.spec, (0.5 * acc).reshape(-1))
+    for wv, uv in zip(w_shifted, u_shifted):
+        acc += (wv + wc) * (uv - uc)
+    return Field(u.spec, (0.5 * acc).reshape(u.values.shape))
 
 
 def random_field(

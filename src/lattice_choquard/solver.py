@@ -27,8 +27,10 @@ linearized weighted p-Laplacian at w_k, whose diagonal is
 with S = sqrt((2N + h0) / a).  For p = 2 and constant h, P = (1 + eps) L.
 Steps start from a Barzilai-Borwein estimate on differences of the
 direction and backtrack under an Armijo test, which allows Psi a few ulps of
-roundoff.  Multi-start guards against
-nonglobal minima; the best converged start wins.
+roundoff.  Multi-start guards against nonglobal minima; the best converged
+start wins.  The starts descend in lockstep stacks that share each round's
+transforms and metric solve, while every scalar (dots, roots, steps, tests)
+stays a plain float per start, so a start has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ from numpy.random import default_rng
 
 from .energy import (
     EnergyContext,
+    FiberCoefficients,
     energy_J,
     h_norm,
     nehari_functional,
     pairing_field,
     pointwise_residual,
 )
+from .kernel import _stack_size
 from .lattice import Field, p_laplacian_diagonal, random_field
 from .nehari import fiber_coefficients, _phi_root
 
@@ -164,31 +168,57 @@ class SolveReport:
         }
 
 
-@dataclass
-class _StartResult:
-    w: Field
+@dataclass(eq=False)
+class _Start:
+    """One start in its stack: the fiber evaluation of its unit-norm iterate
+    (`coeffs.u`), its root and level, the slope and trial step of the current
+    iteration, the iterate's last move dw, counts and histories.  Once it
+    stops it keeps only the iterate `w`, its root, histories and `diag`."""
+
+    start: int
+    coeffs: FiberCoefficients | None
     s: float
-    diag: StartDiagnostics
-    s_history: list
-    psi_history: list
-    residual_history: list
+    psi: float
+    trials: int = 0
+    roots: int = 1
+    step: float = _STEP0
+    t: float = 0.0
+    slope: float = 0.0
+    dw: np.ndarray | None = None
+    stationary: bool = False  # the residual test of the current iteration
+    diag: StartDiagnostics | None = None
+    w: np.ndarray | None = None
+    s_history: list = field(default_factory=list)
+    psi_history: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
 
     @property
     def iterations(self) -> int:
-        return self.diag.iterations
+        return len(self.residual_history)
+
+    def finish(self, stop: str, converged: bool) -> None:
+        counts = (self.iterations, self.psi, self.residual_history[-1], self.trials, self.roots)
+        self.diag = StartDiagnostics(self.start, converged, *counts, stop)
+        self.w, self.coeffs, self.dw = self.coeffs.u, None, None
 
 
-def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> list[Field]:
-    """Start 0 is a centered bump; the rest are seeded noise with decay."""
+class _Stack(list):
+    """The starts of one stack, in order; `iterations` sums theirs."""
+
+    iterations = property(lambda self: sum(r.iterations for r in self))
+
+
+def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> Field:
+    """The stack of starts: start 0 is a centered bump, the rest are seeded
+    noise with decay."""
     spec = ctx.spec
     unit = np.eye(spec.dim, dtype=int)
     bump = Field.delta(spec).values + 0.5 * sum(
         Field.delta(spec, e).values for e in np.vstack([unit, -unit])
     )
-    fields = [Field(spec, bump)]
-    for k in range(1, cfg.n_starts):
-        fields.append(random_field(spec, default_rng([cfg.seed, k]), decay=0.5))
-    return fields
+    rngs = [default_rng([cfg.seed, k]) for k in range(1, cfg.n_starts)]
+    noise = [random_field(spec, rng, decay=0.5).values for rng in rngs]
+    return Field(spec, np.stack([bump, *noise]))
 
 
 def _dirichlet_basis(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray]:
@@ -212,22 +242,26 @@ def _dirichlet_basis(ctx: EnergyContext) -> tuple[np.ndarray, np.ndarray]:
 def _sine_transform(grids: np.ndarray, sine: np.ndarray, dim: int) -> np.ndarray:
     """The DST-I over the trailing `dim` axes, one axis at a time: each
     pass transforms the last axis and moves it in front of the others."""
+    lead = grids.ndim - dim
+    order = [*range(lead), grids.ndim - 1, *range(lead, grids.ndim - 1)]
     for _ in range(dim):
-        grids = np.moveaxis(grids @ sine, -1, -dim)
+        grids = (grids @ sine).transpose(order)
     return grids
 
 
 def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
     """P^{-1} v = S L^{-1} S v at the unit-norm iterate w, for a flat field v
-    or a stack of them (the last axis runs over sites)."""
+    or a stack of them (the last axis runs over sites); a stack of iterates
+    w acts row by row on the leading axis of v."""
     p, dim = ctx.model.p, ctx.spec.dim
     h0 = ctx.model.potential.floor
     a = (
         ctx.h_flat * (np.abs(w.values) ** (p - 2.0) + _METRIC_EPS)
-        + p_laplacian_diagonal(w, p).reshape(-1)
+        + p_laplacian_diagonal(w, p).reshape(w.values.shape)
         + 2 * dim * _METRIC_EPS
     )
     scale = np.sqrt((2 * dim + h0) / a)
+    scale = scale.reshape(a.shape[:-1] + (1,) * (v.ndim - a.ndim) + a.shape[-1:])
     sine, eig = _dirichlet_basis(ctx)
     grid = (scale * v).reshape(v.shape[:-1] + ctx.spec.shape)
     spec = _sine_transform(grid, sine, dim) / eig
@@ -238,114 +272,120 @@ def _tangent_direction(
     ctx: EnergyContext, w: Field, g: np.ndarray, kappa: np.ndarray
 ) -> np.ndarray:
     """d = P^{-1} g - lambda P^{-1} kappa, so that <kappa, d> = 0 and the
-    descent direction z = -d has slope s <g, z> <= 0."""
-    pg, pk = _metric_inverse(ctx, w, np.stack((g, kappa)))
-    lam = float(np.dot(kappa, pg)) / float(np.dot(kappa, pk))
-    return pg - lam * pk
+    descent direction z = -d has slope s <g, z> <= 0; row by row for a
+    stack, each lambda from plain-float dots."""
+    # (g, kappa) pairs per iterate keep a 1D sine transform's matrix shapes
+    pd = _metric_inverse(ctx, w, np.stack((g, kappa), axis=-2))
+    pg, pk = pd[..., 0, :], pd[..., 1, :]
+    rows = zip(*map(np.atleast_2d, (kappa, pg, pk)))
+    lam = [float(np.dot(k, a)) / float(np.dot(k, b)) for k, a, b in rows]
+    return pg - np.reshape(lam, pg.shape[:-1] + (1,)) * pk
 
 
-def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, start: int) -> _StartResult:
-    norm0 = h_norm(ctx, w0)
-    if norm0 == 0.0:
-        raise ValueError("initial field must be nonzero")
-    w = Field(ctx.spec, w0.values / norm0)
-    coeffs = fiber_coefficients(ctx, w, norm_pow=1.0)
-    s = _phi_root(coeffs)
-    trials = 0
-    roots = 1
-    stop = "max_iters"
-    psi_val = float(coeffs.energy(s))
+def _rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
+    """a[rows] for increasing rows, without a copy when they are all rows."""
+    return a if len(rows) == len(a) else a[rows]
 
-    s_hist: list[float] = []
-    psi_hist: list[float] = []
-    res_hist: list[float] = []
 
-    prev_w = None
-    prev_d = None
-    step = _STEP0
-    converged = False
-    it = 0
-
-    for it in range(cfg.max_iters):
-        kappa = pairing_field(ctx, w)
-        g = coeffs.gradient(s, kappa)
-        resid = float(np.max(np.abs(g)))
-
-        s_hist.append(s)
-        psi_hist.append(psi_val)
-        res_hist.append(resid)
-
-        scale = max(1.0, s ** (ctx.model.p - 1.0))
-        if resid <= cfg.grad_tol * scale and it > 0 and (
-            psi_hist[-2] - psi_val <= _ENERGY_TOL * max(1.0, abs(psi_val))
+def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list) -> None:
+    """Begin an iteration on the `rows` of the stack: the gradient and the
+    stopping tests, then the direction (into `d`) and first trial step."""
+    wr = Field(ctx.spec, _rows(w, rows))
+    kappa = pairing_field(ctx, wr).values
+    g = np.empty_like(kappa)
+    for j, i in enumerate(rows):
+        g[j] = runs[i].coeffs.gradient(runs[i].s, Field(ctx.spec, kappa[j]))
+    for j, resid in enumerate(np.abs(g).max(axis=1).tolist()):
+        r = runs[rows[j]]
+        r.s_history.append(r.s)
+        r.psi_history.append(r.psi)
+        r.residual_history.append(resid)
+        r.stationary = resid <= cfg.grad_tol * max(1.0, r.s ** (ctx.model.p - 1.0))
+        if r.stationary and r.iterations > 1 and (
+            r.psi_history[-2] - r.psi <= _ENERGY_TOL * max(1.0, abs(r.psi))
         ):
-            converged = True
-            stop = "converged"
-            break
-
-        d = _tangent_direction(ctx, w, g, kappa.values)
-        slope = -s * float(np.dot(g, d))  # d/dt Psi(retract(w - t d)) at t = 0
+            r.finish("converged", True)
+    go = [j for j, i in enumerate(rows) if runs[i].diag is None]
+    if go:  # the rows that stopped get a direction too: no second stack
+        dr = _tangent_direction(ctx, wr, g, kappa)
+    for j in go:
+        i, r = rows[j], runs[rows[j]]
+        slope = -r.s * float(np.dot(g[j], dr[j]))  # d/dt Psi(retract(w - t d)) at t = 0
         if not slope < 0:
-            converged = resid <= cfg.grad_tol * scale
-            stop = "zero_direction"
-            break
-
-        if prev_w is not None:
-            dw = w.values - prev_w
-            denom = float(np.dot(dw, d - prev_d))
-            num = float(np.dot(dw, dw))
+            r.finish("zero_direction", r.stationary)
+            continue
+        if r.dw is not None:  # Barzilai-Borwein, from the last moves of w and d
+            denom = float(np.dot(r.dw, dr[j] - d[i]))
+            num = float(np.dot(r.dw, r.dw))
             if denom > 0 and np.isfinite(denom) and num > 0:
-                step = min(max(num / denom, 1e-12), 1e6)
-        prev_w = w.values.copy()
-        prev_d = d
+                r.step = min(max(num / denom, 1e-12), 1e6)
+        d[i] = dr[j]
+        r.slope, r.t = slope, r.step
 
-        t = step
-        accepted = False
-        while t >= _STEP_FLOOR:
-            trial_vals = w.values - t * d
-            trial = Field(ctx.spec, trial_vals)
-            tnorm = h_norm(ctx, trial)
-            trials += 1
-            if tnorm > 0:
-                # unit norm by construction: the norm is not computed again
-                w_try = Field(ctx.spec, trial_vals / tnorm)
-                coeffs_try = fiber_coefficients(ctx, w_try, norm_pow=1.0)
-                s_try = _phi_root(coeffs_try)
-                roots += 1
-                psi_try = float(coeffs_try.energy(s_try))
-                bound = psi_val + _SUFFICIENT_DECREASE * t * slope
-                if psi_try <= bound + _ROUNDOFF * abs(psi_val):
-                    w, coeffs, s, psi_val = w_try, coeffs_try, s_try, psi_try
-                    accepted = True
-                    break
-            t *= _BACKTRACK
-        if not accepted:
-            # finite-precision stall: w did not move, so the residual from
-            # the top of the loop is current; accept iff it already meets
-            # the stationarity criterion
-            converged = resid <= cfg.grad_tol * scale
-            stop = "step_floor"
+
+def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list) -> list:
+    """One Armijo trial w - t d on each of the `rows`, retracted to the unit
+    sphere and projected by one stacked fiber evaluation.  A row whose trial
+    passes moves there (in `w`); one that fails halves t, down to the step
+    floor.  Returns the rows that moved and go on."""
+    t = np.array([runs[i].t for i in rows])[:, None]
+    trial = _rows(w, rows) - t * _rows(d, rows)
+    norms = h_norm(ctx, Field(ctx.spec, trial))
+    ok = [j for j, x in enumerate(norms) if x > 0]
+    # unit norm by construction: the norm is not computed again
+    w_try = _rows(trial, ok) / np.array([norms[j] for j in ok])[:, None]
+    coeffs = fiber_coefficients(ctx, Field(ctx.spec, w_try), norm_pow=1.0) if ok else []
+    moved = []
+    for j, w_new, c in zip(ok, w_try, coeffs):
+        i, r = rows[j], runs[rows[j]]
+        s = _phi_root(c)
+        r.roots += 1
+        psi = float(c.energy(s))
+        bound = r.psi + _SUFFICIENT_DECREASE * r.t * r.slope
+        if psi <= bound + _ROUNDOFF * abs(r.psi):
+            r.dw = w_new - w[i]
+            w[i] = w_new
+            r.coeffs, r.s, r.psi = c, s, psi
+            moved.append(i)
+    for i in rows:
+        r = runs[i]
+        r.trials += 1
+        if i not in moved:
+            r.t *= _BACKTRACK
+        if i in moved and r.iterations == cfg.max_iters:
+            r.finish("max_iters", False)
+        elif r.t < _STEP_FLOOR:
+            # finite-precision stall: w did not move, so the residual test
+            # of this iteration is current
+            r.finish("step_floor", r.stationary)
+    return [i for i in moved if runs[i].diag is None]
+
+
+def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]) -> _Stack:
+    """Descend from each row of the stack w0, numbered `starts`, in lockstep:
+    each round, the rows that moved (all at first) begin an iteration, then
+    every running row makes one trial.  Iterates and directions are rows of
+    w and d."""
+    norms = h_norm(ctx, w0)
+    if 0.0 in norms:
+        raise ValueError("initial field must be nonzero")
+    w = w0.values / np.array(norms)[:, None]
+    d = np.zeros_like(w)
+    runs = _Stack()
+    for k, c in zip(starts, fiber_coefficients(ctx, Field(ctx.spec, w), norm_pow=1.0)):
+        s = _phi_root(c)
+        runs.append(_Start(k, c, s, float(c.energy(s))))
+    turning = list(range(len(runs)))
+    while True:
+        if turning:
+            _turn(ctx, cfg, runs, w, d, turning)
+        live = [i for i, r in enumerate(runs) if r.diag is None]
+        if not live:
             break
-
-    diag = StartDiagnostics(
-        start=start,
-        converged=converged,
-        iterations=it + 1,
-        energy=psi_val,
-        residual=res_hist[-1] if res_hist else float("inf"),
-        trials=trials,
-        roots=roots,
-        stop=stop,
-    )
-    logger.info(diag.log_line())
-    return _StartResult(
-        w=w,
-        s=s,
-        diag=diag,
-        s_history=s_hist,
-        psi_history=psi_hist,
-        residual_history=res_hist,
-    )
+        turning = _trial_round(ctx, cfg, runs, w, d, live)
+    for r in runs:
+        logger.info(r.diag.log_line())
+    return runs
 
 
 def minimize_ground_state(
@@ -353,19 +393,23 @@ def minimize_ground_state(
 ) -> SolveReport:
     """Search for the ground-state level c = inf of J over the manifold.
 
-    Runs `cfg.n_starts` independent descents and returns the lowest converged
-    one.  Raises NonconvergenceError with per-start diagnostics when no start
-    meets the residual criterion, and propagates model violations.
+    Runs `cfg.n_starts` independent descents and returns the lowest
+    converged one.  The starts run in lockstep stacks, at least one per
+    thread and none above the kernel's stacked-transform byte rule.  Raises
+    NonconvergenceError with per-start diagnostics when no start meets the
+    residual criterion, and propagates model violations.
     """
     cfg = cfg or SolverConfig()
     starts = initial_fields(ctx, cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda kw: _descend(ctx, cfg, kw[1], kw[0]), enumerate(starts))
-            )
-    else:
-        results = [_descend(ctx, cfg, w0, k) for k, w0 in enumerate(starts)]
+    count = max(threads, -(-cfg.n_starts // _stack_size(ctx.table)))
+    stacks = np.array_split(np.arange(cfg.n_starts), min(count, cfg.n_starts))
+
+    def run(rows: np.ndarray) -> _Stack:
+        return _descend(ctx, cfg, Field(ctx.spec, starts.values[rows]), rows.tolist())
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread unless used
+        mapped = pool.map(run, stacks) if threads > 1 else map(run, stacks)
+        results = [r for stack in mapped for r in stack]
 
     diags = tuple(r.diag for r in results)
     converged = [(k, r) for k, r in enumerate(results) if r.diag.converged]
@@ -373,7 +417,7 @@ def minimize_ground_state(
         raise NonconvergenceError(list(diags))
     winner_idx, winner = min(converged, key=lambda kr: (kr[1].diag.energy, kr[0]))
 
-    u_star = Field(ctx.spec, winner.s * winner.w.values)
+    u_star = Field(ctx.spec, winner.s * winner.w)
     energy = energy_J(ctx, u_star)
     report = SolveReport(
         u=u_star,

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .energy import EnergyContext, energy_J, h_norm, interaction_energy
-from .kernel import _fft_convolve, _spectrum, dense_operator
+from .kernel import _STACK_BYTES, _fft_convolve, _stack_size, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
 from .nehari import fiber_coefficients, project_su
@@ -43,10 +43,6 @@ _ORACLE_SITE_LIMIT = 9
 _ORACLE_NEWTON_STEPS = 60
 # the Newton steps shrink quadratically: past this one the root is exact
 _ORACLE_STEP_TOL = 1e-12
-# spectrum bytes of one stacked HLS transform: 25 fields of a 2D r=6 box, and
-# one of a 3D r=6 box, where stacking two or more measured slower; also the
-# bytes of the difference products of one stack of the oracle's scan
-_STACK_BYTES = 1 << 17
 # a simplex's trial points, each xbar * c + worst * (1 - c) as in scipy:
 # reflection, expansion, outside and inside contraction
 _NM_STEPS = np.array([[2.0], [3.0], [1.5], [0.5]])
@@ -81,12 +77,6 @@ def _random_supported(spec, rng, scale: float, out: np.ndarray) -> None:
     block = rng.standard_normal(side**spec.dim).reshape((side,) * spec.dim)
     corner = (center + (spec.radius - sub)).tolist()
     out[tuple(slice(c, c + side) for c in corner)] = block * scale
-
-
-def _stack_size(table) -> int:
-    """Fields per stacked transform: as many as keep the stack's spectrum
-    within _STACK_BYTES, and at least one."""
-    return max(1, _STACK_BYTES // _spectrum(table)[1].nbytes)
 
 
 def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
@@ -335,29 +325,26 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
 
 
 def _difference_matrix(spec: LatticeSpec) -> np.ndarray:
-    """Dense D of shape (n, 2N, sites): D[k, e, x] is the weight of v_k in
-    v(x + e) - v(x) for the zero-extended v, over the 2N unit steps e and
-    every site x within distance 1 of the box (where |grad v| can be
-    nonzero)."""
+    """The difference matrix in index form, shape (1 + 2N, sites): row 0 holds
+    the index of each site x within distance 1 of the box (where |grad v| can
+    be nonzero), row 1 + j that of x + e for the j-th unit step e, and a point
+    outside the box gets site_count, where a zero-extended row holds 0."""
     near = LatticeSpec(spec.dim, spec.radius + 1).coordinate_array()
     unit = np.eye(spec.dim, dtype=int)
-    steps = np.concatenate([unit, -unit])
-    D = np.zeros((spec.site_count, len(steps), len(near)))
-    for j, e in enumerate(steps):
-        for sign, pts in ((1.0, near + e), (-1.0, near)):
-            inside = np.flatnonzero(np.all(np.abs(pts) <= spec.radius, axis=1))
-            cols = np.ravel_multi_index((pts[inside] + spec.radius).T, spec.shape)
-            D[cols, j, inside] += sign
-    return D
+    pts = near + np.concatenate([0 * unit[:1], unit, -unit])[:, None] + spec.radius
+    flat = np.ravel_multi_index(tuple(np.moveaxis(pts, -1, 0)), spec.shape, mode="clip")
+    return np.where(np.all((pts >= 0) & (pts < spec.side), -1), flat, spec.site_count)
 
 
 def _dense_norm_pow(ctx: EnergyContext, D: np.ndarray, V: np.ndarray) -> np.ndarray:
     """norm^p(v) = sum_x |grad v|^p(x) + sum h |v|^p for each row v of V,
-    with |grad v|^2(x) = 1/2 sum_e (D v)_{e,x}^2 per site (not a sum of
-    |D v|^p over edges)."""
+    with |grad v|^2(x) = 1/2 sum_e (v(x + e) - v(x))^2 per site (not a sum of
+    |.|^p over edges), gathered from the zero-extended rows by D; `take`
+    keeps each gathered row contiguous, so it sums as it does alone."""
     p = ctx.model.p
-    diffs = sum(v[:, None, None] * d for v, d in zip(V.T, D))
-    grad_sq = 0.5 * sum(g * g for g in diffs.transpose(1, 0, 2))
+    Vz = np.concatenate([V, np.zeros((len(V), 1))], 1)
+    here = Vz.take(D[0], 1)
+    grad_sq = 0.5 * sum(g * g for g in (Vz.take(step, 1) - here for step in D[1:]))
     pot = (ctx.h_flat * np.abs(V) ** p).sum(1)
     return (grad_sq ** (p / 2.0)).sum(1) + pot
 
@@ -497,7 +484,7 @@ def ground_state_oracle(
     D = _difference_matrix(ctx.spec)
 
     dirs = rng.standard_normal((n_directions, n_sites))
-    size = max(1, _STACK_BYTES // D.nbytes)
+    size = max(1, _STACK_BYTES // (8 * D[1:].size))  # rows of differences per stack
     levels = np.concatenate(
         [_direct_fiber_max(ctx, K, D, dirs[i : i + size]) for i in range(0, n_directions, size)]
     )

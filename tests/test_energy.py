@@ -6,6 +6,7 @@ import pytest
 from lattice_choquard import (
     Field,
     energy_J,
+    fiber_coefficients,
     grad_J,
     h_norm,
     h_norm_pow,
@@ -177,3 +178,35 @@ def test_periodic_potential_shifted_by_period():
         energy_J(ctx, u), rel=1e-12
     )
     assert abs(energy_J(ctx, u.translated((1,))) - energy_J(ctx, u)) > 1e-6
+
+
+@pytest.mark.parametrize("dim, radius, p", [(1, 4, 2.0), (2, 3, 3.0), (3, 2, 2.5)])
+def test_stacked_evaluation_matches_each_field_alone(dim, radius, p):
+    # a stack is one code path for many fields: norms, pairing fields,
+    # stencils and fiber coefficients of each row carry that field's bits
+    from lattice_choquard.lattice import grad_sq_grid, p_laplacian_diagonal
+
+    ctx = make_context(make_model(dim, radius, p, 0.5, 4.0))
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((5, ctx.spec.site_count))
+    stack = Field(ctx.spec, rows)
+    assert stack.values.shape == rows.shape
+    assert stack.grid().shape == (5, *ctx.spec.shape)
+    fields = [Field(ctx.spec, row) for row in rows]
+    assert h_norm_pow(ctx, stack) == [h_norm_pow(ctx, u) for u in fields]
+    assert h_norm(ctx, stack) == [h_norm(ctx, u) for u in fields]
+    kappa = pairing_field(ctx, stack).values
+    gsq = grad_sq_grid(stack)
+    diag = p_laplacian_diagonal(stack, p)
+    for k, u in enumerate(fields):
+        assert kappa[k].tobytes() == pairing_field(ctx, u).values.tobytes()
+        assert gsq[k].tobytes() == grad_sq_grid(u).tobytes()
+        assert diag[k].tobytes() == p_laplacian_diagonal(u, p).tobytes()
+    for c, u in zip(fiber_coefficients(ctx, stack), fields):
+        alone = fiber_coefficients(ctx, u)
+        assert (c.norm_pow, c.phi_weights, c.energy_weights) == (
+            alone.norm_pow,
+            alone.phi_weights,
+            alone.energy_weights,
+        )
+        assert c.conv_fields[0].tobytes() == alone.conv_fields[0].tobytes()

@@ -119,6 +119,21 @@ def test_stencils_match_np_pad_reference(dim, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+def test_field_stack_and_grid_inputs():
+    # a 2-D array of site_count columns is a stack; any other shape holding
+    # site_count values (a value grid) is one field
+    spec = LatticeSpec(2, 2)
+    grid = np.arange(25.0).reshape(5, 5)
+    assert Field(spec, grid).values.shape == (25,)
+    stack = Field(spec, np.stack([grid.reshape(-1)] * 3))
+    assert stack.values.shape == (3, 25)
+    assert np.array_equal(stack.grid()[2], grid)
+    with pytest.raises(ValueError):
+        Field(spec, np.zeros((3, 24)))
+    with pytest.raises(ValueError):
+        Field(spec, np.full((2, 25), np.nan))
+
+
 def test_p_laplacian_rejects_small_p():
     spec = LatticeSpec(1, 2)
     with pytest.raises(ValueError):

@@ -246,6 +246,45 @@ def test_threaded_run_matches_serial(ctx_a, report_a):
     assert np.array_equal(threaded.u.values, report_a.u.values)
 
 
+def test_starts_share_transforms(ctx_b, monkeypatch):
+    # the starts of model B run as one stack: each trial round convolves
+    # every running start in one transform, so the count follows the
+    # longest start instead of the sum over starts
+    from lattice_choquard import kernel
+
+    shapes = []
+    convolve = kernel._fft_convolve
+
+    def counted(table, grids):
+        shapes.append(grids.shape)
+        return convolve(table, grids)
+
+    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    report = minimize_ground_state(ctx_b)
+    roots = [d.roots for d in report.diagnostics]
+    assert shapes[0] == (len(roots), *ctx_b.spec.shape)
+    assert len(shapes) <= 2 * max(roots)
+
+
+@pytest.mark.parametrize("which, n_starts", [("a", 8), ("b", 8), ("b", 3)])
+def test_stacked_descent_rows_are_independent(which, n_starts, request):
+    # one stack of all starts (one thread) against stacks of one start each
+    # (a thread per start): a row of a stack takes the steps, and keeps the
+    # bits, of its start descending alone
+    from lattice_choquard.kernel import _stack_size
+
+    ctx = request.getfixturevalue(f"ctx_{which}")
+    assert _stack_size(ctx.table) >= n_starts
+    cfg = SolverConfig(n_starts=n_starts)
+    stacked = minimize_ground_state(ctx, cfg)
+    alone = minimize_ground_state(ctx, cfg, threads=n_starts)
+    assert stacked.diagnostics == alone.diagnostics
+    assert stacked.u.values.tobytes() == alone.u.values.tobytes()
+    assert stacked.s_history == alone.s_history
+    assert stacked.psi_history == alone.psi_history
+    assert stacked.residual_history == alone.residual_history
+
+
 def test_nonconvergence_reports_diagnostics(ctx_a):
     cfg = SolverConfig(max_iters=1)
     with pytest.raises(NonconvergenceError) as err:

@@ -289,14 +289,14 @@ def ctx_3d():
 def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request, monkeypatch):
     # stacks of the default size (431, 25 and 4 fields on these boxes) and of
     # 7 fields; 97 samples leave a short last stack either way
-    from lattice_choquard import verify
+    from lattice_choquard import kernel, verify
     from lattice_choquard.kernel import _spectrum
     from reference import hls_ratios_by_sample
 
     ctx = request.getfixturevalue(name)
     if fields is not None:
         budget = fields * _spectrum(ctx.table)[1].nbytes
-        monkeypatch.setattr(verify, "_STACK_BYTES", budget)
+        monkeypatch.setattr(kernel, "_STACK_BYTES", budget)
     N, alpha = ctx.model.dim, ctx.model.alpha
     if form == "bilinear":
         r = s = 2.0 * N / (N + alpha)
@@ -315,8 +315,7 @@ def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request,
 def test_hls_stack_stays_within_byte_budget(dim, radius):
     # a stack's spectrum holds one transform per field: the stack fills the
     # budget, and a field larger than the budget (3D r=16) goes alone
-    from lattice_choquard.kernel import KernelTable, _spectrum
-    from lattice_choquard.verify import _STACK_BYTES, _stack_size
+    from lattice_choquard.kernel import _STACK_BYTES, KernelTable, _spectrum, _stack_size
 
     side = 4 * radius + 1
     table = KernelTable(dim, radius, 1.0, 1.0, np.ones((side,) * dim))
