@@ -96,11 +96,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description: model, solver knobs, seed."""
+    """Validated run description: model and solver knobs, the top-level seed
+    among them."""
 
     model: ModelSpec
     solver: SolverConfig
-    seed: int
     raw: dict
 
 
@@ -272,14 +272,8 @@ def _config_from_data(data: dict) -> RunConfig:
         raise ModelRejectedError(model_errors)
     validate_model(model)
 
-    seed = data.get("seed", 0)
-    solver = SolverConfig(seed=seed, **data.get("solver", {}))
-    return RunConfig(
-        model=model,
-        solver=solver,
-        seed=seed,
-        raw=copy.deepcopy(data),
-    )
+    solver = SolverConfig(seed=data.get("seed", 0), **data.get("solver", {}))
+    return RunConfig(model=model, solver=solver, raw=copy.deepcopy(data))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -322,9 +316,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     ctx = make_context(cfg.model)
     report = minimize_ground_state(ctx, cfg.solver, threads=threads)
-    u_out = report.u
-    if cfg.model.potential.period is not None:
-        u_out = center_normalize(ctx, report.u)
+    u_out = center_normalize(ctx, report.u)
     wall = time.perf_counter() - t0
 
     payload = report.scalars()
@@ -417,7 +409,7 @@ def _cmd_fiber(cfg: RunConfig, out_dir: str, field_path: str) -> int:
 
 def _cmd_check(cfg: RunConfig, out_dir: str) -> int:
     ctx = make_context(cfg.model)
-    reports = run_all_checks(ctx, seed=cfg.seed)
+    reports = run_all_checks(ctx, seed=cfg.solver.seed)
     write_checks_json(reports, os.path.join(out_dir, "checks.json"))
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

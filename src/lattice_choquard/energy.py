@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import KernelTable, build_table, convolve
-from .lattice import Field, grad_sq_grid, p_laplacian
+from .lattice import Field, _p_laplacian_parts, grad_sq_grid
 from .model import ModelSpec, SumOfPowers, eval_f
 
 __all__ = [
@@ -93,7 +93,7 @@ def h_norm_pow(ctx: EnergyContext, u: Field) -> float | list[float]:
     """The p-th power of the space norm: sum |grad u|^p + sum h |u|^p; for a
     stack of fields, a list with one value per row."""
     p = ctx.model.p
-    gsq = grad_sq_grid(u, margin=1).reshape(u.values.shape[:-1] + (-1,))
+    gsq = grad_sq_grid(u).reshape(u.values.shape[:-1] + (-1,))
     grad_part = (gsq ** (p / 2.0)).sum(axis=-1)
     pot_part = (ctx.h_flat * np.abs(u.values) ** p).sum(axis=-1)
     return (grad_part + pot_part).tolist()
@@ -211,6 +211,15 @@ def energy_J(ctx: EnergyContext, u: Field) -> float:
     return fiber_coefficients(ctx, u).energy(1.0)
 
 
+def _pairing_parts(ctx: EnergyContext, u: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The values of pairing_field(ctx, u), and minus the diagonal of Delta_p
+    with its edge weights frozen at u, from one stencil pass."""
+    p = ctx.model.p
+    lap, diag = _p_laplacian_parts(u, p)
+    loc = ctx.h_flat * np.sign(u.values) * np.abs(u.values) ** (p - 1.0)
+    return -lap + loc, diag
+
+
 def pairing_field(ctx: EnergyContext, u: Field) -> Field:
     """The local part of the gradient: -Delta_p u + h |u|^{p-2} u, row by
     row for a stack.
@@ -218,10 +227,7 @@ def pairing_field(ctx: EnergyContext, u: Field) -> Field:
     Pairing this field against v in the counting measure realizes the weak
     form of the norm term; against u itself it returns norm^p(u) exactly.
     """
-    p = ctx.model.p
-    lap = p_laplacian(u, p)
-    loc = ctx.h_flat * np.sign(u.values) * np.abs(u.values) ** (p - 1.0)
-    return Field(ctx.spec, -lap.values + loc)
+    return Field(ctx.spec, _pairing_parts(ctx, u)[0])
 
 
 def grad_J(ctx: EnergyContext, u: Field) -> Field:

@@ -11,7 +11,9 @@ the edge-based conventions of graph analysis:
                                      (u(y) - u(x))
 
 with y ~ x meaning |x - y|_{l1} = 1.  For p = 2 the operator reduces to the
-ordinary graph Laplacian.
+ordinary graph Laplacian.  The pass that evaluates Delta_p u also sums its
+edge weights at each site (the solver's metric reads that diagonal); at
+p = 2 they are all 1 and |grad u| is not formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "LatticeSpec",
     "Field",
     "p_laplacian",
-    "p_laplacian_diagonal",
     "random_field",
     "write_field_csv",
     "read_field_csv",
@@ -180,13 +181,13 @@ def _neighbours(arr: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]
     return arr[core], shifted
 
 
-def grad_sq_grid(u: Field, margin: int = 1) -> np.ndarray:
-    """|grad u|^2 on the box enlarged by `margin` sites per side.
+def grad_sq_grid(u: Field) -> np.ndarray:
+    """|grad u|^2 on the box enlarged by one ring of sites.
 
     With zero extension, sites at sup-distance >= r+2 from the origin have
-    zero gradient, so margin=1 already captures every nonzero value.
+    zero gradient, so the one-ring margin captures every nonzero value.
     """
-    center, shifted = _neighbours(_padded_grid(u, margin + 1), u.spec.dim)
+    center, shifted = _neighbours(_padded_grid(u, 2), u.spec.dim)
     acc = np.zeros_like(center)
     for view in shifted:
         d = view - center
@@ -198,20 +199,25 @@ def _edge_weights(u: Field, p: float) -> np.ndarray:
     """|grad u|^{p-2} on the box enlarged by one site per side."""
     if not math.isfinite(p) or p < 2:
         raise ValueError("p must be >= 2")
-    # p = 2 needs unit weights everywhere; np.power(0, 0) = 1 covers the
-    # zero-gradient sites without a branch.
-    return np.power(grad_sq_grid(u, margin=1), (p - 2.0) / 2.0)
+    if p == 2:  # unit weights, as np.power(x, 0.0) = 1 for every finite x
+        return np.ones(u.values.shape[:-1] + (u.spec.side + 2,) * u.spec.dim)
+    return np.power(grad_sq_grid(u), (p - 2.0) / 2.0)
 
 
-def p_laplacian_diagonal(u: Field, p: float) -> np.ndarray:
-    """Sum over y ~ x of the edge weights 1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y))
-    of Delta_p u, on the box grid: minus the diagonal of Delta_p with its
-    weights frozen at u.  Exterior neighbours count, as in p_laplacian."""
-    wc, shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
-    acc = np.zeros_like(wc)
-    for view in shifted:
-        acc += view + wc
-    return 0.5 * acc
+def _p_laplacian_parts(u: Field, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Delta_p u and the sum over y ~ x of its edge weights
+    1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y)), both from one pass over the
+    neighbours and shaped like u.values.  The second is minus the diagonal of
+    Delta_p with its weights frozen at u; exterior neighbours count in both."""
+    wc, w_shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
+    uc, u_shifted = _neighbours(_padded_grid(u, 1), u.spec.dim)
+    acc = np.zeros_like(uc)
+    diag = np.zeros_like(wc)
+    for wv, uv in zip(w_shifted, u_shifted):
+        weight = wv + wc
+        acc += weight * (uv - uc)
+        diag += weight
+    return (0.5 * acc).reshape(u.values.shape), (0.5 * diag).reshape(u.values.shape)
 
 
 def p_laplacian(u: Field, p: float) -> Field:
@@ -229,12 +235,7 @@ def p_laplacian(u: Field, p: float) -> Field:
     Field
         Delta_p u restricted to the box.
     """
-    wc, w_shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
-    uc, u_shifted = _neighbours(_padded_grid(u, 1), u.spec.dim)
-    acc = np.zeros_like(uc)
-    for wv, uv in zip(w_shifted, u_shifted):
-        acc += (wv + wc) * (uv - uc)
-    return Field(u.spec, (0.5 * acc).reshape(u.values.shape))
+    return Field(u.spec, _p_laplacian_parts(u, p)[0])
 
 
 def random_field(

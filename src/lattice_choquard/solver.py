@@ -24,7 +24,8 @@ linearized weighted p-Laplacian at w_k, whose diagonal is
     a(x) = h(x) (|w|^{p-2}(x) + eps)
            + sum_{y ~ x} [1/2 (|grad w|^{p-2}(x) + |grad w|^{p-2}(y)) + eps],
 
-with S = sqrt((2N + h0) / a).  For p = 2 and constant h, P = (1 + eps) L.
+with S = sqrt((2N + h0) / a), its weights summed in the stencil pass that
+gives kappa_k.  For p = 2 and constant h, P = (1 + eps) L.
 Steps start from a Barzilai-Borwein estimate on differences of the
 direction and backtrack under an Armijo test, which allows Psi a few ulps of
 roundoff.  Multi-start guards against nonglobal minima; the best converged
@@ -45,14 +46,14 @@ from numpy.random import default_rng
 from .energy import (
     EnergyContext,
     FiberCoefficients,
+    _pairing_parts,
     energy_J,
     h_norm,
     nehari_functional,
-    pairing_field,
     pointwise_residual,
 )
 from .kernel import _stack_size
-from .lattice import Field, p_laplacian_diagonal, random_field
+from .lattice import Field, random_field
 from .nehari import fiber_coefficients, _phi_root
 
 __all__ = [
@@ -249,17 +250,14 @@ def _sine_transform(grids: np.ndarray, sine: np.ndarray, dim: int) -> np.ndarray
     return grids
 
 
-def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
-    """P^{-1} v = S L^{-1} S v at the unit-norm iterate w, for a flat field v
-    or a stack of them (the last axis runs over sites); a stack of iterates
-    w acts row by row on the leading axis of v."""
+def _metric_inverse(ctx: EnergyContext, w, lap_diag, v: np.ndarray) -> np.ndarray:
+    """P^{-1} v = S L^{-1} S v at the values w of the unit-norm iterate, given
+    its frozen p-Laplacian diagonal (from the pass that gave its kappa), for
+    a flat field v or a stack of them (the last axis runs over sites); a
+    stack of iterates w acts row by row on the leading axis of v."""
     p, dim = ctx.model.p, ctx.spec.dim
     h0 = ctx.model.potential.floor
-    a = (
-        ctx.h_flat * (np.abs(w.values) ** (p - 2.0) + _METRIC_EPS)
-        + p_laplacian_diagonal(w, p).reshape(w.values.shape)
-        + 2 * dim * _METRIC_EPS
-    )
+    a = ctx.h_flat * (np.abs(w) ** (p - 2.0) + _METRIC_EPS) + lap_diag + 2 * dim * _METRIC_EPS
     scale = np.sqrt((2 * dim + h0) / a)
     scale = scale.reshape(a.shape[:-1] + (1,) * (v.ndim - a.ndim) + a.shape[-1:])
     sine, eig = _dirichlet_basis(ctx)
@@ -269,13 +267,13 @@ def _metric_inverse(ctx: EnergyContext, w: Field, v: np.ndarray) -> np.ndarray:
 
 
 def _tangent_direction(
-    ctx: EnergyContext, w: Field, g: np.ndarray, kappa: np.ndarray
+    ctx: EnergyContext, w, lap_diag, g: np.ndarray, kappa: np.ndarray
 ) -> np.ndarray:
     """d = P^{-1} g - lambda P^{-1} kappa, so that <kappa, d> = 0 and the
     descent direction z = -d has slope s <g, z> <= 0; row by row for a
     stack, each lambda from plain-float dots."""
     # (g, kappa) pairs per iterate keep a 1D sine transform's matrix shapes
-    pd = _metric_inverse(ctx, w, np.stack((g, kappa), axis=-2))
+    pd = _metric_inverse(ctx, w, lap_diag, np.stack((g, kappa), axis=-2))
     pg, pk = pd[..., 0, :], pd[..., 1, :]
     rows = zip(*map(np.atleast_2d, (kappa, pg, pk)))
     lam = [float(np.dot(k, a)) / float(np.dot(k, b)) for k, a, b in rows]
@@ -290,8 +288,8 @@ def _rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
 def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list) -> None:
     """Begin an iteration on the `rows` of the stack: the gradient and the
     stopping tests, then the direction (into `d`) and first trial step."""
-    wr = Field(ctx.spec, _rows(w, rows))
-    kappa = pairing_field(ctx, wr).values
+    wr = _rows(w, rows)
+    kappa, lap_diag = _pairing_parts(ctx, Field(ctx.spec, wr))
     g = np.empty_like(kappa)
     for j, i in enumerate(rows):
         g[j] = runs[i].coeffs.gradient(runs[i].s, Field(ctx.spec, kappa[j]))
@@ -307,7 +305,7 @@ def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list)
             r.finish("converged", True)
     go = [j for j, i in enumerate(rows) if runs[i].diag is None]
     if go:  # the rows that stopped get a direction too: no second stack
-        dr = _tangent_direction(ctx, wr, g, kappa)
+        dr = _tangent_direction(ctx, wr, lap_diag, g, kappa)
     for j in go:
         i, r = rows[j], runs[rows[j]]
         slope = -r.s * float(np.dot(g[j], dr[j]))  # d/dt Psi(retract(w - t d)) at t = 0

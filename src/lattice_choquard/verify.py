@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .energy import EnergyContext, energy_J, h_norm, interaction_energy
-from .kernel import _STACK_BYTES, _fft_convolve, _stack_size, dense_operator
+from .kernel import _STACK_BYTES, _stack_size, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
 from .nehari import fiber_coefficients, project_su
@@ -105,8 +105,9 @@ def _hls_ratios(ctx: EnergyContext, r: float, s: float | None, n: int, rng) -> n
             _random_supported(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0), u[k])
             if v is not None:
                 _random_supported(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0), v[k])
-        conv = _fft_convolve(ctx.table, u).reshape(m, -1)
-        u_norms = _row_norms(u.reshape(m, -1), r)
+        rows = u.reshape(m, -1)
+        conv = convolve(ctx.table, Field(spec, rows)).values
+        u_norms = _row_norms(rows, r)
         if v is None:
             ratios[lo : lo + m] = _row_norms(conv, target) / u_norms
         else:

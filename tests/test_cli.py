@@ -47,7 +47,6 @@ def test_parse_minimal_config():
 
 def test_parse_solver_seed_inheritance():
     cfg = parse_config(json.dumps(base_config(seed=9)))
-    assert cfg.seed == 9
     assert cfg.solver.seed == 9
     # the top-level seed is the only one: a solver seed is refused by name
     with pytest.raises(ConfigError) as err:

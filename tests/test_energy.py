@@ -184,7 +184,8 @@ def test_periodic_potential_shifted_by_period():
 def test_stacked_evaluation_matches_each_field_alone(dim, radius, p):
     # a stack is one code path for many fields: norms, pairing fields,
     # stencils and fiber coefficients of each row carry that field's bits
-    from lattice_choquard.lattice import grad_sq_grid, p_laplacian_diagonal
+    from lattice_choquard.energy import _pairing_parts
+    from lattice_choquard.lattice import grad_sq_grid
 
     ctx = make_context(make_model(dim, radius, p, 0.5, 4.0))
     rng = np.random.default_rng(dim)
@@ -197,11 +198,12 @@ def test_stacked_evaluation_matches_each_field_alone(dim, radius, p):
     assert h_norm(ctx, stack) == [h_norm(ctx, u) for u in fields]
     kappa = pairing_field(ctx, stack).values
     gsq = grad_sq_grid(stack)
-    diag = p_laplacian_diagonal(stack, p)
+    parts = _pairing_parts(ctx, stack)
     for k, u in enumerate(fields):
         assert kappa[k].tobytes() == pairing_field(ctx, u).values.tobytes()
         assert gsq[k].tobytes() == grad_sq_grid(u).tobytes()
-        assert diag[k].tobytes() == p_laplacian_diagonal(u, p).tobytes()
+        assert parts[0][k].tobytes() == kappa[k].tobytes()
+        assert parts[1][k].tobytes() == _pairing_parts(ctx, u)[1].tobytes()
     for c, u in zip(fiber_coefficients(ctx, stack), fields):
         alone = fiber_coefficients(ctx, u)
         assert (c.norm_pow, c.phi_weights, c.energy_weights) == (

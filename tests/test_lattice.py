@@ -119,6 +119,25 @@ def test_stencils_match_np_pad_reference(dim, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dim, p", [(1, 3.0), (2, 2.0), (2, 2.5), (3, 4.0)])
+def test_p_laplacian_pass_gives_frozen_diagonal(dim, p):
+    # the pass returns Delta_p u and, at each site, the sum over y ~ x of its
+    # edge weights 1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y)); at p = 2
+    # every weight is 1, so the sum is 2N at every site
+    spec = LatticeSpec(dim, 2)
+    u = random_field(spec, np.random.default_rng(60 + dim))
+    lap, diag = lattice._p_laplacian_parts(u, p)
+    assert lap.tobytes() == p_laplacian(u, p).values.tobytes()
+    assert diag.shape == u.values.shape
+    weight = {x: grad_norm(u, x) ** (p - 2.0) for x in spec.sites()}
+    for x in spec.sites():
+        if max(map(abs, x)) < spec.radius:  # every neighbour in the box
+            pairs = [weight[x] + weight[y] for y in neighbors(x, spec)]
+            assert diag[spec.index_of(x)] == pytest.approx(0.5 * sum(pairs), rel=1e-12)
+    if p == 2.0:
+        assert np.all(diag == 2 * dim)
+
+
 def test_field_stack_and_grid_inputs():
     # a 2-D array of site_count columns is a stack; any other shape holding
     # site_count values (a value grid) is one field

@@ -4,6 +4,7 @@ probes, centering."""
 import dataclasses
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from lattice_choquard import (
     pairing_field,
     pointwise_residual,
 )
-from lattice_choquard.energy import fiber_coefficients
+from lattice_choquard.energy import _pairing_parts, fiber_coefficients
 from lattice_choquard.nehari import _phi_root
 from lattice_choquard.solver import (
     _METRIC_EPS,
@@ -118,12 +119,19 @@ def _unit_fields(ctx, count=3):
     return out
 
 
+def _frozen(ctx, w):
+    """The iterate's values and its frozen p-Laplacian diagonal, as the
+    descent hands them to the metric."""
+    return w.values, _pairing_parts(ctx, w)[1]
+
+
 def test_metric_inverse_symmetric_positive(ctx_b):
     rng = np.random.default_rng(11)
     for w in _unit_fields(ctx_b):
         a, b = rng.standard_normal((2, ctx_b.spec.site_count))
-        pa, pb = _metric_inverse(ctx_b, w, np.stack((a, b)))
-        assert np.array_equal(pa, _metric_inverse(ctx_b, w, a))  # row by row
+        frozen = _frozen(ctx_b, w)
+        pa, pb = _metric_inverse(ctx_b, *frozen, np.stack((a, b)))
+        assert np.array_equal(pa, _metric_inverse(ctx_b, *frozen, a))  # row by row
         lhs, rhs = float(np.dot(a, pb)), float(np.dot(pa, b))
         assert lhs == pytest.approx(rhs, rel=1e-12)
         assert float(np.dot(a, pa)) > 0 and float(np.dot(b, pb)) > 0
@@ -150,7 +158,7 @@ def test_tangent_direction_descends(ctx_b):
         kappa_field = pairing_field(ctx_b, w)
         kappa = kappa_field.values
         g = coeffs.gradient(s, kappa_field)
-        d = _tangent_direction(ctx_b, w, g, kappa)
+        d = _tangent_direction(ctx_b, *_frozen(ctx_b, w), g, kappa)
         assert abs(np.dot(kappa, d)) <= 1e-12 * np.linalg.norm(kappa) * np.linalg.norm(d)
         slope = s * float(np.dot(g, -d))  # the Armijo slope
         assert slope < 0
@@ -173,7 +181,7 @@ def test_metric_inverts_shifted_laplacian_at_p2(dim, radius, h):
     rng = np.random.default_rng(3)
     for w in _unit_fields(ctx, count=2):
         v = rng.standard_normal(ctx.spec.site_count)
-        x = Field(ctx.spec, _metric_inverse(ctx, w, v))
+        x = Field(ctx.spec, _metric_inverse(ctx, *_frozen(ctx, w), v))
         back = (1.0 + _METRIC_EPS) * (-p_laplacian(x, 2.0).values + h * x.values)
         np.testing.assert_allclose(back, v, rtol=0, atol=1e-12 * np.max(np.abs(v)))
 
@@ -264,6 +272,51 @@ def test_starts_share_transforms(ctx_b, monkeypatch):
     roots = [d.roots for d in report.diagnostics]
     assert shapes[0] == (len(roots), *ctx_b.spec.shape)
     assert len(shapes) <= 2 * max(roots)
+
+
+def _count_stencils(monkeypatch):
+    """Wrap the edge weights and |grad u|^2 (both bindings) with counters;
+    grad_sq_grid calls are recorded by the name of their caller."""
+    from lattice_choquard import energy, lattice, solver
+
+    counts = {"edge_weights": 0, "turns": 0, "grad_sq_callers": []}
+    edge_weights, grad_sq_grid, turn = lattice._edge_weights, lattice.grad_sq_grid, solver._turn
+
+    def counted_edge_weights(*args, **kwargs):
+        counts["edge_weights"] += 1
+        return edge_weights(*args, **kwargs)
+
+    def counted_grad_sq_grid(*args, **kwargs):
+        counts["grad_sq_callers"].append(sys._getframe(1).f_code.co_name)
+        return grad_sq_grid(*args, **kwargs)
+
+    def counted_turn(*args, **kwargs):
+        counts["turns"] += 1
+        return turn(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "_edge_weights", counted_edge_weights)
+    for module in (lattice, energy):
+        monkeypatch.setattr(module, "grad_sq_grid", counted_grad_sq_grid)
+    monkeypatch.setattr(solver, "_turn", counted_turn)
+    return counts
+
+
+def test_one_stencil_pass_per_turn(ctx_b, monkeypatch):
+    # kappa and the metric's diagonal come from one pass over the edge
+    # weights: one build per turn of the stack, and one for the report's
+    # pointwise residual
+    counts = _count_stencils(monkeypatch)
+    minimize_ground_state(ctx_b)
+    assert counts["turns"] > 1
+    assert counts["edge_weights"] == counts["turns"] + 1
+
+
+def test_p2_builds_no_edge_weights(ctx_a, monkeypatch):
+    # at p = 2 every edge weight is 1: |grad u|^2 is formed for the norm only
+    counts = _count_stencils(monkeypatch)
+    minimize_ground_state(ctx_a)
+    assert counts["edge_weights"] == counts["turns"] + 1
+    assert set(counts["grad_sq_callers"]) == {"h_norm_pow"}
 
 
 @pytest.mark.parametrize("which, n_starts", [("a", 8), ("b", 8), ("b", 3)])
