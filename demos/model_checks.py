@@ -48,6 +48,8 @@ def main():
         status = "PASS" if rep.passed else "FAIL"
         print(f"  {status} {rep.name:14s} margin={rep.margin:+.3e} "
               f"samples={rep.n_samples}")
+        if rep.name.startswith("hls_"):
+            print(f"       {rep.detail}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ from .energy import (
     h_norm_pow,
     interaction_energy,
     make_context,
-    nehari_functional,
     pairing_field,
     pointwise_residual,
 )

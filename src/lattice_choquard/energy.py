@@ -48,7 +48,6 @@ __all__ = [
     "energy_J",
     "grad_J",
     "pairing_field",
-    "nehari_functional",
     "pointwise_residual",
 ]
 
@@ -201,9 +200,13 @@ def fiber_coefficients(
     return out if u.values.ndim == 2 else out[0]
 
 
-def interaction_energy(ctx: EnergyContext, u: Field) -> float:
-    """D(u) = sum (R_alpha * F(u)) F(u), the nonlocal interaction term."""
-    return 2.0 * float(np.sum(fiber_coefficients(ctx, u).energy_weights))
+def interaction_energy(ctx: EnergyContext, u: Field) -> float | list[float]:
+    """D(u) = sum (R_alpha * F(u)) F(u), the nonlocal interaction term; for a
+    stack of fields, a list with one value per row."""
+    coeffs = fiber_coefficients(ctx, u)
+    if isinstance(coeffs, list):
+        return [2.0 * float(np.sum(c.energy_weights)) for c in coeffs]
+    return 2.0 * float(np.sum(coeffs.energy_weights))
 
 
 def energy_J(ctx: EnergyContext, u: Field) -> float:
@@ -234,14 +237,6 @@ def grad_J(ctx: EnergyContext, u: Field) -> Field:
     """Componentwise derivative of J; entry x equals <J'(u), delta_x>."""
     coeffs = fiber_coefficients(ctx, u)
     return Field(ctx.spec, coeffs.gradient(1.0, pairing_field(ctx, u)))
-
-
-def nehari_functional(ctx: EnergyContext, u: Field) -> float:
-    """<J'(u), u> = norm^p(u) - sum (R_alpha * F(u)) f(u) u.
-
-    Zero (for u != 0) characterizes membership in the constraint manifold.
-    """
-    return fiber_coefficients(ctx, u).phi(1.0)
 
 
 def pointwise_residual(ctx: EnergyContext, u: Field) -> float:

@@ -18,6 +18,7 @@ p = 2 they are all 1 and |grad u| is not formed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -256,9 +257,9 @@ def write_field_csv(u: Field, path) -> None:
     round-trip through read_field_csv is bit exact.
     """
     header = json.dumps({"dim": u.spec.dim, "radius": u.spec.radius}, sort_keys=True)
-    lines = ["# " + header]
-    for x, v in zip(u.spec.sites(), u.values):
-        lines.append(",".join(str(c) for c in x) + "," + repr(float(v)))
+    labels = [f"{i}," for i in range(-u.spec.radius, u.spec.radius + 1)]
+    sites = itertools.product(labels, repeat=u.spec.dim)  # in index order
+    lines = ["# " + header] + ["".join(x) + repr(v) for x, v in zip(sites, u.values.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

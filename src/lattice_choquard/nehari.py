@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .energy import EnergyContext, FiberCoefficients, fiber_coefficients
 from .lattice import DomainError, Field
 from .model import ModelViolationError
@@ -68,29 +70,36 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
-def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients]:
+def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients] | list:
     """The fiber root s_u of u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u),
-    and the one evaluation of u it came from."""
-    coeffs = fiber_coefficients(ctx, u)
-    if coeffs.norm_pow == 0.0:
-        raise DomainError("the zero field has no fiber projection")
-    s = _phi_root(coeffs)
-    defect = abs(coeffs.phi(s))
-    scale = s**coeffs.p * coeffs.norm_pow
-    if defect > _ROOT_TOL * scale:
-        raise ArithmeticError(
-            f"fiber root residual {defect:.3e} exceeds {_ROOT_TOL:.1e} * {scale:.3e}"
-        )
-    return s, coeffs
+    and the one evaluation of u it came from; for a stack of fields, a list
+    with the pair of each row."""
+    stack = fiber_coefficients(ctx, u)
+    out = []
+    for coeffs in stack if isinstance(stack, list) else [stack]:
+        if coeffs.norm_pow == 0.0:
+            raise DomainError("the zero field has no fiber projection")
+        s = _phi_root(coeffs)
+        defect = abs(coeffs.phi(s))
+        scale = s**coeffs.p * coeffs.norm_pow
+        if defect > _ROOT_TOL * scale:
+            raise ArithmeticError(
+                f"fiber root residual {defect:.3e} exceeds {_ROOT_TOL:.1e} * {scale:.3e}"
+            )
+        out.append((s, coeffs))
+    return out if isinstance(stack, list) else out[0]
 
 
-def project_su(ctx: EnergyContext, u: Field) -> tuple[float, Field]:
+def project_su(ctx: EnergyContext, u: Field) -> tuple[float | list[float], Field]:
     """Projection onto the constraint manifold along the ray through u.
 
     Returns (s_u, s_u * u) with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u).  The
     projection is scale invariant: rays through u and t u (t > 0) land on the
-    same manifold point.
+    same manifold point.  A stack of fields gets a list of roots and the
+    stack of projections, from one stacked evaluation.
     """
-    s, _ = _project(ctx, u)
-    return s, Field(u.spec, s * u.values)
-
+    pairs = _project(ctx, u)
+    if isinstance(pairs, list):
+        s = [x for x, _ in pairs]
+        return s, Field(u.spec, np.array(s)[:, None] * u.values)
+    return pairs[0], Field(u.spec, pairs[0] * u.values)

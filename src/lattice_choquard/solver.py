@@ -49,8 +49,7 @@ from .energy import (
     _pairing_parts,
     energy_J,
     h_norm,
-    nehari_functional,
-    pointwise_residual,
+    pairing_field,
 )
 from .kernel import _stack_size
 from .lattice import Field, random_field
@@ -416,12 +415,13 @@ def minimize_ground_state(
     winner_idx, winner = min(converged, key=lambda kr: (kr[1].diag.energy, kr[0]))
 
     u_star = Field(ctx.spec, winner.s * winner.w)
-    energy = energy_J(ctx, u_star)
+    coeffs = fiber_coefficients(ctx, u_star)
+    residual = coeffs.gradient(1.0, pairing_field(ctx, u_star))
     report = SolveReport(
         u=u_star,
-        energy=float(energy),
-        nehari_residual=abs(nehari_functional(ctx, u_star)),
-        pointwise_residual=pointwise_residual(ctx, u_star),
+        energy=float(coeffs.energy(1.0)),
+        nehari_residual=abs(coeffs.phi(1.0)),
+        pointwise_residual=float(np.max(np.abs(residual))),
         s_history=tuple(winner.s_history),
         psi_history=tuple(winner.psi_history),
         residual_history=tuple(winner.residual_history),

@@ -2,11 +2,11 @@
 ground-state oracle for tiny boxes.
 
 Each check owns a random stream derived from a stated seed, measures a
-worst-case margin over its samples, and reports pass or fail.  Empirical
-constants (such as convolution inequality ratios) are recorded and tested
-for stability, never asserted against invented ground truth.  Deliberately
-broken models exercise the failure paths; a failed report is a finding,
-not a crash.
+worst-case margin over its samples, and reports pass or fail.  The
+convolution inequality constant is bracketed between certified bounds (a
+power-method maximum below, Young's inequality above), never asserted
+against invented ground truth.  Deliberately broken models exercise the
+failure paths; a failed report is a finding, not a crash.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .energy import EnergyContext, energy_J, h_norm, interaction_energy
+from .energy import EnergyContext, interaction_energy
 from .kernel import _STACK_BYTES, _stack_size, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
 from .nehari import fiber_coefficients, project_su
+from .simplex import _nelder_mead
 
 __all__ = [
     "CheckReport",
@@ -39,13 +40,12 @@ __all__ = [
 _GRID_POINTS = 1024
 _T_LADDER = (1.0, 1.25, 2.0, 5.0, 10.0)
 _GROWTH_SLACK = 1e-10
+# the power method's step cap; near alpha = 0 its linear limit converges slowly
+_POWER_MAX_STEPS = 1000
 _ORACLE_SITE_LIMIT = 9
 _ORACLE_NEWTON_STEPS = 60
 # the Newton steps shrink quadratically: past this one the root is exact
 _ORACLE_STEP_TOL = 1e-12
-# a simplex's trial points, each xbar * c + worst * (1 - c) as in scipy:
-# reflection, expansion, outside and inside contraction
-_NM_STEPS = np.array([[2.0], [3.0], [1.5], [0.5]])
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class CheckReport:
     """One verification outcome.
 
     `margin` is the worst-case slack observed; its sign convention is that
-    nonnegative means the property held (for stability-style checks it is
-    the measured drift, compared against the stated budget in `passed`).
+    nonnegative means the property held (for the bracket checks it is the
+    bracket's relative width, (upper - lower) / upper).
     Any report, failed ones especially, is reproducible from `seed`.
     """
 
@@ -67,60 +67,91 @@ class CheckReport:
     detail: str = ""
 
 
-def _random_supported(spec, rng, scale: float, out: np.ndarray) -> None:
-    """Fill the zero grid `out` (shape `spec.shape`) with a random field on
-    a sub-box of roughly half radius, randomly placed."""
-    sub = max(1, spec.radius // 2)
-    room = spec.radius - sub
-    center = rng.integers(-room, room + 1, size=spec.dim) if room > 0 else np.zeros(spec.dim, dtype=int)
-    side = 2 * sub + 1
-    block = rng.standard_normal(side**spec.dim).reshape((side,) * spec.dim)
-    corner = (center + (spec.radius - sub)).tolist()
-    out[tuple(slice(c, c + side) for c in corner)] = block * scale
+def _supported_fields(spec, corners: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Fields of shape (m, sites): row k holds the cube blocks[k] (of shape
+    (side,) * N) with its lowest site at the box point corners[k], counted
+    from the box's lowest site, all placed by one scatter."""
+    cube = np.indices(blocks.shape[1:]).reshape(spec.dim, -1)
+    at = np.ravel_multi_index(corners.T[:, :, None] + cube[:, None], spec.shape)
+    out = np.zeros((len(blocks), spec.site_count))
+    np.put_along_axis(out, at, blocks.reshape(at.shape), 1)
+    return out
 
 
-def _row_norms(rows: np.ndarray, p: float) -> np.ndarray:
-    """The l^p norm of each row, with the bits of the same norm of that row
-    alone: the root is taken in scalar arithmetic, where numpy's vector pow
-    may round differently."""
-    sums = np.sum(np.abs(rows) ** p, axis=1)
-    return np.array([x ** (1.0 / p) for x in sums.tolist()])
+def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of each row as max|x| * ||x / max|x|||_p, so no power
+    overflows at large p; the root is taken in scalar arithmetic, where
+    numpy's vector pow may round differently with the stack's length."""
+    top = np.abs(rows).max(1)
+    sums = np.sum((np.abs(rows) / top[:, None]) ** p, axis=1)
+    return top * np.array([x ** (1.0 / p) for x in sums.tolist()])
 
 
-def _hls_ratios(ctx: EnergyContext, r: float, s: float | None, n: int, rng) -> np.ndarray:
-    """Ratios of n samples.  Each sample draws its scale, then its field
-    (and, in the bilinear form, the same two for v); the fields are
-    convolved in stacks of `_stack_size` rows."""
+def _ratios(u: np.ndarray, conv: np.ndarray, v, r: float, e: float) -> np.ndarray:
+    """The ratio of each row u, given conv = R * u: |<conv, v>| / (||u||_r
+    ||v||_e) in the bilinear form, ||conv||_e / ||u||_r with v None."""
+    if v is None:
+        return _lp_norms(conv, e) / _lp_norms(u, r)
+    return np.abs(np.vecdot(conv, v)) / (_lp_norms(u, r) * _lp_norms(v, e))
+
+
+def _hls_ratios(
+    ctx: EnergyContext, r: float, e: float, n: int, rng, bilinear: bool
+) -> np.ndarray:
+    """Ratios of n samples.  The scales (four decades) and sub-box corners of
+    u, then of v, are drawn up front; their blocks come from one spawned
+    stream per field, a stack at a time, so no draw depends on the stack
+    size.  The fields are convolved in stacks of `_stack_size` rows."""
     spec = ctx.spec
-    target = None
-    if s is None:
-        target = ctx.model.dim * r / (ctx.model.dim - ctx.model.alpha * r)
+    sub = max(1, spec.radius // 2)
+    room = 2 * (spec.radius - sub) + 1
+    draws = [
+        (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
+        for _ in range(1 + bilinear)
+    ]
+    streams = rng.spawn(len(draws))
     ratios = np.empty(n)
     size = _stack_size(ctx.table)
     for lo in range(0, n, size):
         m = min(size, n - lo)
-        u = np.zeros((m, *spec.shape))
-        v = np.zeros_like(u) if s is not None else None
-        for k in range(m):
-            _random_supported(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0), u[k])
-            if v is not None:
-                _random_supported(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0), v[k])
-        rows = u.reshape(m, -1)
-        conv = convolve(ctx.table, Field(spec, rows)).values
-        u_norms = _row_norms(rows, r)
-        if v is None:
-            ratios[lo : lo + m] = _row_norms(conv, target) / u_norms
-        else:
-            v = v.reshape(m, -1)
-            num = np.abs(np.vecdot(conv, v))
-            ratios[lo : lo + m] = num / (u_norms * _row_norms(v, s))
+        k = slice(lo, lo + m)
+        u, *v = [
+            _supported_fields(spec, c[k], g.standard_normal((m,) + (2 * sub + 1,) * spec.dim))
+            * a[k, None]
+            for (a, c), g in zip(draws, streams)
+        ]
+        conv = convolve(ctx.table, Field(spec, u)).values
+        ratios[k] = _ratios(u, conv, v[0] if v else None, r, e)
     return ratios
+
+
+def _power_sup(ctx: EnergyContext, r: float, e: float, bilinear: bool) -> tuple[float, int]:
+    """The nonlinear power method (Boyd 1974) from a unit delta at the box
+    center: the largest ratio of its iterates, a lower bound on the sup, and
+    its step count.  The bilinear step is u <- (R * u)^(1/(r-1)) with v = u,
+    the operator step u <- (R * (R * u)^(e-1))^(1/(r-1)); each power is taken
+    of a field divided by its max.  It stops once the ratio changes by at
+    most 1e-12 relative."""
+    u = np.zeros((1, ctx.spec.site_count))
+    u[0, ctx.spec.site_count // 2] = 1.0
+    best = value = 0.0
+    for steps in range(1, _POWER_MAX_STEPS + 1):
+        w = conv = convolve(ctx.table, Field(ctx.spec, u)).values
+        new = float(_ratios(u, conv, u if bilinear else None, r, e)[0])
+        best = max(best, new)
+        if abs(new - value) <= 1e-12 * new:
+            break
+        value = new
+        if not bilinear:
+            w = convolve(ctx.table, Field(ctx.spec, (conv / conv.max()) ** (e - 1.0))).values
+        u = (w / w.max()) ** (1.0 / (r - 1.0))
+    return best, steps
 
 
 def hls_sampler(
     ctx: EnergyContext, r: float, s: float | None = None, n: int = 1000, seed: int = 0
 ) -> CheckReport:
-    """Measure convolution inequality ratios over random supported fields.
+    """Bracket the convolution inequality constant on the box.
 
     With `s` given, checks the bilinear form: the pairing of (R * u) with v
     against the product of the l^r and l^s norms, which requires the exponent
@@ -128,16 +159,20 @@ def hls_sampler(
     operator form: the l^{Nr/(N - alpha r)} norm of R * u against the l^r
     norm of u, which requires 1 < r < N/alpha.
 
-    Samples vary in scale (four decades) and placement, so a stable empirical
-    sup demonstrates boundedness across scales and translations.  Passes when
-    the sup over the first half of the samples is within 5% of the sup over
-    all of them; the measured constant is reported, never asserted.
+    The lower bound is the larger of the sup over 2n random samples (fields
+    varied in scale over four decades and in placement) and the power
+    method's maximum.  The upper bound is Young's inequality: the
+    l^{N/(N - alpha)} norm of the kernel over its table window bounds both
+    forms on the box.
+    Passes when every ratio and both bounds are finite and lower <= upper;
+    `margin` is (upper - lower) / upper.
     """
     N = ctx.model.dim
     alpha = ctx.model.alpha
     if r <= 1:
         raise ValueError("norm exponent r must exceed 1")
-    if s is not None:
+    bilinear = s is not None
+    if bilinear:
         relation = 1.0 / r + 1.0 / s + (N - alpha) / N
         if abs(relation - 2.0) > 1e-12:
             raise ValueError(
@@ -145,25 +180,38 @@ def hls_sampler(
             )
     elif not r < N / alpha:
         raise ValueError("operator form requires 1 < r < N/alpha")
-    rng = default_rng(seed)
-    ratios = _hls_ratios(ctx, r, s, 2 * n, rng)
-    sup_half = float(np.max(ratios[:n]))
-    sup_full = float(np.max(ratios))
-    drift = (sup_full - sup_half) / sup_full
-    passed = bool(np.all(np.isfinite(ratios))) and drift <= 0.05
-    form = "bilinear" if s is not None else "operator"
+    e = s if bilinear else N * r / (N - alpha * r)
+    ratios = _hls_ratios(ctx, r, e, 2 * n, default_rng(seed), bilinear)
+    sampled = float(np.max(ratios))
+    power, steps = _power_sup(ctx, r, e, bilinear)
+    lower = max(sampled, power)
+    upper = float(_lp_norms(ctx.table.values.reshape(1, -1), N / (N - alpha))[0])
+    passed = bool(np.isfinite(np.append(ratios, [power, upper])).all()) and lower <= upper
     return CheckReport(
-        name=f"hls_{form}",
+        name=f"hls_{'bilinear' if bilinear else 'operator'}",
         statement=(
             "the kernel pairing ratio stays bounded over random supported "
             "fields across scales and translations"
         ),
         n_samples=2 * n,
-        margin=drift,
+        margin=(upper - lower) / upper,
         passed=passed,
         seed=seed,
-        detail=f"empirical sup {sup_full:.6g} (half-sample sup {sup_half:.6g})",
+        detail=(
+            f"sampled sup {sampled:.6g}, power method {power:.6g} ({steps} steps), "
+            f"Young bound {upper:.6g}"
+        ),
     )
+
+
+def _in_stacks(fn, ctx: EnergyContext, U: np.ndarray, factors=(1.0,)) -> list:
+    """fn(ctx, stack) over the fields f * u, for each row u of U and each f
+    in `factors`, whole rows of U at a time in stacks of at most
+    `_stack_size` fields; the per-field results in one list, row-major."""
+    f = np.array(factors)[:, None]
+    size = max(1, _stack_size(ctx.table) // len(f))
+    stacks = (U[i : i + size, None] * f for i in range(0, len(U), size))
+    return [x for w in stacks for x in fn(ctx, Field(ctx.spec, w.reshape(-1, U.shape[1])))]
 
 
 def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
@@ -172,17 +220,16 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     For each random u and each t in a fixed ladder >= 1, asserts
     D(t u) >= t^theta D(u) with 1e-10 relative slack, where D is the doubly
     convolved interaction sum and theta is the smallest nonlinearity exponent.
+    All n * (1 + len(ladder)) fields are evaluated in stacks.
     """
-    rng = default_rng(seed)
+    vals = default_rng(seed).standard_normal((n, ctx.spec.site_count))
+    u = vals / np.maximum(1.0, np.abs(vals).max(1))[:, None]
+    D = np.reshape(_in_stacks(interaction_energy, ctx, u, (1.0, *_T_LADDER)), (n, -1))
     theta = ctx.model.nonlinearity.theta
     worst = np.inf
     witness = ""
-    for i in range(n):
-        vals = rng.standard_normal(ctx.spec.site_count)
-        u = Field(ctx.spec, vals / max(1.0, np.max(np.abs(vals))))
-        base = interaction_energy(ctx, u)
-        for t in _T_LADDER:
-            lhs = interaction_energy(ctx, Field(ctx.spec, t * u.values))
+    for i, (base, *scaled) in enumerate(D.tolist()):
+        for t, lhs in zip(_T_LADDER, scaled):
             rel = (lhs - t**theta * base) / (t**theta * base)
             if rel < worst:
                 worst = rel
@@ -253,12 +300,10 @@ def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
                 "fiber uniqueness is not guaranteed for this model"
             ),
         )
-    rng = default_rng(seed)
+    U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
     bad = 0
     witness = ""
-    for i in range(n):
-        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
-        coeffs = fiber_coefficients(ctx, u)
+    for i, coeffs in enumerate(_in_stacks(fiber_coefficients, ctx, U)):
         lo, hi = 1.0, 1.0
         for _ in range(80):
             if coeffs.phi(lo) > 0:
@@ -296,19 +341,17 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     (with 1e-10 relative slack), and the projected norms must stay away from
     zero; together these witness that the constrained infimum is positive.
     """
-    rng = default_rng(seed)
+    U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
+    proj = np.array(_in_stacks(lambda c, w: project_su(c, w)[1].values, ctx, U))
     p = ctx.model.p
-    theta = ctx.model.nonlinearity.theta
-    factor = 1.0 / p - 1.0 / theta
+    factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
     min_norm = np.inf
     worst = np.inf
-    for _ in range(n):
-        u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
-        _, proj = project_su(ctx, u)
-        nrm = h_norm(ctx, proj)
+    for coeffs in _in_stacks(fiber_coefficients, ctx, proj):
+        nrm = coeffs.norm_pow ** (1.0 / p)
         min_norm = min(min_norm, nrm)
         floor = factor * nrm**p
-        rel = (energy_J(ctx, proj) - floor) / max(floor, 1e-300)
+        rel = (coeffs.energy(1.0) - floor) / max(floor, 1e-300)
         worst = min(worst, rel)
     passed = worst >= -1e-10 and min_norm > 0
     return CheckReport(
@@ -398,60 +441,6 @@ def _direct_fiber_max(
     s = np.exp(x)
     levels[live] = A * s**p / p - (w * s[:, None] ** e).sum(1)
     return levels
-
-
-def _nelder_mead(fun, X0, maxiter, xatol, fatol):
-    """Minimize `fun` from each row of X0 by the standard Nelder-Mead simplex
-    method, all simplices in lockstep.
-
-    The non-adaptive method of scipy.optimize's "Nelder-Mead", step for
-    step on every row: reflection 1, expansion 2, contraction and shrink
-    1/2, the initial simplex x0 plus 5% of each nonzero coordinate (0.00025
-    for a zero one), vertices re-sorted by value after every iteration, and
-    a stop once both the simplex and its values span no more than xatol and
-    fatol, or after maxiter iterations.  `fun` maps a stack of points to
-    their values.  Each iteration makes one call on all four trial points of
-    every running simplex, from which each row keeps what scipy's branches
-    would, and one more on the vertices of the simplices that shrink.
-    Returns the best vertex and value of every row.
-    """
-    B, n = X0.shape
-    sim = np.repeat(X0[:, None], n + 1, 1)
-    k = np.arange(n)
-    sim[:, k + 1, k] = np.where(X0, 1.05 * X0, 0.00025)
-    fsim = fun(sim.reshape(-1, n)).reshape(B, -1)
-    best_x, best_f = np.empty_like(X0), np.empty(B)
-    rows = np.arange(B)
-    for it in range(maxiter):
-        order = fsim.argsort(1)
-        at = np.arange(len(rows))[:, None]
-        sim, fsim = sim[at, order], fsim[at, order]
-        # sorted values span fsim[-1] - fsim[0], the max of |fsim[0] - fsim[j]|
-        done = (abs(sim[:, 1:] - sim[:, :1]).max((1, 2)) <= xatol) & (
-            fsim[:, -1] - fsim[:, 0] <= fatol
-        ) | (it == maxiter - 1)
-        if done.any():
-            best_x[rows[done]], best_f[rows[done]] = sim[done, 0], fsim[done, 0]
-            rows, sim, fsim = rows[~done], sim[~done], fsim[~done]
-            if not rows.size:
-                break
-        xbar = sim[:, :-1].sum(1)[:, None] / n
-        trial = xbar * _NM_STEPS + sim[:, -1:] * (1.0 - _NM_STEPS)
-        ftrial = fun(trial.reshape(-1, n)).reshape(-1, 4)
-        fr, fe, fo, fi = ftrial.T
-        # 0 reflect, 1 expand, 2 contract outside, 3 contract inside
-        pick = np.where(
-            fr < fsim[:, 0], fe < fr, np.where(fr < fsim[:, -2], 0, 3 - (fr < fsim[:, -1]))
-        )
-        shrink = np.where(pick == 2, ~(fo <= fr), (pick == 3) & ~(fi < fsim[:, -1]))
-        moved = np.flatnonzero(~shrink)
-        sim[moved, -1], fsim[moved, -1] = trial[moved, pick[moved]], ftrial[moved, pick[moved]]
-        if shrink.any():
-            s = sim[shrink]
-            s[:, 1:] = s[:, :1] + 0.5 * (s[:, 1:] - s[:, :1])
-            sim[shrink] = s
-            fsim[shrink, 1:] = fun(s[:, 1:].reshape(-1, n)).reshape(-1, n)
-    return best_x, best_f
 
 
 def ground_state_oracle(

@@ -24,11 +24,13 @@ from lattice_choquard import (
     energy_J,
     fiber_coefficients,
     h_norm,
-    nehari_functional,
+    interaction_energy,
     p_laplacian,
     pairing_field,
+    project_su,
 )
 from lattice_choquard.nehari import _phi_root
+from lattice_choquard.verify import _GRID_POINTS, _GROWTH_SLACK, _T_LADDER
 
 
 def canonical_representatives(dim: int, radius: int) -> list[tuple[int, ...]]:
@@ -90,42 +92,112 @@ def lp_norm(u: Field, p: float) -> float:
     return float(np.sum(np.abs(u.values) ** p) ** (1.0 / p))
 
 
-def random_supported_by_sites(spec: LatticeSpec, rng, scale: float) -> Field:
-    """The random supported field of `verify`, filled one site at a time."""
-    sub = max(1, spec.radius // 2)
-    room = spec.radius - sub
-    center = rng.integers(-room, room + 1, size=spec.dim) if room > 0 else np.zeros(spec.dim, dtype=int)
+def random_supported_by_sites(spec: LatticeSpec, corner, block: np.ndarray) -> Field:
+    """The random supported field of `verify`: the cube `block` with its
+    lowest site at the box point `corner` (counted from the box's lowest
+    site), filled one site at a time."""
     vals = np.zeros(spec.site_count)
-    side = 2 * sub + 1
-    block = rng.standard_normal(side**spec.dim).reshape((side,) * spec.dim)
     for offset, v in np.ndenumerate(block):
-        site = tuple(int(center[j]) + offset[j] - sub for j in range(spec.dim))
-        vals[spec.index_of(site)] = v * scale
+        site = tuple(int(corner[j]) + offset[j] - spec.radius for j in range(spec.dim))
+        vals[spec.index_of(site)] = v
     return Field(spec, vals)
 
 
 def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndarray:
-    """Oracle for `verify._hls_ratios`: the per-sample loop it replaced.
+    """Oracle for `verify._hls_ratios`: a per-sample loop over the same draws.
 
-    Each sample draws its scale and field (then the same two for v in the
-    bilinear form), convolves that one field, and takes its norms and the
-    pairing with `lp_norm` and a BLAS dot."""
+    The scales and sub-box corners of u (then of v, in the bilinear form)
+    are drawn up front, and each field's blocks come from its own spawned
+    stream, one sample at a time.  Each sample is placed site by site and
+    convolved alone, and its norms and pairing are taken with `lp_norm` and
+    a BLAS dot."""
     spec = ctx.spec
-    ratios = np.empty(n)
+    sub = max(1, spec.radius // 2)
+    room = 2 * (spec.radius - sub) + 1
+    k = 1 if s is None else 2
+    draws = [
+        (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
+        for _ in range(k)
+    ]
+    streams = rng.spawn(k)
     target = None
     if s is None:
         target = ctx.model.dim * r / (ctx.model.dim - ctx.model.alpha * r)
+    ratios = np.empty(n)
     for i in range(n):
-        scale = 10.0 ** rng.uniform(-2.0, 2.0)
-        u = random_supported_by_sites(spec, rng, scale)
+        shape = (2 * sub + 1,) * spec.dim
+        u, *v = [
+            random_supported_by_sites(spec, c[i], a[i] * g.standard_normal(shape))
+            for (a, c), g in zip(draws, streams)
+        ]
         conv = convolve(ctx.table, u)
         if s is None:
             ratios[i] = lp_norm(conv, target) / lp_norm(u, r)
         else:
-            v = random_supported_by_sites(spec, rng, 10.0 ** rng.uniform(-2.0, 2.0))
-            num = abs(float(np.dot(conv.values, v.values)))
-            ratios[i] = num / (lp_norm(u, r) * lp_norm(v, s))
+            num = abs(float(np.dot(conv.values, v[0].values)))
+            ratios[i] = num / (lp_norm(u, r) * lp_norm(v[0], s))
     return ratios
+
+
+def fiber_growth_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
+    """Oracle for `verify.fiber_growth_check`: the per-sample loop it
+    replaced, one interaction sum per field.  Returns (margin, passed,
+    detail)."""
+    rng = np.random.default_rng(seed)
+    theta = ctx.model.nonlinearity.theta
+    worst, witness = np.inf, ""
+    for i in range(n):
+        vals = rng.standard_normal(ctx.spec.site_count)
+        u = Field(ctx.spec, vals / max(1.0, np.max(np.abs(vals))))
+        base = interaction_energy(ctx, u)
+        for t in _T_LADDER:
+            lhs = interaction_energy(ctx, Field(ctx.spec, t * u.values))
+            rel = (lhs - t**theta * base) / (t**theta * base)
+            if rel < worst:
+                worst, witness = rel, f"sample {i}, t={t}"
+    passed = worst >= -_GROWTH_SLACK
+    return float(worst), passed, "" if passed else f"violated at {witness}"
+
+
+def su_uniqueness_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
+    """Oracle for `verify.su_uniqueness_scan` (theta > p): the per-sample
+    loop it replaced, one evaluation per field."""
+    rng = np.random.default_rng(seed)
+    bad, witness = 0, ""
+    for i in range(n):
+        coeffs = fiber_coefficients(ctx, Field(ctx.spec, rng.standard_normal(ctx.spec.site_count)))
+        lo, hi = 1.0, 1.0
+        for _ in range(80):
+            if coeffs.phi(lo) > 0:
+                break
+            lo *= 0.5
+        for _ in range(80):
+            if coeffs.phi(hi) < 0:
+                break
+            hi *= 2.0
+        signs = np.sign(coeffs.phi(np.geomspace(lo / 2.0, hi * 2.0, _GRID_POINTS)))
+        nz = signs[signs != 0]
+        changes = int(np.sum(nz[1:] * nz[:-1] < 0))
+        if changes != 1 or not (nz.size > 0 and nz[0] > 0 and nz[-1] < 0):
+            bad += 1
+            witness = witness or f"sample {i}: {changes} sign changes"
+    return float(-bad), bad == 0, witness
+
+
+def nehari_floor_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
+    """Oracle for `verify.nehari_floor_check`: the per-sample loop it
+    replaced, a projection, a norm and an energy per field."""
+    rng = np.random.default_rng(seed)
+    p = ctx.model.p
+    factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
+    min_norm = worst = np.inf
+    for _ in range(n):
+        _, proj = project_su(ctx, Field(ctx.spec, rng.standard_normal(ctx.spec.site_count)))
+        nrm = h_norm(ctx, proj)
+        min_norm = min(min_norm, nrm)
+        floor = factor * nrm**p
+        worst = min(worst, (energy_J(ctx, proj) - floor) / max(floor, 1e-300))
+    return float(worst), worst >= -1e-10 and min_norm > 0, f"min projected norm {min_norm:.6g}"
 
 
 def padded_grid_by_np_pad(u: Field, margin: int) -> np.ndarray:
@@ -248,7 +320,7 @@ def fiber_phi(ctx, u: Field, s: float) -> float:
         raise ValueError("the fiber parameter s must be positive")
     if not np.any(u.values):
         raise DomainError("the zero field has no fiber map")
-    return nehari_functional(ctx, Field(u.spec, s * u.values))
+    return fiber_coefficients(ctx, Field(u.spec, s * u.values)).phi(1.0)
 
 
 def m_inverse(ctx, u: Field) -> Field:

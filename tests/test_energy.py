@@ -12,7 +12,6 @@ from lattice_choquard import (
     h_norm_pow,
     interaction_energy,
     make_context,
-    nehari_functional,
     pairing_field,
     pointwise_residual,
     random_field,
@@ -139,7 +138,7 @@ def test_gradient_pairing_identity(ctx_small):
     for _ in range(10):
         u = random_field(ctx_small.spec, rng)
         lhs = float(np.dot(grad_J(ctx_small, u).values, u.values))
-        assert lhs == pytest.approx(nehari_functional(ctx_small, u), rel=1e-10)
+        assert lhs == pytest.approx(fiber_coefficients(ctx_small, u).phi(1.0), rel=1e-10)
 
 
 def test_pointwise_residual_is_sup_norm(ctx_small):

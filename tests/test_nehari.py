@@ -19,7 +19,6 @@ from lattice_choquard import (
     h_norm,
     h_norm_pow,
     make_context,
-    nehari_functional,
     project_su,
     random_field,
 )
@@ -73,7 +72,7 @@ def test_projection_lands_on_constraint_set(ctx):
     for _ in range(10):
         u = random_field(ctx.spec, rng)
         _, w = project_su(ctx, u)
-        residual = nehari_functional(ctx, w)
+        residual = fiber_coefficients(ctx, w).phi(1.0)
         assert abs(residual) <= 1e-8 * max(1.0, h_norm_pow(ctx, w))
 
 
@@ -114,7 +113,7 @@ def test_fiber_phi_is_the_constraint_along_the_ray(ctx_p3):
     for s in (0.25, 1.0, 2.5):
         scaled = Field(ctx_p3.spec, s * u.values)
         assert fiber_phi(ctx_p3, u, s) == pytest.approx(
-            nehari_functional(ctx_p3, scaled), rel=1e-10
+            fiber_coefficients(ctx_p3, scaled).phi(1.0), rel=1e-10
         )
 
 

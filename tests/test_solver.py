@@ -18,10 +18,10 @@ from lattice_choquard import (
     SolverConfig,
     center_normalize,
     energy_J,
+    fiber_coefficients,
     h_norm,
     make_context,
     minimize_ground_state,
-    nehari_functional,
     p_laplacian,
     pairing_field,
     pointwise_residual,
@@ -61,7 +61,7 @@ def test_report_residuals(ctx_a, report_a):
     assert report_a.pointwise_residual <= 1e-8 * max(1.0, norm ** (p - 1.0))
     # the report echoes recomputable quantities
     assert report_a.nehari_residual == pytest.approx(
-        abs(nehari_functional(ctx_a, u)), rel=1e-6, abs=1e-15
+        abs(fiber_coefficients(ctx_a, u).phi(1.0)), rel=1e-6, abs=1e-15
     )
     assert report_a.pointwise_residual == pytest.approx(
         pointwise_residual(ctx_a, u), rel=1e-6, abs=1e-15
@@ -272,6 +272,29 @@ def test_starts_share_transforms(ctx_b, monkeypatch):
     roots = [d.roots for d in report.diagnostics]
     assert shapes[0] == (len(roots), *ctx_b.spec.shape)
     assert len(shapes) <= 2 * max(roots)
+
+
+def test_report_evaluates_the_winner_once(ctx_b, monkeypatch):
+    # after the descent, the report's level, constraint value and pointwise
+    # residual come from one evaluation of u*: one transform per term
+    from lattice_choquard import kernel, solver
+
+    calls, marks = [], []
+    convolve, descend = kernel._fft_convolve, solver._descend
+
+    def counted(table, grids):
+        calls.append(grids.shape)
+        return convolve(table, grids)
+
+    def marked(*args, **kwargs):
+        result = descend(*args, **kwargs)
+        marks.append(len(calls))
+        return result
+
+    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    monkeypatch.setattr(solver, "_descend", marked)
+    minimize_ground_state(ctx_b)
+    assert len(calls) - marks[-1] == len(ctx_b.model.nonlinearity.terms) == 1
 
 
 def _count_stencils(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -43,14 +44,22 @@ from reference import fiber_max_golden
 TINY_LEVEL = 1.5906930102521835
 
 
+def _bracket(report):
+    """(lower, upper) read back from an HLS report's detail."""
+    nums = [float(x) for x in re.findall(r"(?:sup|method|bound) ([0-9.e+-]+)", report.detail)]
+    return max(nums[:2]), nums[2]
+
+
 def test_hls_bilinear(ctx_a):
     # 1/r + 1/s + (N - alpha)/N = 3/4 + 3/4 + 1/2 = 2
     report = hls_sampler(ctx_a, r=4.0 / 3.0, s=4.0 / 3.0, n=300, seed=0)
     assert report.name == "hls_bilinear"
     assert report.passed
     assert report.n_samples == 600
-    assert 0.0 <= report.margin <= 0.05
-    assert "empirical sup" in report.detail
+    lower, upper = _bracket(report)
+    assert 0.0 < lower <= upper
+    assert report.margin == pytest.approx((upper - lower) / upper, abs=1e-5)
+    assert lower >= ctx_a.table.values[16]  # a unit delta gives R(0)
 
 
 def test_hls_operator(ctx_a):
@@ -58,6 +67,9 @@ def test_hls_operator(ctx_a):
     report = hls_sampler(ctx_a, r=1.5, n=300, seed=1)
     assert report.name == "hls_operator"
     assert report.passed
+    lower, upper = _bracket(report)
+    assert 0.0 < lower <= upper
+    assert report.margin == pytest.approx((upper - lower) / upper, abs=1e-5)
 
 
 def test_hls_rejects_broken_exponent_relation(ctx_a):
@@ -266,16 +278,20 @@ def test_write_checks_json(tmp_path, ctx_a):
 
 
 def test_random_supported_matches_site_by_site_fill():
-    from lattice_choquard.verify import _random_supported
+    # the one-scatter placement of a stack of blocks against a site-by-site
+    # fill, corners spanning the whole room (none at radius 1)
+    from lattice_choquard.verify import _supported_fields
     from reference import random_supported_by_sites
 
     for dim, radius in ((1, 1), (1, 8), (2, 6), (3, 2)):
         spec = LatticeSpec(dim, radius)
-        for seed in range(20):
-            fast = np.zeros(spec.shape)
-            _random_supported(spec, np.random.default_rng(seed), 3.5, fast)
-            slow = random_supported_by_sites(spec, np.random.default_rng(seed), 3.5)
-            assert np.array_equal(fast.reshape(-1), slow.values)
+        sub = max(1, radius // 2)
+        rng = np.random.default_rng([dim, radius])
+        corners = rng.integers(0, 2 * (radius - sub) + 1, (20, dim))
+        blocks = rng.standard_normal((20,) + (2 * sub + 1,) * dim)
+        fast = _supported_fields(spec, corners, blocks)
+        for row, c, b in zip(fast, corners, blocks):
+            assert np.array_equal(row, random_supported_by_sites(spec, c, b).values)
 
 
 @pytest.fixture(scope="module")
@@ -288,27 +304,101 @@ def ctx_3d():
 @pytest.mark.parametrize("fields", [None, 7])
 def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request, monkeypatch):
     # stacks of the default size (431, 25 and 4 fields on these boxes) and of
-    # 7 fields; 97 samples leave a short last stack either way
+    # 7 fields; 97 samples leave a short last stack either way, and the
+    # ratios have the same bits whatever the stack size
     from lattice_choquard import kernel, verify
     from lattice_choquard.kernel import _spectrum
     from reference import hls_ratios_by_sample
 
     ctx = request.getfixturevalue(name)
+    N, alpha = ctx.model.dim, ctx.model.alpha
+    if form == "bilinear":
+        r = s = e = 2.0 * N / (N + alpha)
+    else:
+        r, s = 0.5 * (1.0 + N / alpha), None
+        e = N * r / (N - alpha * r)
+    n = 97
+    default = verify._hls_ratios(ctx, r, e, n, np.random.default_rng(7), s is not None)
     if fields is not None:
         budget = fields * _spectrum(ctx.table)[1].nbytes
         monkeypatch.setattr(kernel, "_STACK_BYTES", budget)
-    N, alpha = ctx.model.dim, ctx.model.alpha
-    if form == "bilinear":
-        r = s = 2.0 * N / (N + alpha)
-    else:
-        r, s = 0.5 * (1.0 + N / alpha), None
-    n = 97
     assert n % verify._stack_size(ctx.table) != 0
-    fast = verify._hls_ratios(ctx, r, s, n, np.random.default_rng(7))
+    fast = verify._hls_ratios(ctx, r, e, n, np.random.default_rng(7), s is not None)
     slow = hls_ratios_by_sample(ctx, r, s, n, np.random.default_rng(7))
+    assert fast.tobytes() == default.tobytes()
     assert np.max(np.abs(fast - slow) / slow) <= 1e-10
     assert np.argmax(fast) == np.argmax(slow)
     assert np.max(fast) == pytest.approx(np.max(slow), rel=1e-12)
+
+
+def _closed_form_context():
+    # model A's box with the 1D kernel from its closed form,
+    # R(n) = R(0) prod_{k<n} (k + a/2) / (k + 1 - a/2), not from quadrature
+    from lattice_choquard.kernel import KernelTable
+    from test_kernel import closed_form_1d
+
+    model = make_model(1, 8, 2.0, 0.5, 4.0)
+    half = closed_form_1d(0.5, 16)
+    table = KernelTable(1, 8, 0.5, 1.0, np.concatenate([half[:0:-1], half]))
+    return make_context(model, table)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_hls_bracket_holds(closed_form, ctx_b):
+    # lower <= upper on both forms, the bilinear lower bound is at least the
+    # pairing R(0) of a unit delta, and the upper bound is Young's l^{N/(N-a)}
+    # norm of the whole table, summed here without scaling
+    ctx = _closed_form_context() if closed_form else ctx_b
+    N, alpha = ctx.model.dim, ctx.model.alpha
+    young = float(np.sum(ctx.table.values ** (N / (N - alpha))) ** ((N - alpha) / N))
+    r = 2.0 * N / (N + alpha)
+    bilinear = hls_sampler(ctx, r=r, s=r, n=200)
+    operator = hls_sampler(ctx, r=0.5 * (1.0 + N / alpha), n=200, seed=1)
+    for report in (bilinear, operator):
+        lower, upper = _bracket(report)
+        assert report.passed and 0.0 < lower <= upper
+        assert upper == pytest.approx(young, rel=1e-5)
+    assert _bracket(bilinear)[0] >= float(ctx.table.values.max())  # R(0)
+
+
+def test_hls_checks_fail_on_a_doubled_kernel(ctx_b, monkeypatch):
+    # convolutions with twice the kernel push the power-method lower bound
+    # past the Young bound of the (unchanged) table
+    from lattice_choquard import kernel
+
+    spectrum = kernel._spectrum
+    monkeypatch.setattr(kernel, "_spectrum", lambda t: (spectrum(t)[0], 2.0 * spectrum(t)[1]))
+    reports = run_all_checks(ctx_b)[:2]
+    assert [r.name for r in reports] == ["hls_bilinear", "hls_operator"]
+    for report in reports:
+        lower, upper = _bracket(report)
+        assert not report.passed and lower > upper and report.margin < 0.0
+
+
+@pytest.mark.parametrize(
+    "dim,radius,p,alpha", [(1, 8, 2.0, 0.9), (1, 8, 2.0, 0.99), (2, 6, 3.0, 1.9)]
+)
+def test_run_all_checks_passes_with_alpha_near_dim(dim, radius, p, alpha):
+    # the operator form's target exponent reaches about 200 at alpha = 0.99,
+    # where unscaled powers of the convolved field overflow
+    reports = run_all_checks(make_context(make_model(dim, radius, p, alpha, 4.0)))
+    assert all(r.passed for r in reports), [(r.name, r.detail) for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("name", ["ctx_a", "ctx_b"])
+def test_stacked_checks_match_per_sample_oracles(name, request):
+    # each stacked check reports the bits of the per-sample loop it replaced
+    from reference import fiber_growth_by_sample, nehari_floor_by_sample, su_uniqueness_by_sample
+
+    ctx = request.getfixturevalue(name)
+    for check, oracle in (
+        (fiber_growth_check, fiber_growth_by_sample),
+        (su_uniqueness_scan, su_uniqueness_by_sample),
+        (nehari_floor_check, nehari_floor_by_sample),
+    ):
+        report = check(ctx, n=40, seed=3)
+        margin, passed, detail = oracle(ctx, n=40, seed=3)
+        assert (repr(report.margin), report.passed, report.detail) == (repr(margin), passed, detail)
 
 
 @pytest.mark.parametrize("dim,radius", [(2, 6), (3, 6), (3, 16)])
