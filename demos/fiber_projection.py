@@ -14,7 +14,6 @@ from lattice_choquard import (
     ModelSpec,
     SumOfPowers,
     energy_J,
-    fiber_coefficients,
     h_norm,
     make_context,
     project_su,
@@ -34,13 +33,15 @@ def main():
     rng = np.random.default_rng(42)
     u = random_field(ctx.spec, rng)
 
-    s_u, w = project_su(ctx, u)
+    # the root comes with the evaluation of u it was found from: the fiber
+    # maps along the whole ray are read from it
+    s_u, coeffs = project_su(ctx, u)
+    w = Field(ctx.spec, s_u * u.values)
     print(f"projection scale s_u = {s_u:.9f}")
     print(f"||m(u)|| = {h_norm(ctx, w):.6f}")
 
     print("\nfiber profile along the ray (phi changes sign at s_u):")
     grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 13)
-    coeffs = fiber_coefficients(ctx, u)
     energies = coeffs.energy(grid)
     print(f"  {'s':>12s} {'J(su)':>14s} {'phi(s)':>14s}")
     for s, en, ph in zip(grid, energies, coeffs.phi(grid)):
@@ -50,7 +51,8 @@ def main():
     # the fiber maximum does not care about the scale of the representative:
     # u and u/||u|| project to the same point
     unit = Field(ctx.spec, u.values / h_norm(ctx, u))
-    _, m_unit = project_su(ctx, unit)
+    s_unit, _ = project_su(ctx, unit)
+    m_unit = Field(ctx.spec, s_unit * unit.values)
     print(f"\nJ(m(u/||u||)) = {energy_J(ctx, m_unit):.10f}")
     print(f"J(m(u))       = {energy_J(ctx, w):.10f}")
     print(f"max over grid = {energies.max():.10f} (grid approximation)")

@@ -54,8 +54,12 @@ def main():
 
     # every other ray peaks at or above c, and far out J turns negative
     rng = np.random.default_rng(0)
-    peaks = [energy_J(ctx, project_su(ctx, random_field(ctx.spec, rng))[1])
-             for _ in range(200)]
+    # J(m(u)) is the fiber energy at the root, from the projection's own
+    # evaluation of u
+    peaks = []
+    for _ in range(200):
+        s, coeffs = project_su(ctx, random_field(ctx.spec, rng))
+        peaks.append(coeffs.energy(s))
     print(f"min over 200 random-ray maxima = {min(peaks):.6f} (>= c)")
     end = energy_J(ctx, Field(ctx.spec, 2.0 * u.values))
     print(f"J(2 u*)                        = {end:.3f} (< 0)")

@@ -18,7 +18,6 @@ from .lattice import (
     DomainError,
     Field,
     LatticeSpec,
-    p_laplacian,
     random_field,
     read_field_csv,
     write_field_csv,
@@ -47,13 +46,11 @@ from .energy import (
     FiberCoefficients,
     energy_J,
     fiber_coefficients,
-    grad_J,
     h_norm,
     h_norm_pow,
     interaction_energy,
     make_context,
     pairing_field,
-    pointwise_residual,
 )
 from .nehari import project_su
 from .solver import (

@@ -42,7 +42,7 @@ from .model import (
     SumOfPowers,
     validate_model,
 )
-from .nehari import _project
+from .nehari import project_su
 from .solver import (
     NonconvergenceError,
     SolverConfig,
@@ -390,13 +390,17 @@ def _cmd_kernel(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _cmd_fiber(cfg: RunConfig, out_dir: str, field_path: str) -> int:
-    u = read_field_csv(field_path)
+    try:
+        u = read_field_csv(field_path)
+    except OSError as exc:
+        print(f"cannot read field: {exc}", file=sys.stderr)
+        return 1
     if u.spec != cfg.model.lattice:
         raise DomainError(
             "field file lattice (dim "
             f"{u.spec.dim}, radius {u.spec.radius}) does not match the config"
         )
-    s_u, coeffs = _project(make_context(cfg.model), u)
+    s_u, coeffs = project_su(make_context(cfg.model), u)
     grid = np.geomspace(s_u / 4.0, 4.0 * s_u, 81)
     path = os.path.join(out_dir, "fiber.csv")
     with open(path, "w") as fh:

@@ -46,9 +46,7 @@ __all__ = [
     "h_norm_pow",
     "interaction_energy",
     "energy_J",
-    "grad_J",
     "pairing_field",
-    "pointwise_residual",
 ]
 
 
@@ -232,13 +230,3 @@ def pairing_field(ctx: EnergyContext, u: Field) -> Field:
     """
     return Field(ctx.spec, _pairing_parts(ctx, u)[0])
 
-
-def grad_J(ctx: EnergyContext, u: Field) -> Field:
-    """Componentwise derivative of J; entry x equals <J'(u), delta_x>."""
-    coeffs = fiber_coefficients(ctx, u)
-    return Field(ctx.spec, coeffs.gradient(1.0, pairing_field(ctx, u)))
-
-
-def pointwise_residual(ctx: EnergyContext, u: Field) -> float:
-    """Sup over box sites of the Euler-Lagrange defect |grad J(u)(x)|."""
-    return float(np.max(np.abs(grad_J(ctx, u).values)))

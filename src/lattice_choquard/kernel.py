@@ -52,7 +52,6 @@ t_max) gives the table's error estimate, K_alpha included.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import reduce
 from math import ceil, exp, factorial, gamma, log, pi, sqrt
@@ -63,7 +62,7 @@ from numpy.fft import irfft, irfftn, rfftn
 from numpy.polynomial.legendre import leggauss
 from numpy.polynomial.polynomial import polypow
 
-from .lattice import DomainError, Field, LatticeSpec
+from .lattice import DomainError, Field, LatticeSpec, _write_rows
 
 __all__ = [
     "KernelTable",
@@ -259,14 +258,7 @@ class KernelTable:
 
     def write_csv(self, path) -> None:
         """Dump rows "d_1,...,d_N,value" over the full difference range."""
-        lines = ["# " + json.dumps(self._meta(), sort_keys=True)]
-        for multi in np.ndindex(*self.values.shape):
-            d = tuple(m - 2 * self.radius for m in multi)
-            lines.append(
-                ",".join(str(c) for c in d) + "," + repr(float(self.values[multi]))
-            )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_rows(path, self._meta(), 2 * self.radius, self.dim, self.values.reshape(-1))
 
 
 def build_table(spec: LatticeSpec, alpha: float) -> KernelTable:

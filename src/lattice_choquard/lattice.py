@@ -30,7 +30,6 @@ __all__ = [
     "DomainError",
     "LatticeSpec",
     "Field",
-    "p_laplacian",
     "random_field",
     "write_field_csv",
     "read_field_csv",
@@ -221,24 +220,6 @@ def _p_laplacian_parts(u: Field, p: float) -> tuple[np.ndarray, np.ndarray]:
     return (0.5 * acc).reshape(u.values.shape), (0.5 * diag).reshape(u.values.shape)
 
 
-def p_laplacian(u: Field, p: float) -> Field:
-    """Discrete p-Laplacian of a zero-extended field, evaluated on the box.
-
-    Parameters
-    ----------
-    u : Field
-    p : float
-        Exponent >= 2.  Edge weights are |grad u|^{p-2} averaged over the two
-        endpoints; exterior endpoints use the zero-extended field.
-
-    Returns
-    -------
-    Field
-        Delta_p u restricted to the box.
-    """
-    return Field(u.spec, _p_laplacian_parts(u, p)[0])
-
-
 def random_field(
     spec: LatticeSpec, rng: np.random.Generator, decay: float = 0.0
 ) -> Field:
@@ -250,37 +231,48 @@ def random_field(
     return Field(spec, vals)
 
 
-def write_field_csv(u: Field, path) -> None:
-    """Serialize a field: a JSON header line, then one row per site.
-
-    Rows are "i_1,...,i_N,value" in index order; values use repr so the
-    round-trip through read_field_csv is bit exact.
-    """
-    header = json.dumps({"dim": u.spec.dim, "radius": u.spec.radius}, sort_keys=True)
-    labels = [f"{i}," for i in range(-u.spec.radius, u.spec.radius + 1)]
-    sites = itertools.product(labels, repeat=u.spec.dim)  # in index order
-    lines = ["# " + header] + ["".join(x) + repr(v) for x, v in zip(sites, u.values.tolist())]
+def _write_rows(path, header: dict, reach: int, dim: int, values: np.ndarray) -> None:
+    """Write a JSON header line, then one row "i_1,...,i_N,value" per label
+    in {-reach, ..., reach}^N, in index order, for the flat values.  Values
+    use repr, so reading them back is bit exact."""
+    labels = [f"{i}," for i in range(-reach, reach + 1)]
+    sites = itertools.product(labels, repeat=dim)  # in index order
+    lines = ["# " + json.dumps(header, sort_keys=True)]
+    lines += ["".join(x) + repr(v) for x, v in zip(sites, values.tolist())]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def write_field_csv(u: Field, path) -> None:
+    """Serialize a field: a JSON header line, then one row per site, as
+    "i_1,...,i_N,value" in index order; read_field_csv inverts it bit exactly."""
+    spec = u.spec
+    _write_rows(path, {"dim": spec.dim, "radius": spec.radius}, spec.radius, spec.dim, u.values)
+
+
 def read_field_csv(path) -> Field:
-    """Inverse of write_field_csv."""
+    """Inverse of write_field_csv.  Refuses a header without "dim" or
+    "radius", and rows that do not name every site exactly once."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing JSON header line")
     meta = json.loads(lines[0].lstrip("#").strip())
+    if not isinstance(meta, dict) or not {"dim", "radius"} <= meta.keys():
+        raise ValueError('field header must hold "dim" and "radius"')
     spec = LatticeSpec(int(meta["dim"]), int(meta["radius"]))
     if len(lines) - 1 != spec.site_count:
-        raise ValueError(
-            f"expected {spec.site_count} rows, found {len(lines) - 1}"
-        )
+        raise ValueError(f"expected {spec.site_count} rows, found {len(lines) - 1}")
     vals = np.zeros(spec.site_count)
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != spec.dim + 1:
             raise ValueError(f"malformed row: {ln!r}")
         site = tuple(int(c) for c in parts[: spec.dim])
-        vals[spec.index_of(site)] = float(parts[-1])
+        index = spec.index_of(site)
+        if index in seen:
+            raise ValueError(f"site {site} appears twice")
+        seen.add(index)
+        vals[index] = float(parts[-1])
     return Field(spec, vals)

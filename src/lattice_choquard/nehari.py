@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .energy import EnergyContext, FiberCoefficients, fiber_coefficients
 from .lattice import DomainError, Field
 from .model import ModelViolationError
@@ -70,10 +68,13 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
-def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients] | list:
-    """The fiber root s_u of u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u),
-    and the one evaluation of u it came from; for a stack of fields, a list
-    with the pair of each row."""
+def project_su(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients] | list:
+    """Projection m(u) = s_u u onto the constraint manifold: returns the root
+    s_u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u), and the one evaluation
+    `coeffs` of u it came from, so J(m(u)) = coeffs.energy(s_u) and
+    norm^p(m(u)) = s_u^p * coeffs.norm_pow.  Rays through u and t u (t > 0)
+    land on the same point.  A stack of fields gets a list with the pair of
+    each row, from one stacked evaluation."""
     stack = fiber_coefficients(ctx, u)
     out = []
     for coeffs in stack if isinstance(stack, list) else [stack]:
@@ -88,18 +89,3 @@ def _project(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients] | 
             )
         out.append((s, coeffs))
     return out if isinstance(stack, list) else out[0]
-
-
-def project_su(ctx: EnergyContext, u: Field) -> tuple[float | list[float], Field]:
-    """Projection onto the constraint manifold along the ray through u.
-
-    Returns (s_u, s_u * u) with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u).  The
-    projection is scale invariant: rays through u and t u (t > 0) land on the
-    same manifold point.  A stack of fields gets a list of roots and the
-    stack of projections, from one stacked evaluation.
-    """
-    pairs = _project(ctx, u)
-    if isinstance(pairs, list):
-        s = [x for x, _ in pairs]
-        return s, Field(u.spec, np.array(s)[:, None] * u.values)
-    return pairs[0], Field(u.spec, pairs[0] * u.values)

@@ -340,18 +340,17 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     Every projected field must satisfy J(m(u)) >= (1/p - 1/theta) * ||m(u)||^p
     (with 1e-10 relative slack), and the projected norms must stay away from
     zero; together these witness that the constrained infimum is positive.
+    Both sides come from the evaluation of u its projection came from.
     """
     U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
-    proj = np.array(_in_stacks(lambda c, w: project_su(c, w)[1].values, ctx, U))
     p = ctx.model.p
     factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
-    min_norm = np.inf
-    worst = np.inf
-    for coeffs in _in_stacks(fiber_coefficients, ctx, proj):
-        nrm = coeffs.norm_pow ** (1.0 / p)
+    min_norm = worst = np.inf
+    for s, coeffs in _in_stacks(project_su, ctx, U):
+        nrm = s * coeffs.norm_pow ** (1.0 / p)
         min_norm = min(min_norm, nrm)
         floor = factor * nrm**p
-        rel = (coeffs.energy(1.0) - floor) / max(floor, 1e-300)
+        rel = (coeffs.energy(s) - floor) / max(floor, 1e-300)
         worst = min(worst, rel)
     passed = worst >= -1e-10 and min_norm > 0
     return CheckReport(

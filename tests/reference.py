@@ -25,10 +25,10 @@ from lattice_choquard import (
     fiber_coefficients,
     h_norm,
     interaction_energy,
-    p_laplacian,
     pairing_field,
     project_su,
 )
+from lattice_choquard.lattice import _p_laplacian_parts
 from lattice_choquard.nehari import _phi_root
 from lattice_choquard.verify import _GRID_POINTS, _GROWTH_SLACK, _T_LADDER
 
@@ -185,18 +185,18 @@ def su_uniqueness_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
 
 
 def nehari_floor_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
-    """Oracle for `verify.nehari_floor_check`: the per-sample loop it
-    replaced, a projection, a norm and an energy per field."""
+    """Oracle for `verify.nehari_floor_check`: one sample at a time, with
+    J(m(u)) and ||m(u)|| read from the sample's own projection pair."""
     rng = np.random.default_rng(seed)
     p = ctx.model.p
     factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
     min_norm = worst = np.inf
     for _ in range(n):
-        _, proj = project_su(ctx, Field(ctx.spec, rng.standard_normal(ctx.spec.site_count)))
-        nrm = h_norm(ctx, proj)
+        s, coeffs = project_su(ctx, Field(ctx.spec, rng.standard_normal(ctx.spec.site_count)))
+        nrm = s * coeffs.norm_pow ** (1.0 / p)
         min_norm = min(min_norm, nrm)
         floor = factor * nrm**p
-        worst = min(worst, (energy_J(ctx, proj) - floor) / max(floor, 1e-300))
+        worst = min(worst, (coeffs.energy(s) - floor) / max(floor, 1e-300))
     return float(worst), worst >= -1e-10 and min_norm > 0, f"min projected norm {min_norm:.6g}"
 
 
@@ -310,7 +310,7 @@ def ibp_check(u: Field, v: Field, p: float) -> tuple[float, float]:
         )
     w = gradient_form_grid(u, u) ** ((p - 2.0) / 2.0)
     lhs = float(np.sum(w * gradient_form_grid(u, v)))
-    rhs = -float(np.sum(p_laplacian(u, p).values * v.values))
+    rhs = -float(np.sum(_p_laplacian_parts(u, p)[0] * v.values))
     return lhs, rhs
 
 

@@ -490,6 +490,30 @@ def test_fiber_rejects_mismatched_field(tmp_path, capsys):
     capsys.readouterr()
 
 
+_ROWS = "\n".join(f"{i},{i + 3.0}" for i in range(-2, 3)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # site -2 twice and -1 never: the missing site must not be read as 0
+        ('# {"dim": 1, "radius": 2}\n' + _ROWS.replace("-1,", "-2,"), "(-2,) appears twice"),
+        ('# {"dim": 1}\n' + _ROWS, '"radius"'),
+        (None, "cannot read field"),
+    ],
+    ids=["repeated_site", "no_radius", "missing_file"],
+)
+def test_fiber_refuses_a_malformed_field_file(tmp_path, capsys, text, message):
+    config = write_config(tmp_path, base_config(radius=2))
+    field = tmp_path / "field.csv"
+    if text is not None:
+        field.write_text(text)
+    out = str(tmp_path / "out")
+    assert main(["fiber", "--config", config, "--out", out, "--field", str(field)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 def test_check_artifacts(tmp_path, capsys):
     # the harness drift gates are calibrated at the reference radius
     path = write_config(tmp_path, base_config(radius=8))

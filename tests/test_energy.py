@@ -7,17 +7,14 @@ from lattice_choquard import (
     Field,
     energy_J,
     fiber_coefficients,
-    grad_J,
     h_norm,
     h_norm_pow,
     interaction_energy,
     make_context,
     pairing_field,
-    pointwise_residual,
     random_field,
 )
 from conftest import make_model
-from reference import lp_norm
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +115,7 @@ def test_gradient_matches_central_differences(fixture, request):
     eps = 1e-6
     for _ in range(3):
         u = random_field(ctx.spec, rng)
-        g = grad_J(ctx, u).values
+        g = fiber_coefficients(ctx, u).gradient(1.0, pairing_field(ctx, u))
         fd = np.zeros_like(g)
         for i in range(u.values.size):
             up = u.values.copy()
@@ -137,16 +134,9 @@ def test_gradient_pairing_identity(ctx_small):
     rng = np.random.default_rng(8)
     for _ in range(10):
         u = random_field(ctx_small.spec, rng)
-        lhs = float(np.dot(grad_J(ctx_small, u).values, u.values))
+        g = fiber_coefficients(ctx_small, u).gradient(1.0, pairing_field(ctx_small, u))
+        lhs = float(np.dot(g, u.values))
         assert lhs == pytest.approx(fiber_coefficients(ctx_small, u).phi(1.0), rel=1e-10)
-
-
-def test_pointwise_residual_is_sup_norm(ctx_small):
-    rng = np.random.default_rng(9)
-    u = random_field(ctx_small.spec, rng)
-    assert pointwise_residual(ctx_small, u) == pytest.approx(
-        lp_norm(grad_J(ctx_small, u), np.inf), rel=1e-14
-    )
 
 
 def test_translation_invariance_constant_potential():

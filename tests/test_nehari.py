@@ -62,16 +62,17 @@ def test_projection_matches_closed_form(fixture, request):
     rng = np.random.default_rng(1)
     for _ in range(10):
         u = random_field(ctx_.spec, rng)
-        s, w = project_su(ctx_, u)
+        s, coeffs = project_su(ctx_, u)
         assert s == pytest.approx(closed_form_su(ctx_, u), rel=1e-10)
-        assert np.allclose(w.values, s * u.values)
+        assert coeffs.norm_pow == h_norm_pow(ctx_, u)  # the evaluation of u itself
 
 
 def test_projection_lands_on_constraint_set(ctx):
     rng = np.random.default_rng(2)
     for _ in range(10):
         u = random_field(ctx.spec, rng)
-        _, w = project_su(ctx, u)
+        s, _ = project_su(ctx, u)
+        w = Field(ctx.spec, s * u.values)
         residual = fiber_coefficients(ctx, w).phi(1.0)
         assert abs(residual) <= 1e-8 * max(1.0, h_norm_pow(ctx, w))
 
@@ -96,10 +97,10 @@ def test_projection_matches_golden_section(ctx):
 def test_projection_scale_invariance(ctx):
     rng = np.random.default_rng(4)
     u = random_field(ctx.spec, rng)
-    s1, w1 = project_su(ctx, u)
-    s3, w3 = project_su(ctx, Field(ctx.spec, 3.0 * u.values))
+    s1, _ = project_su(ctx, u)
+    s3, _ = project_su(ctx, Field(ctx.spec, 3.0 * u.values))
     assert s3 == pytest.approx(s1 / 3.0, rel=1e-9)
-    assert np.allclose(w3.values, w1.values, rtol=1e-9, atol=1e-12)
+    assert np.allclose(s3 * (3.0 * u.values), s1 * u.values, rtol=1e-9, atol=1e-12)
 
 
 def test_projection_rejects_zero_field(ctx):
@@ -217,7 +218,8 @@ def test_m_inverse_unit_norm(ctx):
     rng = np.random.default_rng(7)
     for _ in range(5):
         u = random_field(ctx.spec, rng)
-        _, w = project_su(ctx, u)
+        s, _ = project_su(ctx, u)
+        w = Field(ctx.spec, s * u.values)
         v = m_inverse(ctx, w)
         assert h_norm(ctx, v) == pytest.approx(1.0, rel=1e-12)
         mask = np.abs(w.values) > 1e-12
@@ -237,8 +239,8 @@ def test_m_inverse_rejects_off_manifold_fields(ctx):
 def test_projection_of_projected_field_is_identity(ctx):
     rng = np.random.default_rng(8)
     u = random_field(ctx.spec, rng)
-    _, w = project_su(ctx, u)
-    s_again, _ = project_su(ctx, w)
+    s, _ = project_su(ctx, u)
+    s_again, _ = project_su(ctx, Field(ctx.spec, s * u.values))
     assert s_again == pytest.approx(1.0, rel=1e-9)
 
 
@@ -257,7 +259,8 @@ def test_psi_is_the_fiber_maximum(ctx):
     for _ in range(5):
         u = random_field(ctx.spec, rng)
         w = unit(ctx, u)
-        _, proj = project_su(ctx, w)
+        s, _ = project_su(ctx, w)
+        proj = Field(ctx.spec, s * w.values)
         assert psi(ctx, w) == pytest.approx(energy_J(ctx, proj), rel=1e-12)
         assert psi(ctx, w) >= energy_J(ctx, w) - 1e-12
 

@@ -385,9 +385,27 @@ def test_run_all_checks_passes_with_alpha_near_dim(dim, radius, p, alpha):
     assert all(r.passed for r in reports), [(r.name, r.detail) for r in reports if not r.passed]
 
 
+def test_nehari_floor_evaluates_each_sample_once(ctx_b, monkeypatch):
+    # J(m(u)) and ||m(u)|| come from the evaluation of u its projection came
+    # from: the 32 samples are transformed once each, in two stacks
+    from lattice_choquard import kernel
+
+    calls = []
+    convolve = kernel._fft_convolve
+
+    def counted(table, grids):
+        calls.append(grids.shape)
+        return convolve(table, grids)
+
+    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    nehari_floor_check(ctx_b, n=32)
+    assert len(ctx_b.model.nonlinearity.terms) == 1
+    assert len(calls) == 2 and sum(shape[0] for shape in calls) == 32
+
+
 @pytest.mark.parametrize("name", ["ctx_a", "ctx_b"])
 def test_stacked_checks_match_per_sample_oracles(name, request):
-    # each stacked check reports the bits of the per-sample loop it replaced
+    # each stacked check reports the bits of a loop over one sample at a time
     from reference import fiber_growth_by_sample, nehari_floor_by_sample, su_uniqueness_by_sample
 
     ctx = request.getfixturevalue(name)
