@@ -58,9 +58,7 @@ from math import ceil, exp, factorial, gamma, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
-from numpy.fft import irfft, irfftn, rfftn
-from numpy.polynomial.legendre import leggauss
-from numpy.polynomial.polynomial import polypow
+from numpy.fft import ifft, irfft, rfftn
 
 from .lattice import DomainError, Field, LatticeSpec, _write_rows
 
@@ -74,14 +72,31 @@ __all__ = [
 
 METHOD = "subordination"
 
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
+# the 20-point Gauss-Legendre rule, numpy.polynomial.legendre.leggauss(20)
+# to the bit: that rule is symmetrized exactly, so its positive half and a
+# mirror give it without importing numpy.polynomial
+_GL_HALF_NODES = [
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+]
+_GL_HALF_WEIGHTS = [
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+    0.017614007139150893,
+]
+_GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + _GL_HALF_NODES)
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 _LOG_T_MIN = -40.0
 _PANEL = 3.0  # panel width in log t; the error estimate uses 3.5
 _HANKEL_TERMS = 6
 _K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
-# spectrum bytes of one stacked transform: 25 fields of a 2D r=6 box, one of
-# a 3D r=6 box (where two or more ran slower, and eight solver starts raised
-# the peak RSS by 5 MB); also the bytes of one oracle scan stack's differences
+# bytes of one stack, each user counting what it stacks: a transform's
+# spectra (25 fields of a 2D r=6 box, one of a 3D r=6 box, where two or more
+# ran slower), the solver's (g, kappa) pairs (3 starts of a 3D r=6 box; past
+# about this size stacked temporaries fault in fresh pages on every call),
+# and one oracle scan stack's differences
 _STACK_BYTES = 1 << 17
 
 
@@ -195,7 +210,7 @@ def _k_alpha(dim: int, alpha: float, t_max: float, panel: float) -> float:
         return float(moment[0])
     # p_t(0)^N ~ sum_k g_k t^{-q}, q = k + N/2, so E_m ~ sum_k g_k (q)_m
     # t^{-q-m}, and t^{sigma-1} t^{-q-m} integrates to t_max^{-q-s} / (q+s)
-    g = polypow(_hankel(np.zeros(1))[:, 0], dim)
+    g = reduce(np.convolve, [_hankel(np.zeros(1))[:, 0]] * dim)
     q = np.arange(g.size) + dim / 2.0
     rising = np.prod([q + i for i in range(m)], axis=0)  # (q)_m
     tail = np.sum(g * rising * t_max ** -(q + s) / (q + s))
@@ -330,16 +345,26 @@ def _stack_size(table: KernelTable) -> int:
 def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
     """R_alpha * w for each box grid w on the trailing N axes of `grids`.
 
-    One transform serves one field (shape `spec.shape`) or a stack of
-    them (shape `(m, *spec.shape)`); each row of a stack comes out with
-    the bits a single field would get.
+    Takes one field (shape `spec.shape`) or a stack of any height (shape
+    `(m, *spec.shape)`), transformed `_stack_size(table)` fields at a time.
+    The inverse is pruned (Markel, IEEE Trans. Audio Electroacoust. 19,
+    1971): irfftn's ifft passes run axis by axis, each keeping only the
+    window's rows, and the last axis's irfft runs on the kept lines alone,
+    so every row comes out with the bits a single field would get from
+    irfftn cut to the window.
     """
+    dim, size = table.dim, _stack_size(table)
+    if grids.ndim > dim and len(grids) > size:
+        chunks = [_fft_convolve(table, grids[i : i + size]) for i in range(0, len(grids), size)]
+        return np.concatenate(chunks)
     fshape, spectrum = _spectrum(table)
-    axes = tuple(range(-table.dim, 0))
-    spectra = rfftn(grids, fshape, axes) * spectrum
-    out = irfftn(spectra, fshape, axes)
-    start = 2 * table.radius
-    return out[(...,) + (slice(start, start + 2 * table.radius + 1),) * table.dim]
+    axes = tuple(range(-dim, 0))
+    window = slice(2 * table.radius, 4 * table.radius + 1)
+    spectra = rfftn(grids, fshape, axes)
+    spectra *= spectrum
+    for axis in axes[:-1]:
+        spectra = ifft(spectra, axis=axis)[(..., window) + (slice(None),) * (-axis - 1)]
+    return irfft(spectra, fshape[-1])[..., window]
 
 
 def convolve(table: KernelTable, w: Field) -> Field:
@@ -351,8 +376,8 @@ def convolve(table: KernelTable, w: Field) -> Field:
     support [0, 6r], and the aliases n +- L of an output index n in [2r, 4r]
     fall outside it, so the window read back is exact.  The kernel's
     spectrum is cached on the table; `dense_operator(table) @ w.values` is
-    the quadratic-cost reference sum.  A stack of fields goes through one
-    transform.
+    the quadratic-cost reference sum.  A stack of fields goes through
+    stacked transforms of at most `_stack_size(table)` fields each.
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")

@@ -245,8 +245,11 @@ def _write_rows(path, header: dict, reach: int, dim: int, values: np.ndarray) ->
 
 def write_field_csv(u: Field, path) -> None:
     """Serialize a field: a JSON header line, then one row per site, as
-    "i_1,...,i_N,value" in index order; read_field_csv inverts it bit exactly."""
+    "i_1,...,i_N,value" in index order; read_field_csv inverts it bit exactly.
+    Refuses a stack of fields, which the format cannot hold."""
     spec = u.spec
+    if u.values.ndim != 1:
+        raise ValueError(f"write_field_csv takes one field, not a stack of shape {u.values.shape}")
     _write_rows(path, {"dim": spec.dim, "radius": spec.radius}, spec.radius, spec.dim, u.values)
 
 

@@ -51,7 +51,7 @@ from .energy import (
     h_norm,
     pairing_field,
 )
-from .kernel import _stack_size
+from .kernel import _STACK_BYTES
 from .lattice import Field, random_field
 from .nehari import fiber_coefficients, _phi_root
 
@@ -385,6 +385,14 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]
     return runs
 
 
+def _stack_rows(ctx: EnergyContext) -> int:
+    """Starts per lockstep stack: as many as keep one (g, kappa) pair per
+    row, the largest stacked array of the metric solve, within _STACK_BYTES,
+    and at least one.  The kernel splits a stack's transforms by its own
+    rule."""
+    return max(1, _STACK_BYTES // (16 * ctx.spec.site_count))
+
+
 def minimize_ground_state(
     ctx: EnergyContext, cfg: SolverConfig | None = None, threads: int = 1
 ) -> SolveReport:
@@ -392,13 +400,14 @@ def minimize_ground_state(
 
     Runs `cfg.n_starts` independent descents and returns the lowest
     converged one.  The starts run in lockstep stacks, at least one per
-    thread and none above the kernel's stacked-transform byte rule.  Raises
-    NonconvergenceError with per-start diagnostics when no start meets the
-    residual criterion, and propagates model violations.
+    thread and none above `_stack_rows(ctx)` starts (all 8 on a 2D r=6 box,
+    3 on a 3D r=6 box).  Raises NonconvergenceError with per-start
+    diagnostics when no start meets the residual criterion, and propagates
+    model violations.
     """
     cfg = cfg or SolverConfig()
     starts = initial_fields(ctx, cfg)
-    count = max(threads, -(-cfg.n_starts // _stack_size(ctx.table)))
+    count = max(threads, -(-cfg.n_starts // _stack_rows(ctx)))
     stacks = np.array_split(np.arange(cfg.n_starts), min(count, cfg.n_starts))
 
     def run(rows: np.ndarray) -> _Stack:

@@ -14,6 +14,7 @@ from functools import reduce
 from math import comb, pi, sqrt
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from lattice_choquard import (
     DomainError,
@@ -258,6 +259,19 @@ def k_alpha_midpoint(dim: int, alpha: float, quad_points: int) -> float:
         wi * np.sum((si + rest) ** (alpha / 2.0) * rest_w) for si, wi in zip(sym, w)
     )
     return float(total / quad_points**dim)
+
+
+def full_window_convolve(table, grids: np.ndarray) -> np.ndarray:
+    """Oracle for kernel._fft_convolve: R * w for each box grid on the
+    trailing N axes, by numpy's irfftn over the whole circular grid of side
+    next_fast_len(4r+1), cut to the window [2r, 4r] per axis.  No pruning,
+    and the whole stack in one transform."""
+    dim, r = table.dim, table.radius
+    fshape = (next_fast_len(4 * r + 1, True),) * dim
+    axes = tuple(range(-dim, 0))
+    spectra = np.fft.rfftn(grids, fshape, axes) * np.fft.rfftn(table.values, fshape, axes)
+    out = np.fft.irfftn(spectra, fshape, axes)
+    return out[(...,) + (slice(2 * r, 4 * r + 1),) * dim]
 
 
 # -- probes of the theory ---------------------------------------------------

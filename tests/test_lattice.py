@@ -200,3 +200,14 @@ def test_read_field_csv_rejects_garbage(tmp_path):
     path.write_text("0,1.0\n")
     with pytest.raises(ValueError):
         read_field_csv(path)
+
+
+def test_write_field_csv_refuses_a_stack(tmp_path):
+    # one site per row cannot hold a stack: writing one raises instead of
+    # leaving a file that read_field_csv refuses
+    spec = LatticeSpec(1, 2)
+    stack = Field(spec, np.arange(10.0).reshape(2, 5))
+    path = tmp_path / "stack.csv"
+    with pytest.raises(ValueError, match="stack"):
+        write_field_csv(stack, path)
+    assert not path.exists()

@@ -274,6 +274,25 @@ def test_starts_share_transforms(ctx_b, monkeypatch):
     assert len(shapes) <= 2 * max(roots)
 
 
+@pytest.mark.parametrize("which, stacks", [("b", 1), ("3d", 3)])
+def test_starts_run_in_few_stacks(which, stacks, request, monkeypatch):
+    # the stacks are sized by the solver's own stacked arrays, not by the
+    # kernel's spectrum: model B's 8 starts share one stack, and the 3D
+    # r=6 box's 8 starts run in at most 3, not one stack per start
+    from lattice_choquard import solver
+
+    heights = []
+    descend = solver._descend
+
+    def counted(ctx, cfg, w0, starts):
+        heights.append(len(starts))
+        return descend(ctx, cfg, w0, starts)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    minimize_ground_state(request.getfixturevalue(f"ctx_{which}"))
+    assert len(heights) <= stacks and sum(heights) == SolverConfig().n_starts
+
+
 def test_report_evaluates_the_winner_once(ctx_b, monkeypatch):
     # after the descent, the report's level, constraint value and pointwise
     # residual come from one evaluation of u*: one transform per term
@@ -342,15 +361,22 @@ def test_p2_builds_no_edge_weights(ctx_a, monkeypatch):
     assert set(counts["grad_sq_callers"]) == {"h_norm_pow"}
 
 
-@pytest.mark.parametrize("which, n_starts", [("a", 8), ("b", 8), ("b", 3)])
+@pytest.fixture(scope="module")
+def ctx_3d():
+    # the 3D r=6 model of the benchmark's solve-3d-p2
+    return make_context(make_model(3, 6, 2.0, 1.0, 4.0))
+
+
+@pytest.mark.parametrize("which, n_starts", [("a", 8), ("b", 8), ("b", 3), ("3d", 3)])
 def test_stacked_descent_rows_are_independent(which, n_starts, request):
     # one stack of all starts (one thread) against stacks of one start each
     # (a thread per start): a row of a stack takes the steps, and keeps the
-    # bits, of its start descending alone
-    from lattice_choquard.kernel import _stack_size
+    # bits, of its start descending alone; on the 3D box the stack's
+    # transforms are split into one field each
+    from lattice_choquard.solver import _stack_rows
 
     ctx = request.getfixturevalue(f"ctx_{which}")
-    assert _stack_size(ctx.table) >= n_starts
+    assert _stack_rows(ctx) >= n_starts
     cfg = SolverConfig(n_starts=n_starts)
     stacked = minimize_ground_state(ctx, cfg)
     alone = minimize_ground_state(ctx, cfg, threads=n_starts)
