@@ -70,11 +70,12 @@ class CheckReport:
 def _supported_fields(spec, corners: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Fields of shape (m, sites): row k holds the cube blocks[k] (of shape
     (side,) * N) with its lowest site at the box point corners[k], counted
-    from the box's lowest site, all placed by one scatter."""
-    cube = np.indices(blocks.shape[1:]).reshape(spec.dim, -1)
-    at = np.ravel_multi_index(corners.T[:, :, None] + cube[:, None], spec.shape)
+    from the box's lowest site; written at each corner's flat index plus the
+    cube's flat offsets."""
+    cube = np.ravel_multi_index(np.indices(blocks.shape[1:]).reshape(spec.dim, -1), spec.shape)
+    at = np.ravel_multi_index(corners.T, spec.shape)[:, None] + cube
     out = np.zeros((len(blocks), spec.site_count))
-    np.put_along_axis(out, at, blocks.reshape(at.shape), 1)
+    out[np.arange(len(blocks))[:, None], at] = blocks.reshape(at.shape)
     return out
 
 
@@ -87,21 +88,15 @@ def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
     return top * np.array([x ** (1.0 / p) for x in sums.tolist()])
 
 
-def _ratios(u: np.ndarray, conv: np.ndarray, v, r: float, e: float) -> np.ndarray:
-    """The ratio of each row u, given conv = R * u: |<conv, v>| / (||u||_r
-    ||v||_e) in the bilinear form, ||conv||_e / ||u||_r with v None."""
-    if v is None:
-        return _lp_norms(conv, e) / _lp_norms(u, r)
-    return np.abs(np.vecdot(conv, v)) / (_lp_norms(u, r) * _lp_norms(v, e))
-
-
 def _hls_ratios(
     ctx: EnergyContext, r: float, e: float, n: int, rng, bilinear: bool
 ) -> np.ndarray:
     """Ratios of n samples.  The scales (four decades) and sub-box corners of
     u, then of v, are drawn up front; their blocks come from one spawned
-    stream per field, a stack at a time, so no draw depends on the stack
-    size.  The fields are convolved in stacks of `_stack_size` rows."""
+    stream per field, `_stack_size` samples at a time, so no draw depends on
+    the stack size.  Norms are taken of the blocks, since pow costs about
+    four times as much on the placed fields' zero padding as on a nonzero
+    entry."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
@@ -112,16 +107,22 @@ def _hls_ratios(
     streams = rng.spawn(len(draws))
     ratios = np.empty(n)
     size = _stack_size(ctx.table)
+    cube = (2 * sub + 1,) * spec.dim
     for lo in range(0, n, size):
-        m = min(size, n - lo)
-        k = slice(lo, lo + m)
+        k = slice(lo, min(lo + size, n))
+        blocks = [
+            a[k, None] * g.standard_normal((k.stop - lo, np.prod(cube)))
+            for (a, _), g in zip(draws, streams)
+        ]
         u, *v = [
-            _supported_fields(spec, c[k], g.standard_normal((m,) + (2 * sub + 1,) * spec.dim))
-            * a[k, None]
-            for (a, c), g in zip(draws, streams)
+            _supported_fields(spec, c[k], b.reshape(-1, *cube)) for (_, c), b in zip(draws, blocks)
         ]
         conv = convolve(ctx.table, Field(spec, u)).values
-        ratios[k] = _ratios(u, conv, v[0] if v else None, r, e)
+        norm = _lp_norms(blocks[0], r)
+        if v:
+            ratios[k] = np.abs(np.vecdot(conv, v[0])) / (norm * _lp_norms(blocks[1], e))
+        else:
+            ratios[k] = _lp_norms(conv, e) / norm
     return ratios
 
 
@@ -137,7 +138,8 @@ def _power_sup(ctx: EnergyContext, r: float, e: float, bilinear: bool) -> tuple[
     best = value = 0.0
     for steps in range(1, _POWER_MAX_STEPS + 1):
         w = conv = convolve(ctx.table, Field(ctx.spec, u)).values
-        new = float(_ratios(u, conv, u if bilinear else None, r, e)[0])
+        nu, pair = _lp_norms(u, r)[0], abs(np.vecdot(conv, u)[0])
+        new = float(pair / (nu * _lp_norms(u, e)[0]) if bilinear else _lp_norms(conv, e)[0] / nu)
         best = max(best, new)
         if abs(new - value) <= 1e-12 * new:
             break
@@ -206,12 +208,12 @@ def hls_sampler(
 
 def _in_stacks(fn, ctx: EnergyContext, U: np.ndarray, factors=(1.0,)) -> list:
     """fn(ctx, stack) over the fields f * u, for each row u of U and each f
-    in `factors`, whole rows of U at a time in stacks of at most
-    `_stack_size` fields; the per-field results in one list, row-major."""
-    f = np.array(factors)[:, None]
-    size = max(1, _stack_size(ctx.table) // len(f))
-    stacks = (U[i : i + size, None] * f for i in range(0, len(U), size))
-    return [x for w in stacks for x in fn(ctx, Field(ctx.spec, w.reshape(-1, U.shape[1])))]
+    in `factors`, taken row-major `_stack_size` fields at a time, so no stack
+    outgrows one transform whatever len(factors) is; the per-field results
+    in one list, row-major."""
+    W = (U[:, None] * np.array(factors)[:, None]).reshape(-1, U.shape[1])
+    size = _stack_size(ctx.table)
+    return [x for i in range(0, len(W), size) for x in fn(ctx, Field(ctx.spec, W[i : i + size]))]
 
 
 def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
@@ -382,12 +384,11 @@ def _difference_matrix(spec: LatticeSpec) -> np.ndarray:
 def _dense_norm_pow(ctx: EnergyContext, D: np.ndarray, V: np.ndarray) -> np.ndarray:
     """norm^p(v) = sum_x |grad v|^p(x) + sum h |v|^p for each row v of V,
     with |grad v|^2(x) = 1/2 sum_e (v(x + e) - v(x))^2 per site (not a sum of
-    |.|^p over edges), gathered from the zero-extended rows by D; `take`
-    keeps each gathered row contiguous, so it sums as it does alone."""
+    |.|^p over edges), gathered from the zero-extended rows by D as one
+    (rows, sites, 2N) array and summed on its last axis, as a row alone is."""
     p = ctx.model.p
     Vz = np.concatenate([V, np.zeros((len(V), 1))], 1)
-    here = Vz.take(D[0], 1)
-    grad_sq = 0.5 * sum(g * g for g in (Vz.take(step, 1) - here for step in D[1:]))
+    grad_sq = 0.5 * ((Vz.take(D[1:].T, 1) - Vz.take(D[0], 1)[:, :, None]) ** 2).sum(-1)
     pot = (ctx.h_flat * np.abs(V) ** p).sum(1)
     return (grad_sq ** (p / 2.0)).sum(1) + pot
 
@@ -415,13 +416,12 @@ def _direct_fiber_max(
     V = V[live]
     p, terms = ctx.model.p, ctx.model.nonlinearity.terms
     A = _dense_norm_pow(ctx, D, V)
-    w, e = [], []
-    for ai, qi in terms:
-        image = sum(g[:, None] * k for g, k in zip(np.abs(V.T) ** qi, K.T))
-        for aj, qj in terms:
-            w.append(0.5 * (ai / qi) * (aj / qj) * (image * np.abs(V) ** qj).sum(1))
-            e.append(qi + qj)
-    w, e = np.stack(w, 1), np.array(e)
+    powers = [(a / q, q, np.abs(V) ** q) for a, q in terms]
+    w, e = np.empty((len(V), len(terms) ** 2)), np.empty(len(terms) ** 2)
+    for i, (ci, qi, gi) in enumerate(powers):
+        image = (gi[:, None, :] * K).sum(-1)
+        for col, (cj, qj, gj) in enumerate(powers, i * len(terms)):
+            w[:, col], e[col] = 0.5 * ci * cj * (image * gj).sum(1), qi + qj
     log_a = np.log(A)
     c, d = e * w, e - p
     x = ((log_a[:, None] - np.log(c)) / d).min(1)
@@ -479,7 +479,7 @@ def ground_state_oracle(
     )
 
     def pinned(V):
-        return _direct_fiber_max(ctx, K, D, V) + (np.linalg.norm(V, axis=1) - 1.0) ** 2
+        return _direct_fiber_max(ctx, K, D, V) + (np.sqrt((V * V).sum(1)) - 1.0) ** 2
 
     best = dirs[np.argsort(levels)[:refine]]
     X = np.concatenate([best, abs(best), np.ones((1, n_sites)), rng.standard_normal((n_restarts, n_sites))])

@@ -331,6 +331,31 @@ def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request,
     assert np.max(fast) == pytest.approx(np.max(slow), rel=1e-12)
 
 
+@pytest.mark.parametrize("form", ["bilinear", "operator"])
+def test_hls_norms_see_no_zero_padding(ctx_b, form, monkeypatch):
+    # each sample's norms are taken of its drawn block, not of the placed
+    # field, whose zero padding costs pow about four times a nonzero entry
+    from lattice_choquard import verify
+
+    seen = []
+    lp_norms = verify._lp_norms
+
+    def recorded(rows, p):
+        seen.append(rows.copy())
+        return lp_norms(rows, p)
+
+    monkeypatch.setattr(verify, "_lp_norms", recorded)
+    N, alpha = ctx_b.model.dim, ctx_b.model.alpha
+    if form == "bilinear":
+        r = e = 2.0 * N / (N + alpha)
+    else:
+        r = 0.5 * (1.0 + N / alpha)
+        e = N * r / (N - alpha * r)
+    verify._hls_ratios(ctx_b, r, e, 97, np.random.default_rng(7), form == "bilinear")
+    assert len(seen) == 2 * 4  # two norms per stack of 25 samples
+    assert all(np.all(rows != 0.0) for rows in seen)
+
+
 def _closed_form_context():
     # model A's box with the 1D kernel from its closed form,
     # R(n) = R(0) prod_{k<n} (k + a/2) / (k + 1 - a/2), not from quadrature
