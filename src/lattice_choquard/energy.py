@@ -157,16 +157,22 @@ class FiberCoefficients:
         return sum(e * m for e, m in mass) / sum(m for _, m in mass)
 
     def gradient(self, s: float, kappa: Field) -> np.ndarray:
-        """grad J(s u), given the pairing field kappa of u.
+        """grad J(s u), given the pairing field kappa of u: a stack of one."""
+        return _stacked_gradient([self], [s], kappa.values[None])[0]
 
-        The norm part is (p-1)-homogeneous, so it rescales from kappa; the
-        convolved power fields rescale termwise to give (R * F(su)).
-        """
-        conv_F = np.zeros(self.u.size)
-        for (a, q), conv in zip(self.nonlinearity.terms, self.conv_fields):
-            conv_F += (a / q) * s**q * conv
-        f_su = np.asarray(eval_f(self.nonlinearity, s * self.u))
-        return s ** (self.p - 1.0) * kappa.values - conv_F * f_su
+
+def _stacked_gradient(stack: list, s: list, kappa: np.ndarray) -> np.ndarray:
+    """grad J(s_k u_k) for each record of `stack` and its float s_k, given the
+    pairing fields kappa (rows) of the u_k: the norm part rescales from kappa,
+    being (p-1)-homogeneous, and R * F(su) termwise from the convolved powers.
+    Coefficients are plain floats per row, so a row has the bits it has alone."""
+    p, nl = stack[0].p, stack[0].nonlinearity
+    conv_F = np.zeros(kappa.shape)
+    for i, (a, q) in enumerate(nl.terms):
+        coef = np.array([(a / q) * x**q for x in s])[:, None]
+        conv_F += coef * np.array([c.conv_fields[i] for c in stack])
+    f_su = eval_f(nl, np.array(s)[:, None] * np.array([c.u for c in stack]))
+    return np.array([x ** (p - 1.0) for x in s])[:, None] * kappa - conv_F * f_su
 
 
 def fiber_coefficients(
@@ -175,8 +181,8 @@ def fiber_coefficients(
     """Evaluate a field once: its norm power, one convolution per
     nonlinearity term, and the fiber polynomials built from them.  A caller
     that knows norm^p(u) already (a unit-norm trial) passes it as `norm_pow`.
-    A stack of fields gets one convolution per term in all, and a list with
-    the coefficients of each row, which has the bits it has alone."""
+    A stack gets one convolution per term and one `np.vecdot` per pair of
+    terms, and a list with each row's coefficients, with the bits it has alone."""
     if norm_pow is None:
         norm_pow = h_norm_pow(ctx, u)
     nl = ctx.model.nonlinearity
@@ -184,14 +190,14 @@ def fiber_coefficients(
     absu = np.abs(stack)
     powers = [absu**q for _, q in nl.terms]
     convs = [convolve(ctx.table, Field(ctx.spec, w)).values for w in powers]
+    pairs = [  # (exponent, a_i / q_i, a_j, a_j / q_j, B_ij per row)
+        (q_i + q_j, a_i / q_i, a_j, a_j / q_j, np.vecdot(conv, power).tolist())
+        for (a_i, q_i), conv in zip(nl.terms, convs)
+        for (a_j, q_j), power in zip(nl.terms, powers)
+    ]
     out = []
     for k, a in enumerate(norm_pow if isinstance(norm_pow, list) else [norm_pow] * len(stack)):
-        rows = []  # (exponent, phi weight, energy weight)
-        for (a_i, q_i), conv in zip(nl.terms, convs):
-            c = a_i / q_i
-            for (a_j, q_j), power in zip(nl.terms, powers):
-                b = float(np.dot(conv[k], power[k]))
-                rows.append((q_i + q_j, c * a_j * b, 0.5 * c * (a_j / q_j) * b))
+        rows = [(e, c * a_j * b[k], 0.5 * c * f_j * b[k]) for e, c, a_j, f_j, b in pairs]
         exps, wphi, wen = zip(*sorted(rows, key=lambda row: row[0]))
         conv_k = tuple(conv[k] for conv in convs)
         out.append(FiberCoefficients(ctx.model.p, a, exps, wphi, wen, nl, stack[k], conv_k))

@@ -30,8 +30,9 @@ Steps start from a Barzilai-Borwein estimate on differences of the
 direction and backtrack under an Armijo test, which allows Psi a few ulps of
 roundoff.  Multi-start guards against nonglobal minima; the best converged
 start wins.  The starts descend in lockstep stacks that share each round's
-transforms and metric solve, while every scalar (dots, roots, steps, tests)
-stays a plain float per start, so a start has the bits it has alone.
+transforms, gradients, metric solve and dots (one `np.vecdot` per quantity,
+equal to `np.dot` per row); roots, steps and tests stay plain floats per
+start, so a start has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .energy import (
     EnergyContext,
     FiberCoefficients,
     _pairing_parts,
+    _stacked_gradient,
     energy_J,
     h_norm,
     pairing_field,
@@ -171,9 +173,8 @@ class SolveReport:
 @dataclass(eq=False)
 class _Start:
     """One start in its stack: the fiber evaluation of its unit-norm iterate
-    (`coeffs.u`), its root and level, the slope and trial step of the current
-    iteration, the iterate's last move dw, counts and histories.  Once it
-    stops it keeps only the iterate `w`, its root, histories and `diag`."""
+    (`coeffs.u`), its root and level, the current slope and trial step, counts
+    and histories; a stopped start keeps `w`, its root, histories and `diag`."""
 
     start: int
     coeffs: FiberCoefficients | None
@@ -184,7 +185,6 @@ class _Start:
     step: float = _STEP0
     t: float = 0.0
     slope: float = 0.0
-    dw: np.ndarray | None = None
     stationary: bool = False  # the residual test of the current iteration
     diag: StartDiagnostics | None = None
     w: np.ndarray | None = None
@@ -199,7 +199,7 @@ class _Start:
     def finish(self, stop: str, converged: bool) -> None:
         counts = (self.iterations, self.psi, self.residual_history[-1], self.trials, self.roots)
         self.diag = StartDiagnostics(self.start, converged, *counts, stop)
-        self.w, self.coeffs, self.dw = self.coeffs.u, None, None
+        self.w, self.coeffs = self.coeffs.u, None
 
 
 class _Stack(list):
@@ -270,13 +270,12 @@ def _tangent_direction(
 ) -> np.ndarray:
     """d = P^{-1} g - lambda P^{-1} kappa, so that <kappa, d> = 0 and the
     descent direction z = -d has slope s <g, z> <= 0; row by row for a
-    stack, each lambda from plain-float dots."""
+    stack, with one `np.vecdot` per dot over the rows."""
     # (g, kappa) pairs per iterate keep a 1D sine transform's matrix shapes
     pd = _metric_inverse(ctx, w, lap_diag, np.stack((g, kappa), axis=-2))
     pg, pk = pd[..., 0, :], pd[..., 1, :]
-    rows = zip(*map(np.atleast_2d, (kappa, pg, pk)))
-    lam = [float(np.dot(k, a)) / float(np.dot(k, b)) for k, a, b in rows]
-    return pg - np.reshape(lam, pg.shape[:-1] + (1,)) * pk
+    lam = np.vecdot(kappa, pg) / np.vecdot(kappa, pk)
+    return pg - lam[..., None] * pk
 
 
 def _rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
@@ -284,14 +283,12 @@ def _rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
     return a if len(rows) == len(a) else a[rows]
 
 
-def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list) -> None:
+def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: list) -> None:
     """Begin an iteration on the `rows` of the stack: the gradient and the
     stopping tests, then the direction (into `d`) and first trial step."""
     wr = _rows(w, rows)
     kappa, lap_diag = _pairing_parts(ctx, Field(ctx.spec, wr))
-    g = np.empty_like(kappa)
-    for j, i in enumerate(rows):
-        g[j] = runs[i].coeffs.gradient(runs[i].s, Field(ctx.spec, kappa[j]))
+    g = _stacked_gradient([runs[i].coeffs for i in rows], [runs[i].s for i in rows], kappa)
     for j, resid in enumerate(np.abs(g).max(axis=1).tolist()):
         r = runs[rows[j]]
         r.s_history.append(r.s)
@@ -303,28 +300,29 @@ def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list)
         ):
             r.finish("converged", True)
     go = [j for j, i in enumerate(rows) if runs[i].diag is None]
-    if go:  # the rows that stopped get a direction too: no second stack
-        dr = _tangent_direction(ctx, wr, lap_diag, g, kappa)
+    if not go:  # else the stopped rows get a direction too: no second stack
+        return
+    dr = _tangent_direction(ctx, wr, lap_diag, g, kappa)
+    dwr = _rows(dw, rows)  # moves of w; a zero one (no move yet) fails the BB test
+    pairs = ((g, dr), (dwr, dr - _rows(d, rows)), (dwr, dwr))
+    gd, denoms, nums = [np.vecdot(a, b).tolist() for a, b in pairs]
     for j in go:
         i, r = rows[j], runs[rows[j]]
-        slope = -r.s * float(np.dot(g[j], dr[j]))  # d/dt Psi(retract(w - t d)) at t = 0
+        slope = -r.s * gd[j]  # d/dt Psi(retract(w - t d)) at t = 0
         if not slope < 0:
             r.finish("zero_direction", r.stationary)
             continue
-        if r.dw is not None:  # Barzilai-Borwein, from the last moves of w and d
-            denom = float(np.dot(r.dw, dr[j] - d[i]))
-            num = float(np.dot(r.dw, r.dw))
-            if denom > 0 and np.isfinite(denom) and num > 0:
-                r.step = min(max(num / denom, 1e-12), 1e6)
+        if denoms[j] > 0 and np.isfinite(denoms[j]) and nums[j] > 0:
+            r.step = min(max(nums[j] / denoms[j], 1e-12), 1e6)
         d[i] = dr[j]
         r.slope, r.t = slope, r.step
 
 
-def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows: list) -> list:
+def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: list) -> list:
     """One Armijo trial w - t d on each of the `rows`, retracted to the unit
     sphere and projected by one stacked fiber evaluation.  A row whose trial
-    passes moves there (in `w`); one that fails halves t, down to the step
-    floor.  Returns the rows that moved and go on."""
+    passes moves there (in `w`, its move in `dw`); one that fails halves t,
+    down to the step floor.  Returns the rows that moved and go on."""
     t = np.array([runs[i].t for i in rows])[:, None]
     trial = _rows(w, rows) - t * _rows(d, rows)
     norms = h_norm(ctx, Field(ctx.spec, trial))
@@ -340,8 +338,7 @@ def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows
         psi = float(c.energy(s))
         bound = r.psi + _SUFFICIENT_DECREASE * r.t * r.slope
         if psi <= bound + _ROUNDOFF * abs(r.psi):
-            r.dw = w_new - w[i]
-            w[i] = w_new
+            dw[i], w[i] = w_new - w[i], w_new
             r.coeffs, r.s, r.psi = c, s, psi
             moved.append(i)
     for i in rows:
@@ -361,13 +358,13 @@ def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, rows
 def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]) -> _Stack:
     """Descend from each row of the stack w0, numbered `starts`, in lockstep:
     each round, the rows that moved (all at first) begin an iteration, then
-    every running row makes one trial.  Iterates and directions are rows of
-    w and d."""
+    every running row makes one trial.  Iterates, directions and last moves
+    are rows of w, d and dw."""
     norms = h_norm(ctx, w0)
     if 0.0 in norms:
         raise ValueError("initial field must be nonzero")
     w = w0.values / np.array(norms)[:, None]
-    d = np.zeros_like(w)
+    d, dw = np.zeros_like(w), np.zeros_like(w)
     runs = _Stack()
     for k, c in zip(starts, fiber_coefficients(ctx, Field(ctx.spec, w), norm_pow=1.0)):
         s = _phi_root(c)
@@ -375,11 +372,11 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]
     turning = list(range(len(runs)))
     while True:
         if turning:
-            _turn(ctx, cfg, runs, w, d, turning)
+            _turn(ctx, cfg, runs, w, d, dw, turning)
         live = [i for i, r in enumerate(runs) if r.diag is None]
         if not live:
             break
-        turning = _trial_round(ctx, cfg, runs, w, d, live)
+        turning = _trial_round(ctx, cfg, runs, w, d, dw, live)
     for r in runs:
         logger.info(r.diag.log_line())
     return runs

@@ -67,16 +67,12 @@ class CheckReport:
     detail: str = ""
 
 
-def _supported_fields(spec, corners: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Fields of shape (m, sites): row k holds the cube blocks[k] (of shape
-    (side,) * N) with its lowest site at the box point corners[k], counted
-    from the box's lowest site; written at each corner's flat index plus the
-    cube's flat offsets."""
-    cube = np.ravel_multi_index(np.indices(blocks.shape[1:]).reshape(spec.dim, -1), spec.shape)
-    at = np.ravel_multi_index(corners.T, spec.shape)[:, None] + cube
-    out = np.zeros((len(blocks), spec.site_count))
-    out[np.arange(len(blocks))[:, None], at] = blocks.reshape(at.shape)
-    return out
+def _block_sites(spec, corners: np.ndarray, cube: tuple) -> np.ndarray:
+    """Flat indices (m, cube sites) into an (m, sites) stack: row k's cube, of
+    shape `cube`, row-major from its lowest site at box point corners[k] (0-based)."""
+    offsets = np.ravel_multi_index(np.indices(cube).reshape(spec.dim, -1), spec.shape)
+    at = np.ravel_multi_index(corners.T, spec.shape) + spec.site_count * np.arange(len(corners))
+    return at[:, None] + offsets
 
 
 def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
@@ -96,7 +92,7 @@ def _hls_ratios(
     stream per field, `_stack_size` samples at a time, so no draw depends on
     the stack size.  Norms are taken of the blocks, since pow costs about
     four times as much on the placed fields' zero padding as on a nonzero
-    entry."""
+    entry, and only u is placed: R * u is read at v's block sites."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
@@ -114,13 +110,14 @@ def _hls_ratios(
             a[k, None] * g.standard_normal((k.stop - lo, np.prod(cube)))
             for (a, _), g in zip(draws, streams)
         ]
-        u, *v = [
-            _supported_fields(spec, c[k], b.reshape(-1, *cube)) for (_, c), b in zip(draws, blocks)
-        ]
+        at = [_block_sites(spec, c[k], cube) for _, c in draws]
+        u = np.zeros((k.stop - lo, spec.site_count))
+        u.put(at[0], blocks[0])
         conv = convolve(ctx.table, Field(spec, u)).values
         norm = _lp_norms(blocks[0], r)
-        if v:
-            ratios[k] = np.abs(np.vecdot(conv, v[0])) / (norm * _lp_norms(blocks[1], e))
+        if bilinear:
+            pair = np.vecdot(conv.take(at[1]), blocks[1])
+            ratios[k] = np.abs(pair) / (norm * _lp_norms(blocks[1], e))
         else:
             ratios[k] = _lp_norms(conv, e) / norm
     return ratios

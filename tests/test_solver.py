@@ -13,9 +13,12 @@ from scipy.fft import dstn
 from lattice_choquard import (
     ConstantPotential,
     Field,
+    LatticeSpec,
+    ModelSpec,
     NonconvergenceError,
     PeriodicPotential,
     SolverConfig,
+    SumOfPowers,
     center_normalize,
     energy_J,
     fiber_coefficients,
@@ -24,8 +27,9 @@ from lattice_choquard import (
     minimize_ground_state,
     pairing_field,
 )
-from lattice_choquard.energy import _pairing_parts, fiber_coefficients
+from lattice_choquard.energy import _pairing_parts, _stacked_gradient, fiber_coefficients
 from lattice_choquard.lattice import _p_laplacian_parts
+from lattice_choquard.model import eval_f
 from lattice_choquard.nehari import _phi_root
 from lattice_choquard.solver import (
     _METRIC_EPS,
@@ -367,12 +371,75 @@ def ctx_3d():
     return make_context(make_model(3, 6, 2.0, 1.0, 4.0))
 
 
-@pytest.mark.parametrize("which, n_starts", [("a", 8), ("b", 8), ("b", 3), ("3d", 3)])
+@pytest.fixture(scope="module")
+def ctx_two():
+    # two nonlinearity terms, so the fiber weights and the gradient sum over
+    # pairs of terms
+    return make_context(
+        ModelSpec(
+            lattice=LatticeSpec(1, 8),
+            p=2.0,
+            alpha=0.5,
+            potential=ConstantPotential(1.0),
+            nonlinearity=SumOfPowers(((1.0, 3.0), (0.5, 5.0))),
+        )
+    )
+
+
+@pytest.mark.parametrize("which", ["b", "two"])
+def test_stacked_evaluation_matches_rows_alone(which, request):
+    # the premise of the stacked descent: on this numpy, np.vecdot over rows
+    # is np.dot row by row (a numpy that breaks it fails here, not by
+    # drifting the artifacts)
+    a, b = np.random.default_rng(3).standard_normal((2, 8, 169))
+    assert np.vecdot(a, b).tobytes() == np.array([np.dot(x, y) for x, y in zip(a, b)]).tobytes()
+    # a stack's fiber weights, gradient and direction (which carries lambda)
+    # have, row by row, the bits of each row evaluated alone
+    ctx = request.getfixturevalue(f"ctx_{which}")
+    terms, p = ctx.model.nonlinearity.terms, ctx.model.p
+    w = Field(ctx.spec, np.stack([u.values for u in _unit_fields(ctx, 4)]))
+    stack = fiber_coefficients(ctx, w, norm_pow=1.0)
+    s = [_phi_root(c) for c in stack]
+    kappa, lap_diag = _pairing_parts(ctx, w)
+    g = _stacked_gradient(stack, s, kappa)
+    d = _tangent_direction(ctx, w.values, lap_diag, g, kappa)
+    for k, c in enumerate(stack):
+        row = Field(ctx.spec, w.values[k])
+        alone = fiber_coefficients(ctx, row, norm_pow=1.0)
+        weights = np.array([c.phi_weights, c.energy_weights])
+        assert np.array([alone.phi_weights, alone.energy_weights]).tobytes() == weights.tobytes()
+        dots = [  # each weight from a plain np.dot
+            (q_i + q_j, a_i / q_i * a_j * float(np.dot(conv, np.abs(row.values) ** q_j)))
+            for (a_i, q_i), conv in zip(terms, c.conv_fields)
+            for a_j, q_j in terms
+        ]
+        assert [x for _, x in sorted(dots, key=lambda pair: pair[0])] == list(c.phi_weights)
+        kappa_k, lap_diag_k = _pairing_parts(ctx, row)
+        g_k = alone.gradient(s[k], Field(ctx.spec, kappa_k))
+        assert g_k.tobytes() == g[k].tobytes()
+        d_k = _tangent_direction(ctx, row.values, lap_diag_k, g_k, kappa_k)
+        assert d_k.tobytes() == d[k].tobytes()
+    # along the rays, a stack has the bits of the per-row formula on
+    # plain-float coefficients (numpy's vector pow rounds unlike ** for about
+    # 5% of s)
+    scales = np.geomspace(0.5, 2.0, 16).tolist()
+    rays = [(c, t * x, kap) for c, x, kap in zip(stack, s, kappa) for t in scales]
+    records, xs, kappas = zip(*rays)
+    for (c, x, kap), g_ray in zip(rays, _stacked_gradient(records, xs, np.stack(kappas))):
+        conv_F = sum((a / q) * x**q * conv for (a, q), conv in zip(terms, c.conv_fields))
+        f_su = eval_f(ctx.model.nonlinearity, x * c.u)
+        assert (x ** (p - 1.0) * kap - conv_F * f_su).tobytes() == g_ray.tobytes()
+
+
+@pytest.mark.parametrize(
+    "which, n_starts", [("a", 8), ("b", 8), ("b", 3), ("3d", 3), ("two", 8)]
+)
 def test_stacked_descent_rows_are_independent(which, n_starts, request):
     # one stack of all starts (one thread) against stacks of one start each
     # (a thread per start): a row of a stack takes the steps, and keeps the
     # bits, of its start descending alone; on the 3D box the stack's
-    # transforms are split into one field each
+    # transforms are split into one field each, and the two-term model sums
+    # its weights and gradient over pairs of terms
     from lattice_choquard.solver import _stack_rows
 
     ctx = request.getfixturevalue(f"ctx_{which}")

@@ -278,9 +278,10 @@ def test_write_checks_json(tmp_path, ctx_a):
 
 
 def test_random_supported_matches_site_by_site_fill():
-    # the one-scatter placement of a stack of blocks against a site-by-site
-    # fill, corners spanning the whole room (none at radius 1)
-    from lattice_choquard.verify import _supported_fields
+    # a stack of blocks placed by one scatter at their flat block sites
+    # against a site-by-site fill, corners spanning the whole room (none at
+    # radius 1)
+    from lattice_choquard.verify import _block_sites
     from reference import random_supported_by_sites
 
     for dim, radius in ((1, 1), (1, 8), (2, 6), (3, 2)):
@@ -289,7 +290,9 @@ def test_random_supported_matches_site_by_site_fill():
         rng = np.random.default_rng([dim, radius])
         corners = rng.integers(0, 2 * (radius - sub) + 1, (20, dim))
         blocks = rng.standard_normal((20,) + (2 * sub + 1,) * dim)
-        fast = _supported_fields(spec, corners, blocks)
+        sites = _block_sites(spec, corners, blocks.shape[1:])
+        fast = np.zeros((20, spec.site_count))
+        fast.put(sites, blocks)
         for row, c, b in zip(fast, corners, blocks):
             assert np.array_equal(row, random_supported_by_sites(spec, c, b).values)
 
