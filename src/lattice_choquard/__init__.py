@@ -48,7 +48,6 @@ from .energy import (
     fiber_coefficients,
     h_norm,
     h_norm_pow,
-    interaction_energy,
     make_context,
     pairing_field,
 )

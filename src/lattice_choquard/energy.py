@@ -44,7 +44,6 @@ __all__ = [
     "make_context",
     "h_norm",
     "h_norm_pow",
-    "interaction_energy",
     "energy_J",
     "pairing_field",
 ]
@@ -202,15 +201,6 @@ def fiber_coefficients(
         conv_k = tuple(conv[k] for conv in convs)
         out.append(FiberCoefficients(ctx.model.p, a, exps, wphi, wen, nl, stack[k], conv_k))
     return out if u.values.ndim == 2 else out[0]
-
-
-def interaction_energy(ctx: EnergyContext, u: Field) -> float | list[float]:
-    """D(u) = sum (R_alpha * F(u)) F(u), the nonlocal interaction term; for a
-    stack of fields, a list with one value per row."""
-    coeffs = fiber_coefficients(ctx, u)
-    if isinstance(coeffs, list):
-        return [2.0 * float(np.sum(c.energy_weights)) for c in coeffs]
-    return 2.0 * float(np.sum(coeffs.energy_weights))
 
 
 def energy_J(ctx: EnergyContext, u: Field) -> float:

@@ -515,15 +515,23 @@ def test_fiber_refuses_a_malformed_field_file(tmp_path, capsys, text, message):
 
 
 def test_check_artifacts(tmp_path, capsys):
-    # the harness drift gates are calibrated at the reference radius
-    path = write_config(tmp_path, base_config(radius=8))
+    # model B, the reference 2D model: six passing entries with their
+    # sample counts
+    path = write_config(tmp_path, base_config(dim=2, radius=6, p=3, alpha=1.0))
     out = tmp_path / "out"
     assert main(["check", "--config", path, "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert stdout.count("PASS") == 6
     data = json.loads((out / "checks.json").read_text())
     assert data["all_passed"] is True
-    assert len(data["checks"]) == 6
+    assert {c["name"]: c["n_samples"] for c in data["checks"]} == {
+        "hls_bilinear": 2000,
+        "hls_operator": 2000,
+        "fiber_growth": 160,
+        "ar_condition": 83,
+        "su_uniqueness": 32,
+        "nehari_floor": 32,
+    }
 
 
 def test_run_dispatcher(tmp_path, capsys):

@@ -9,12 +9,12 @@ from lattice_choquard import (
     fiber_coefficients,
     h_norm,
     h_norm_pow,
-    interaction_energy,
     make_context,
     pairing_field,
     random_field,
 )
 from conftest import make_model
+from reference import dense_interaction
 
 
 @pytest.fixture(scope="module")
@@ -52,21 +52,22 @@ def test_norm_homogeneity(ctx_small_p3):
 
 
 def test_interaction_homogeneity(ctx_small):
-    # single power q: D(t u) = |t|^{2q} D(u) exactly
+    # single power q: D(t u) = |t|^{2q} D(u) exactly, here the fiber
+    # polynomial's D(t u) against the dense oracle's D(u)
     rng = np.random.default_rng(2)
     u = random_field(ctx_small.spec, rng)
     t = -1.5
     scaled = Field(ctx_small.spec, t * u.values)
-    assert interaction_energy(ctx_small, scaled) == pytest.approx(
-        abs(t) ** 8 * interaction_energy(ctx_small, u), rel=1e-12
-    )
+    grown = 2.0 * sum(fiber_coefficients(ctx_small, scaled).energy_weights)
+    assert grown == pytest.approx(abs(t) ** 8 * dense_interaction(ctx_small, u), rel=1e-12)
 
 
 def test_interaction_positive(ctx_small):
     rng = np.random.default_rng(3)
     for _ in range(5):
         u = random_field(ctx_small.spec, rng)
-        assert interaction_energy(ctx_small, u) > 0
+        assert dense_interaction(ctx_small, u) > 0
+        assert min(fiber_coefficients(ctx_small, u).energy_weights) > 0
 
 
 def test_energy_zero_field(ctx_small):
@@ -77,7 +78,7 @@ def test_energy_zero_field(ctx_small):
 def test_energy_decomposition(ctx_small):
     rng = np.random.default_rng(4)
     u = random_field(ctx_small.spec, rng)
-    expected = h_norm_pow(ctx_small, u) / 2.0 - interaction_energy(ctx_small, u) / 2.0
+    expected = h_norm_pow(ctx_small, u) / 2.0 - dense_interaction(ctx_small, u) / 2.0
     assert energy_J(ctx_small, u) == pytest.approx(expected, rel=1e-13)
 
 

@@ -109,20 +109,37 @@ def test_su_uniqueness(ctx_a):
 
 
 def test_su_uniqueness_flags_subcritical_exponent():
-    # q = p constructs but fails the theta > p precondition; the scan
-    # reports the anomaly instead of pretending to certify uniqueness
+    # one term q = 1.5 below p = 3 gives phi = (A - w) s^3, whose exponent
+    # e = 2q = p breaks the certificate's e_k > p: the check fails on every
+    # sample and names the exponent
     model = ModelSpec(
         lattice=LatticeSpec(1, 3),
-        p=2.0,
+        p=3.0,
         alpha=0.5,
         potential=ConstantPotential(1.0),
-        nonlinearity=SumOfPowers(((1.0, 2.0),)),
+        nonlinearity=SumOfPowers(((1.0, 1.5),)),
     )
-    ctx = make_context(model)
-    report = su_uniqueness_scan(ctx)
+    report = su_uniqueness_scan(make_context(model), n=8)
     assert not report.passed
-    assert report.n_samples == 0
-    assert "theta <= p" in report.detail
+    assert report.margin == -8.0
+    assert "least exponent 3," in report.detail
+
+
+def test_exact_checks_fail_on_a_negative_kernel_entry(ctx_b):
+    # the weights of the fiber polynomial are nonnegative for every field
+    # only when the kernel table is: one negative entry fails both exact
+    # checks, whatever the sampled fields show
+    from lattice_choquard.kernel import KernelTable
+
+    good = ctx_b.table
+    values = good.values.copy()
+    values[0, 0] = -1.0
+    table = KernelTable(good.dim, good.radius, good.alpha, good.k_alpha, values)
+    ctx = make_context(ctx_b.model, table=table)
+    for check in (su_uniqueness_scan, fiber_growth_check):
+        report = check(ctx, n=8)
+        assert not report.passed
+        assert "kernel table min -1" in report.detail
 
 
 def test_nehari_floor_margins(ctx_a, ctx_b):
@@ -444,7 +461,9 @@ def test_stacked_checks_match_per_sample_oracles(name, request):
     ):
         report = check(ctx, n=40, seed=3)
         margin, passed, detail = oracle(ctx, n=40, seed=3)
-        assert (repr(report.margin), report.passed, report.detail) == (repr(margin), passed, detail)
+        assert (repr(report.margin), report.passed) == (repr(margin), passed)
+        if check is nehari_floor_check:  # the exact checks' details name a certificate
+            assert report.detail == detail
 
 
 @pytest.mark.parametrize("dim,radius", [(2, 6), (3, 6), (3, 16)])
