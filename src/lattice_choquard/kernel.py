@@ -232,16 +232,6 @@ def fractional_degree(dim: int, alpha: float) -> float:
     return _k_alpha(int(dim), float(alpha), _K_T_MAX, _PANEL)
 
 
-def _check_kernel_params(dim: int, alpha: float) -> None:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not np.isfinite(alpha) or not 0 < alpha < dim:
-        raise ValueError(
-            "alpha must lie in (0, N); the kernel integrand is not integrable "
-            "otherwise"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class KernelTable:
     """Precomputed kernel over all differences d in {-2r, ..., 2r}^N.
@@ -283,7 +273,11 @@ def build_table(spec: LatticeSpec, alpha: float) -> KernelTable:
     nonnegative orthant of differences; sign symmetry fills the rest, so
     reflection invariance holds exactly.
     """
-    _check_kernel_params(spec.dim, alpha)
+    if not np.isfinite(alpha) or not 0 < alpha < spec.dim:
+        raise ValueError(
+            "alpha must lie in (0, N); the kernel integrand is not integrable "
+            "otherwise"
+        )
     ka = fractional_degree(spec.dim, alpha)
     reach = 2 * spec.radius
     axes = [np.arange(reach + 1)] * spec.dim

@@ -16,6 +16,8 @@ For power-sum nonlinearities every fiber quantity is a polynomial in s (see
 per term and a few plain-float evaluations of phi.  The root finder runs
 Newton's method in log s from a closed-form start, which the sign and
 curvature structure of phi makes monotone; one term needs one evaluation.
+It refuses, with a ModelViolationError and a witness, a phi whose one
+root Descartes' rule of signs does not certify (`verify.su_uniqueness_scan`).
 """
 
 from __future__ import annotations
@@ -35,8 +37,21 @@ _NEWTON_STEP_TOL = 1e-9
 _ROOT_TOL = 1e-10
 
 
+def _descartes_witness(coeffs: FiberCoefficients) -> str:
+    """"" when phi's coefficients change sign exactly once, so that by
+    Descartes' rule of signs (which holds for real exponents) phi has exactly
+    one positive root, where it turns from positive to negative: norm^p(u) > 0,
+    every weight w_k >= 0, some w_k > 0 and every e_k > p.  Otherwise the
+    witness, phi's least exponent and least weight."""
+    e, w = min(coeffs.exponents), min(coeffs.phi_weights)
+    if coeffs.norm_pow > 0 and w >= 0 and max(coeffs.phi_weights) > 0 and e > coeffs.p:
+        return ""
+    return f"least exponent {e:g}, least weight {w:.6g}"
+
+
 def _phi_root(coeffs: FiberCoefficients) -> float:
-    """Unique positive root of the fiber stationarity polynomial.
+    """Unique positive root of the fiber stationarity polynomial, once
+    `_descartes_witness` certifies it.
 
     Newton's method in x = log s on g(x) = log(A s^p) - log T(s), with A the
     norm power and T(s) = sum_k w_k s^{e_k} the tail of phi.  With all e_k > p,
@@ -45,19 +60,11 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     (A / w_k)^{1/(e_k - p)} is such a start (the root itself for one term),
     and from there on no term exceeds A s^p.
     """
+    if witness := _descartes_witness(coeffs):
+        raise ModelViolationError(f"fiber polynomial not certified to have one root: {witness}")
     p, norm_pow = coeffs.p, coeffs.norm_pow
-    terms = [(e, w) for e, w in zip(coeffs.exponents, coeffs.phi_weights) if w > 0]
-    if not terms or max(e for e, _ in terms) <= p:
-        raise ModelViolationError(
-            "fiber derivative never turns negative: the nonlocal term "
-            "fails to dominate at large scales"
-        )
-    if min(e for e, _ in terms) <= p:
-        raise ModelViolationError(
-            "fiber derivative never turns positive: the norm term fails "
-            "to dominate at small scales"
-        )
-    x = min((math.log(norm_pow) - math.log(w)) / (e - p) for e, w in terms)
+    pairs = zip(coeffs.exponents, coeffs.phi_weights)
+    x = min((math.log(norm_pow) - math.log(w)) / (e - p) for e, w in pairs if w > 0)
     for _ in range(_NEWTON_MAX_STEPS):
         s = math.exp(x)
         g = -math.log1p(-coeffs.phi(s) / (norm_pow * s**p))

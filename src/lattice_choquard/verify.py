@@ -5,10 +5,12 @@ Each check owns a random stream derived from a stated seed, reports a
 worst-case margin over its samples, and passes or fails.  Fiber growth and
 fiber-root uniqueness are exact: a termwise certificate on each sample's
 fiber polynomial, which holds for every field once the kernel table is
-nonnegative.  The convolution inequality constant is bracketed between
+nonnegative; uniqueness is the Descartes test the root finder refuses
+through.  The superlinearity inequality is exact term by term for every
+sum of powers.  The convolution inequality constant is bracketed between
 certified bounds (a power-method maximum below, Young's inequality above),
-never asserted against invented ground truth.  The superlinearity grid and
-the energy floor are sampled.  A failed report is a finding, not a crash.
+never asserted against invented ground truth.  The energy floor is sampled.
+A failed report is a finding, not a crash.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from numpy.random import default_rng
 from .energy import EnergyContext
 from .kernel import _STACK_BYTES, _stack_size, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
-from .model import eval_F
-from .nehari import fiber_coefficients, project_su
+from .model import eval_F, eval_f
+from .nehari import _descartes_witness, fiber_coefficients, project_su
 from .simplex import _nelder_mead
 
 __all__ = [
@@ -40,6 +42,8 @@ __all__ = [
 
 
 _T_LADDER = (1.0, 1.25, 2.0, 5.0, 10.0)
+# where the superlinearity margin is read: t = 0 and 41 points a sign over [1e-3, 1e2]
+_AR_GRID = np.concatenate([-np.logspace(-3, 2, 41)[::-1], [0.0], np.logspace(-3, 2, 41)])
 # the power method's step cap; near alpha = 0 its linear limit converges slowly
 _POWER_MAX_STEPS = 1000
 _ORACLE_SITE_LIMIT = 9
@@ -204,13 +208,6 @@ def hls_sampler(
     )
 
 
-def _in_stacks(fn, ctx: EnergyContext, U: np.ndarray) -> list:
-    """fn(ctx, stack) over the rows of U, `_stack_size` rows at a time; the
-    per-row results in one list."""
-    size = _stack_size(ctx.table)
-    return [x for i in range(0, len(U), size) for x in fn(ctx, Field(ctx.spec, U[i : i + size]))]
-
-
 def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
     """Check that the interaction term grows at least like t^theta along rays.
 
@@ -224,7 +221,7 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     """
     vals = default_rng(seed).standard_normal((n, ctx.spec.site_count))
     u = vals / np.maximum(1.0, np.abs(vals).max(1))[:, None]
-    coeffs = _in_stacks(fiber_coefficients, ctx, u)
+    coeffs = fiber_coefficients(ctx, Field(ctx.spec, u))
     w = np.array([c.energy_weights for c in coeffs])
     e = np.array([c.exponents for c in coeffs])
     theta, t = ctx.model.nonlinearity.theta, np.array(_T_LADDER)
@@ -247,59 +244,56 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     )
 
 
-def ar_condition_check(nl, grid=None, seed: int = 0) -> CheckReport:
-    """Check 0 <= theta*F(t) <= 2*f(t)*t on a sign-symmetric grid.
+def ar_condition_check(nl, seed: int = 0) -> CheckReport:
+    """Certify 0 <= theta*F(t) <= 2*f(t)*t for every t.
 
-    Exact (up to roundoff on an inequality with at least 50% relative gap)
-    for every sum of powers, since theta <= q_i < 2 q_i termwise.
+    Exact, termwise: theta F(t) = sum_i theta (a_i / q_i) |t|^{q_i} and
+    2 f(t) t = sum_i 2 a_i |t|^{q_i}, so a_i >= 0 and theta <= 2 q_i give both
+    inequalities term by term; every sum of powers has a_i > 0 and
+    theta = min q_i < 2 q_i.  `margin` is the worst slack on a fixed
+    sign-symmetric grid of 83 points, t = 0 among them.
     """
-    if grid is None:
-        pos = np.logspace(-3, 2, 41)
-        grid = np.concatenate([-pos[::-1], [0.0], pos])
-    grid = np.asarray(grid, dtype=float)
     theta = nl.theta
-    F_vals = theta * np.asarray(eval_F(nl, grid))
-    # f(t)*t = sum a_i |t|^{q_i}, even in t
-    upper = 2.0 * np.array([sum(a * abs(t) ** q for a, q in nl.terms) for t in grid])
+    F_vals = theta * eval_F(nl, _AR_GRID)
     lower_margin = float(np.min(F_vals))
-    upper_margin = float(np.min(upper - F_vals))
-    margin = min(lower_margin, upper_margin)
+    upper_margin = float(np.min(2.0 * eval_f(nl, _AR_GRID) * _AR_GRID - F_vals))
+    least, ratio = min(a for a, _ in nl.terms), max(theta / (2.0 * q) for _, q in nl.terms)
     return CheckReport(
         name="ar_condition",
-        statement="0 <= theta*F(t) <= 2*f(t)*t on the sample grid",
-        n_samples=grid.size,
-        margin=margin,
-        passed=margin >= 0.0,
+        statement="0 <= theta*F(t) <= 2*f(t)*t for every t, term by term",
+        n_samples=_AR_GRID.size,
+        margin=min(lower_margin, upper_margin),
+        passed=least >= 0 and ratio <= 1.0,
         seed=seed,
-        detail=f"min theta*F = {lower_margin:.3g}, min 2ft - theta*F = {upper_margin:.3g}",
+        detail=(
+            f"least a_i {least:.6g}, largest theta/(2 q_i) {ratio:.6g}; on the grid "
+            f"min theta*F = {lower_margin:.3g}, min 2ft - theta*F = {upper_margin:.3g}"
+        ),
     )
 
 
 def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
     """Certify that the fiber derivative has exactly one positive root.
 
-    Exact, termwise: phi(s) = s^p norm^p(u) - sum_k w_k s^{e_k}.  With
-    norm^p(u) > 0, every w_k >= 0, some w_k > 0 and every e_k > p, its
-    coefficients change sign once, so by Descartes' rule of signs (which
-    holds for real exponents) phi has exactly one positive root, where it
-    turns from positive to negative.  Each random u is certified from one
-    evaluation.  The weights are nonnegative for every u when the kernel
-    table is, so the check fails on a table with a negative entry.
+    Exact, termwise, by the root finder's own test: by Descartes' rule of
+    signs, phi(s) = s^p norm^p(u) - sum_k w_k s^{e_k} has exactly one
+    positive root when norm^p(u) > 0, every w_k >= 0, some w_k > 0 and every
+    e_k > p.  Each random u is certified from one evaluation.  The weights
+    are nonnegative for every u when the kernel table is, so the check
+    fails on a table with a negative entry.
     `margin` is minus the number of samples that fail the certificate.
     """
     U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
-    low, bad, witness = float(ctx.table.values.min()), 0, ""
-    for i, coeffs in enumerate(_in_stacks(fiber_coefficients, ctx, U)):
-        w, e = min(coeffs.phi_weights), min(coeffs.exponents)
-        if not (coeffs.norm_pow > 0 and w >= 0 and max(coeffs.phi_weights) > 0 and e > ctx.model.p):
-            bad += 1
-            witness = witness or f"; sample {i}: least exponent {e:g}, least weight {w:.6g}"
+    low = float(ctx.table.values.min())
+    why = [_descartes_witness(c) for c in fiber_coefficients(ctx, Field(ctx.spec, U))]
+    bad = [i for i, w in enumerate(why) if w]
+    witness = f"; sample {bad[0]}: {why[bad[0]]}" if bad else ""
     return CheckReport(
         name="su_uniqueness",
         statement="the fiber derivative changes sign exactly once",
         n_samples=n,
-        margin=float(-bad),
-        passed=low >= 0 and bad == 0,
+        margin=float(-len(bad)),
+        passed=low >= 0 and not bad,
         seed=seed,
         detail=f"kernel table min {low:.6g}{witness}",
     )
@@ -317,7 +311,7 @@ def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     p = ctx.model.p
     factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
     min_norm = worst = np.inf
-    for s, coeffs in _in_stacks(project_su, ctx, U):
+    for s, coeffs in project_su(ctx, Field(ctx.spec, U)):
         nrm = s * coeffs.norm_pow ** (1.0 / p)
         min_norm = min(min_norm, nrm)
         floor = factor * nrm**p

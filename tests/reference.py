@@ -168,6 +168,20 @@ def fiber_growth_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
     return float(worst), passed, "" if passed else f"violated at {witness}"
 
 
+def ar_condition_by_sample(nl) -> tuple[float, bool, int]:
+    """Oracle for `verify.ar_condition_check`: the sampled check it replaced.
+    theta F(t) and 2 f(t) t = 2 sum a_i |t|^{q_i} are summed term by term,
+    one point at a time, on the sign-symmetric grid of 41 points a sign over
+    [1e-3, 1e2] and t = 0.  Returns (margin, passed, n_samples)."""
+    pos = np.logspace(-3, 2, 41)
+    grid = np.concatenate([-pos[::-1], [0.0], pos])
+    theta = nl.theta
+    lower = [theta * sum(a / q * abs(t) ** q for a, q in nl.terms) for t in grid]
+    upper = [2.0 * sum(a * abs(t) ** q for a, q in nl.terms) for t in grid]
+    margin = min(min(lower), min(u - f for u, f in zip(upper, lower)))
+    return float(margin), margin >= 0.0, grid.size
+
+
 def su_uniqueness_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
     """Oracle for `verify.su_uniqueness_scan`: the sampled scan it replaced.
     Per field, bracket the root of phi, widen the bracket, and count the

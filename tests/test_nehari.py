@@ -1,6 +1,7 @@
 """Fiber polynomials, projection onto the constraint set, golden search."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,18 @@ def test_root_refuses_exponents_at_or_below_p(ctx, exponents):
         energy_weights=(1.0,) * len(exponents),
     )
     with pytest.raises(ModelViolationError):
+        _phi_root(bad)
+
+
+@pytest.mark.parametrize("weights", [(1.0, -0.5), (-1.0, 2.0)])
+def test_root_refuses_a_negative_weight(ctx, weights):
+    # exponents above p, but a negative weight: phi's coefficients no longer
+    # change sign once, so Descartes' rule does not certify one root
+    coeffs = fiber_coefficients(ctx, random_field(ctx.spec, np.random.default_rng(15)))
+    bad = dataclasses.replace(
+        coeffs, exponents=(4.0, 6.0), phi_weights=weights, energy_weights=weights
+    )
+    with pytest.raises(ModelViolationError, match=re.escape(f"least weight {min(weights):g}")):
         _phi_root(bad)
 
 

@@ -1,11 +1,12 @@
-"""The package exports no name that only the tests or demos use.
+"""The package holds no name that only the tests or demos use: neither an
+export nor a module-level function or class.
 
 A name counts as read where the library or the benchmark really reaches the
-package's object: as a bare name in the module that defines it or in a file
-that imports it from the package, or as an attribute of an alias bound to
-the package or to one of its modules.  A local variable, an attribute of
-some other object, or a function of the same name defined elsewhere does not
-count.
+package's object: as a bare name in the module that defines it (outside its
+own definition) or in a file that imports it from the package, or as an
+attribute of an alias bound to the package or to one of its modules.  A
+local variable, an attribute of some other object, or a function of the
+same name defined elsewhere does not count.
 """
 
 import ast
@@ -27,6 +28,19 @@ def exported_names() -> dict[str, str]:
     }
 
 
+def module_definitions() -> dict[str, str]:
+    """Each module-level function and class of the package, with its module;
+    no two modules define one name, so a read of a name reads its one
+    definition."""
+    defined = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in defined, node.name
+                defined[node.name] = path.stem
+    return defined
+
+
 def _from_package(node: ast.ImportFrom) -> bool:
     return node.level > 0 or (node.module or "").split(".")[0] == "lattice_choquard"
 
@@ -44,22 +58,36 @@ def names_read(path: Path) -> set[str]:
                 if alias.name.split(".")[0] == "lattice_choquard":
                     aliases.add(alias.asname or alias.name.split(".")[0])
     if path.parent == PACKAGE:  # the module that defines a name reads it bare
-        imported |= {name for name, mod in exported_names().items() if mod == path.stem}
+        defined = {**module_definitions(), **exported_names()}
+        imported |= {name for name, mod in defined.items() if mod == path.stem}
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id in imported:
-                names.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.value.id in aliases:
-                names.add(node.attr)
+    for statement in tree.body:
+        own = getattr(statement, "name", None)  # a definition reading itself
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported and node.id != own:
+                    names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    names.add(node.attr)
     return names
 
 
-def test_every_exported_name_is_read_by_the_library_or_bench():
+def _callers() -> list[Path]:
     callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    callers += (ROOT / "bench").glob("*.py")
-    read = set().union(*(names_read(p) for p in callers))
+    return callers + list((ROOT / "bench").glob("*.py"))
+
+
+def test_every_exported_name_is_read_by_the_library_or_bench():
+    read = set().union(*(names_read(p) for p in _callers()))
     exported = exported_names()
     assert len(exported) > 40  # the parse found the export list
     assert sorted(set(exported) - read) == []
+
+
+def test_every_module_level_definition_is_read_by_the_library_or_bench():
+    # a helper that a change leaves behind, read only by the tests, fails here
+    read = set().union(*(names_read(p) for p in _callers()))
+    defined = module_definitions()
+    assert len(defined) > 100  # the parse found the definitions
+    assert sorted(set(defined) - read) == []

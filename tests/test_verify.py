@@ -88,12 +88,14 @@ def test_fiber_growth(ctx_a):
     assert report.n_samples == 16 * 5
 
 
-def test_ar_condition_single_point_arithmetic():
-    # q = 3, a = 1, t = 2: theta F = 8 and 2 f t = 16, margin 8
-    nl = SumOfPowers(((1.0, 3.0),))
-    report = ar_condition_check(nl, grid=np.array([2.0]))
-    assert report.passed
-    assert report.margin == pytest.approx(8.0, abs=1e-12)
+def test_ar_condition_matches_per_point_oracle(ctx_a, ctx_b):
+    # the exact check reads its margin on the grid the sampled check scanned
+    from reference import ar_condition_by_sample
+
+    two_term = SumOfPowers(((1.0, 4.0), (0.5, 5.0)))
+    for nl in (ctx_a.model.nonlinearity, ctx_b.model.nonlinearity, two_term):
+        report = ar_condition_check(nl)
+        assert (report.margin, report.passed, report.n_samples) == ar_condition_by_sample(nl)
 
 
 def test_ar_condition_default_grid(ctx_a):
@@ -432,7 +434,9 @@ def test_run_all_checks_passes_with_alpha_near_dim(dim, radius, p, alpha):
 
 def test_nehari_floor_evaluates_each_sample_once(ctx_b, monkeypatch):
     # J(m(u)) and ||m(u)|| come from the evaluation of u its projection came
-    # from: the 32 samples are transformed once each, in two stacks
+    # from: the kernel gets all 32 samples as one stack and splits it into
+    # transforms of at most _stack_size rows (25 + 7), recursing through the
+    # patched global, so each sample is transformed once, in two chunks
     from lattice_choquard import kernel
 
     calls = []
@@ -445,7 +449,8 @@ def test_nehari_floor_evaluates_each_sample_once(ctx_b, monkeypatch):
     monkeypatch.setattr(kernel, "_fft_convolve", counted)
     nehari_floor_check(ctx_b, n=32)
     assert len(ctx_b.model.nonlinearity.terms) == 1
-    assert len(calls) == 2 and sum(shape[0] for shape in calls) == 32
+    chunks = [shape[0] for shape in calls if shape[0] <= kernel._stack_size(ctx_b.table)]
+    assert calls[0][0] == 32 and sum(chunks) == 32
 
 
 @pytest.mark.parametrize("name", ["ctx_a", "ctx_b"])
