@@ -44,7 +44,7 @@ def main():
     print(f"norm ||u*||          = {h_norm(ctx, u):.6f}")
 
     print("\nprofile (site : value):")
-    for x, val in zip(ctx.spec.sites(), u.values):
+    for x, val in zip(ctx.spec.coordinate_array(), u.values):
         bar = "#" * int(40 * abs(val) / np.max(np.abs(u.values)))
         print(f"  {x[0]:+3d} : {val:+.6f} {bar}")
 

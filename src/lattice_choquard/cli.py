@@ -276,22 +276,16 @@ def _config_from_data(data: dict) -> RunConfig:
     return RunConfig(model=model, solver=solver, raw=copy.deepcopy(data))
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON config, collecting all structural errors."""
+def parse_config(text: str, seed: int | None = None, radius: int | None = None) -> RunConfig:
+    """Parse and validate a JSON config, collecting all structural errors;
+    a `seed` or `radius` given replaces the config's."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
+    if isinstance(data, dict):
+        data |= {k: v for k, v in (("seed", seed), ("radius", radius)) if v is not None}
     return _config_from_data(data)
-
-
-def _apply_overrides(data: dict, args) -> dict:
-    data = copy.deepcopy(data)
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "radius", None) is not None:
-        data["radius"] = args.radius
-    return data
 
 
 def _set_dotted(data: dict, key: str, value) -> None:
@@ -510,14 +504,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(f"invalid configuration: config is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        data = _apply_overrides(data, args)
-        cfg = _config_from_data(data)
+        cfg = parse_config(text, args.seed, args.radius)
         os.makedirs(args.out, exist_ok=True)
         if args.subcommand == "solve":
             return _cmd_solve(cfg, args.out, args.threads)

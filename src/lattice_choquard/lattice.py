@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,11 +96,6 @@ class LatticeSpec:
             coords.append(index % self.side - self.radius)
             index //= self.side
         return tuple(reversed(coords))
-
-    def sites(self) -> Iterator[tuple[int, ...]]:
-        """Iterate box sites in index (row-major) order."""
-        for multi in np.ndindex(*self.shape):
-            yield tuple(int(m) - self.radius for m in multi)
 
     def coordinate_array(self) -> np.ndarray:
         """Integer array of shape (site_count, dim) listing sites in index order."""

@@ -75,14 +75,18 @@ def _phi_root(coeffs: FiberCoefficients) -> float:
     raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
 
 
-def project_su(ctx: EnergyContext, u: Field) -> tuple[float, FiberCoefficients] | list:
+def project_su(
+    ctx: EnergyContext, u: Field, norm_pow: float | None = None
+) -> tuple[float, FiberCoefficients] | list:
     """Projection m(u) = s_u u onto the constraint manifold: returns the root
     s_u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u), and the one evaluation
     `coeffs` of u it came from, so J(m(u)) = coeffs.energy(s_u) and
     norm^p(m(u)) = s_u^p * coeffs.norm_pow.  Rays through u and t u (t > 0)
     land on the same point.  A stack of fields gets a list with the pair of
-    each row, from one stacked evaluation."""
-    stack = fiber_coefficients(ctx, u)
+    each row, from one stacked evaluation.  A caller that knows norm^p(u)
+    (the solver's unit-norm rows) passes it as `norm_pow`, as to
+    `fiber_coefficients`; the solver projects every start and trial here."""
+    stack = fiber_coefficients(ctx, u, norm_pow)
     out = []
     for coeffs in stack if isinstance(stack, list) else [stack]:
         if coeffs.norm_pow == 0.0:

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.random import default_rng
@@ -55,7 +55,7 @@ from .energy import (
 )
 from .kernel import _STACK_BYTES
 from .lattice import Field, random_field
-from .nehari import fiber_coefficients, _phi_root
+from .nehari import fiber_coefficients, project_su
 
 __all__ = [
     "SolverConfig",
@@ -104,8 +104,9 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StartDiagnostics:
     """How one start ended; `stop` is "converged", "zero_direction",
-    "step_floor" or "max_iters".  Every trial solves one fiber root, and the
-    start itself one more."""
+    "step_floor" or "max_iters".  `roots` is trials + 1: every trial
+    projects through one certified fiber root, and the start itself one
+    more."""
 
     start: int
     converged: bool
@@ -173,21 +174,21 @@ class SolveReport:
 @dataclass(eq=False)
 class _Start:
     """One start in its stack: the fiber evaluation of its unit-norm iterate
-    (`coeffs.u`), its root and level, the current slope and trial step, counts
-    and histories; a stopped start keeps `w`, its root, histories and `diag`."""
+    (`coeffs.u`) and its certified root and level, as `project_su` returned
+    them, the current slope and trial step, counts and histories.  A stopped
+    start keeps them and its `diag`, but drops its convolved fields, which
+    would stay alive, a stack's worth each, while the other stacks run."""
 
     start: int
-    coeffs: FiberCoefficients | None
+    coeffs: FiberCoefficients
     s: float
     psi: float
     trials: int = 0
-    roots: int = 1
     step: float = _STEP0
     t: float = 0.0
     slope: float = 0.0
     stationary: bool = False  # the residual test of the current iteration
     diag: StartDiagnostics | None = None
-    w: np.ndarray | None = None
     s_history: list = field(default_factory=list)
     psi_history: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
@@ -197,9 +198,9 @@ class _Start:
         return len(self.residual_history)
 
     def finish(self, stop: str, converged: bool) -> None:
-        counts = (self.iterations, self.psi, self.residual_history[-1], self.trials, self.roots)
+        counts = (self.iterations, self.psi, self.residual_history[-1], self.trials, self.trials + 1)
         self.diag = StartDiagnostics(self.start, converged, *counts, stop)
-        self.w, self.coeffs = self.coeffs.u, None
+        self.coeffs = replace(self.coeffs, conv_fields=())
 
 
 class _Stack(list):
@@ -306,52 +307,51 @@ def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: l
     dwr = _rows(dw, rows)  # moves of w; a zero one (no move yet) fails the BB test
     pairs = ((g, dr), (dwr, dr - _rows(d, rows)), (dwr, dwr))
     gd, denoms, nums = [np.vecdot(a, b).tolist() for a, b in pairs]
+    turned = []
     for j in go:
-        i, r = rows[j], runs[rows[j]]
+        r = runs[rows[j]]
         slope = -r.s * gd[j]  # d/dt Psi(retract(w - t d)) at t = 0
         if not slope < 0:
             r.finish("zero_direction", r.stationary)
             continue
         if denoms[j] > 0 and np.isfinite(denoms[j]) and nums[j] > 0:
             r.step = min(max(nums[j] / denoms[j], 1e-12), 1e6)
-        d[i] = dr[j]
         r.slope, r.t = slope, r.step
+        turned.append(j)
+    d[[rows[j] for j in turned]] = dr[turned]
 
 
 def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: list) -> list:
     """One Armijo trial w - t d on each of the `rows`, retracted to the unit
-    sphere and projected by one stacked fiber evaluation.  A row whose trial
-    passes moves there (in `w`, its move in `dw`); one that fails halves t,
-    down to the step floor.  Returns the rows that moved and go on."""
+    sphere and projected by `project_su` in one stacked fiber evaluation.
+    Rows whose trial passes move there (in `w`, their moves in `dw`) in one
+    assignment each; one that fails halves t, down to the step floor.
+    Returns the rows that moved and go on."""
     t = np.array([runs[i].t for i in rows])[:, None]
     trial = _rows(w, rows) - t * _rows(d, rows)
-    norms = h_norm(ctx, Field(ctx.spec, trial))
-    ok = [j for j, x in enumerate(norms) if x > 0]
-    # unit norm by construction: the norm is not computed again
-    w_try = _rows(trial, ok) / np.array([norms[j] for j in ok])[:, None]
-    coeffs = fiber_coefficients(ctx, Field(ctx.spec, w_try), norm_pow=1.0) if ok else []
-    moved = []
-    for j, w_new, c in zip(ok, w_try, coeffs):
-        i, r = rows[j], runs[rows[j]]
-        s = _phi_root(c)
-        r.roots += 1
+    # <kappa, trial> = <kappa, w> = 1, so no trial is the zero field; the
+    # retracted trial has unit norm by construction
+    w_try = trial / np.array(h_norm(ctx, Field(ctx.spec, trial)))[:, None]
+    passed = []
+    for j, (s, c) in enumerate(project_su(ctx, Field(ctx.spec, w_try), norm_pow=1.0)):
+        r = runs[rows[j]]
+        r.trials += 1
         psi = float(c.energy(s))
         bound = r.psi + _SUFFICIENT_DECREASE * r.t * r.slope
         if psi <= bound + _ROUNDOFF * abs(r.psi):
-            dw[i], w[i] = w_new - w[i], w_new
             r.coeffs, r.s, r.psi = c, s, psi
-            moved.append(i)
-    for i in rows:
-        r = runs[i]
-        r.trials += 1
-        if i not in moved:
-            r.t *= _BACKTRACK
-        if i in moved and r.iterations == cfg.max_iters:
-            r.finish("max_iters", False)
-        elif r.t < _STEP_FLOOR:
+            passed.append(j)
+            if r.iterations == cfg.max_iters:
+                r.finish("max_iters", False)
+            continue
+        r.t *= _BACKTRACK
+        if r.t < _STEP_FLOOR:
             # finite-precision stall: w did not move, so the residual test
             # of this iteration is current
             r.finish("step_floor", r.stationary)
+    moved = [rows[j] for j in passed]
+    dw[moved] = w_try[passed] - w[moved]
+    w[moved] = w_try[passed]
     return [i for i in moved if runs[i].diag is None]
 
 
@@ -365,10 +365,8 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]
         raise ValueError("initial field must be nonzero")
     w = w0.values / np.array(norms)[:, None]
     d, dw = np.zeros_like(w), np.zeros_like(w)
-    runs = _Stack()
-    for k, c in zip(starts, fiber_coefficients(ctx, Field(ctx.spec, w), norm_pow=1.0)):
-        s = _phi_root(c)
-        runs.append(_Start(k, c, s, float(c.energy(s))))
+    projected = project_su(ctx, Field(ctx.spec, w), norm_pow=1.0)
+    runs = _Stack(_Start(k, c, s, float(c.energy(s))) for k, (s, c) in zip(starts, projected))
     turning = list(range(len(runs)))
     while True:
         if turning:
@@ -420,7 +418,7 @@ def minimize_ground_state(
         raise NonconvergenceError(list(diags))
     winner_idx, winner = min(converged, key=lambda kr: (kr[1].diag.energy, kr[0]))
 
-    u_star = Field(ctx.spec, winner.s * winner.w)
+    u_star = Field(ctx.spec, winner.s * winner.coeffs.u)
     coeffs = fiber_coefficients(ctx, u_star)
     residual = coeffs.gradient(1.0, pairing_field(ctx, u_star))
     report = SolveReport(

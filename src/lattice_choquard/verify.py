@@ -24,7 +24,7 @@ from numpy.random import default_rng
 from .energy import EnergyContext
 from .kernel import _STACK_BYTES, _stack_size, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
-from .model import eval_F, eval_f
+from .model import eval_F
 from .nehari import _descartes_witness, fiber_coefficients, project_su
 from .simplex import _nelder_mead
 
@@ -216,8 +216,8 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     t >= 1.  The weights are nonnegative for every u when the kernel table
     is, so the check fails on a table with a negative entry, and on a random
     u with a negative weight.  `margin` is the worst relative slack
-    D(t u) / (t^theta D(u)) - 1 on a fixed ladder of t, read from each
-    sample's polynomial.
+    D(t u) / (t^theta D(u)) - 1 over the points t > 1 of a fixed ladder
+    (at t = 1 it is 0 for every u), read from each sample's polynomial.
     """
     vals = default_rng(seed).standard_normal((n, ctx.spec.site_count))
     u = vals / np.maximum(1.0, np.abs(vals).max(1))[:, None]
@@ -237,7 +237,7 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
             "least t**theta"
         ),
         n_samples=n * len(_T_LADDER),
-        margin=float(((grown - floor) / floor).min()),
+        margin=float(((grown - floor) / floor)[:, t > 1].min()),
         passed=low >= 0 and bad.size == 0,
         seed=seed,
         detail=f"kernel table min {low:.6g}{witness}",
@@ -250,19 +250,21 @@ def ar_condition_check(nl, seed: int = 0) -> CheckReport:
     Exact, termwise: theta F(t) = sum_i theta (a_i / q_i) |t|^{q_i} and
     2 f(t) t = sum_i 2 a_i |t|^{q_i}, so a_i >= 0 and theta <= 2 q_i give both
     inequalities term by term; every sum of powers has a_i > 0 and
-    theta = min q_i < 2 q_i.  `margin` is the worst slack on a fixed
-    sign-symmetric grid of 83 points, t = 0 among them.
+    theta = min q_i < 2 q_i.  `margin` is the least relative slack
+    min(theta F, 2 f(t) t - theta F) / (2 f(t) t) over the points t != 0 of
+    a fixed sign-symmetric grid of 83 points (at t = 0 both sides are 0).
     """
-    theta = nl.theta
+    theta, off0 = nl.theta, _AR_GRID != 0
     F_vals = theta * eval_F(nl, _AR_GRID)
+    two_ft = 2.0 * sum(a * np.abs(_AR_GRID) ** q for a, q in nl.terms)
     lower_margin = float(np.min(F_vals))
-    upper_margin = float(np.min(2.0 * eval_f(nl, _AR_GRID) * _AR_GRID - F_vals))
+    upper_margin = float(np.min(two_ft - F_vals))
     least, ratio = min(a for a, _ in nl.terms), max(theta / (2.0 * q) for _, q in nl.terms)
     return CheckReport(
         name="ar_condition",
         statement="0 <= theta*F(t) <= 2*f(t)*t for every t, term by term",
         n_samples=_AR_GRID.size,
-        margin=min(lower_margin, upper_margin),
+        margin=float((np.minimum(F_vals, two_ft - F_vals)[off0] / two_ft[off0]).min()),
         passed=least >= 0 and ratio <= 1.0,
         seed=seed,
         detail=(

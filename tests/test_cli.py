@@ -56,9 +56,21 @@ def test_parse_solver_seed_inheritance():
     assert "top-level" in message
 
 
-def test_parse_rejects_invalid_json():
+def test_parse_rejects_invalid_json(tmp_path, capsys):
     with pytest.raises(ConfigError):
         parse_config("{not json")
+    # the command line reports it as any other config error
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
+
+
+def test_parse_applies_seed_and_radius_overrides():
+    cfg = parse_config(json.dumps(base_config(seed=9)), seed=5, radius=4)
+    assert (cfg.solver.seed, cfg.model.lattice.radius) == (5, 4)
+    assert (cfg.raw["seed"], cfg.raw["radius"]) == (5, 4)
+    assert parse_config(json.dumps(base_config(seed=9))).solver.seed == 9
 
 
 def test_parse_collects_all_structural_errors():

@@ -212,7 +212,7 @@ def test_kernel_decay_along_axis():
 def test_convolve_delta_reproduces_kernel(table_1d):
     spec = LatticeSpec(1, 8)
     conv = convolve(table_1d, Field.delta(spec))
-    for x, value in zip(spec.sites(), conv.values):
+    for x, value in zip(spec.coordinate_array().tolist(), conv.values):
         assert value == pytest.approx(entry(table_1d, x), rel=1e-12)
 
 

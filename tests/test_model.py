@@ -72,7 +72,7 @@ def test_potential_grid_matches_pointwise():
     spec = LatticeSpec(1, 3)
     pot = PeriodicPotential(period=3, cell=np.array([1.0, 2.0, 5.0]))
     grid = pot.grid(spec)
-    for i, x in enumerate(spec.sites()):
+    for i, x in enumerate(spec.coordinate_array()):
         assert grid.reshape(-1)[i] == pot.cell[x[0] % 3]
 
 

@@ -258,6 +258,17 @@ def test_threaded_run_matches_serial(ctx_a, report_a):
     assert np.array_equal(threaded.u.values, report_a.u.values)
 
 
+def test_solve_refuses_an_inaccurate_root(ctx_b, monkeypatch):
+    # every start and trial projects through `project_su`, whose certificate
+    # refuses a root off by a relative 1e-6
+    from lattice_choquard import nehari
+
+    root = nehari._phi_root
+    monkeypatch.setattr(nehari, "_phi_root", lambda coeffs: root(coeffs) * (1.0 + 1e-6))
+    with pytest.raises(ArithmeticError, match="fiber root residual"):
+        minimize_ground_state(ctx_b)
+
+
 def test_starts_share_transforms(ctx_b, monkeypatch):
     # the starts of model B run as one stack: each trial round convolves
     # every running start in one transform, so the count follows the

@@ -101,7 +101,15 @@ def test_ar_condition_matches_per_point_oracle(ctx_a, ctx_b):
 def test_ar_condition_default_grid(ctx_a):
     report = ar_condition_check(ctx_a.model.nonlinearity)
     assert report.passed
-    assert report.margin >= 0.0  # grid contains t = 0 where theta F = 0
+    assert report.margin >= 0.0  # the least relative slack over t != 0
+
+
+def test_model_b_margins_read_the_slack(ctx_b):
+    # one term F = t^4 / 4: theta F / (2 f t) = 1/2 at every t != 0, and
+    # D(t u) = t^8 D(u), so the least ladder slack is 1.25^4 - 1, at t = 1.25;
+    # neither reads the 0 of t = 0 or t = 1
+    assert ar_condition_check(ctx_b.model.nonlinearity).margin == pytest.approx(0.5, rel=1e-12)
+    assert fiber_growth_check(ctx_b).margin == pytest.approx(1.25**4 - 1, rel=1e-12)
 
 
 def test_su_uniqueness(ctx_a):
