@@ -53,12 +53,16 @@ def main():
         print(f"  d={d}: (R*delta)({d})={conv.values[6 + d]:.9f} "
               f"R({d})={table.values[12 + d]:.9f}")
 
+    # this 13-site box convolves by its dense matrix; a box of more than
+    # 362 sites takes the pruned FFT, checked here against that matrix
+    big = LatticeSpec(1, 200)
+    big_table = build_table(big, 0.5)
     rng = np.random.default_rng(0)
-    w = Field(spec, rng.standard_normal(spec.site_count))
-    fast = convolve(table, w).values
-    slow = dense_operator(table) @ w.values
-    print(f"\nfft vs dense-matrix convolution, max abs diff: "
-          f"{np.max(np.abs(fast - slow)):.3e}")
+    w = Field(big, rng.standard_normal(big.site_count))
+    fast = convolve(big_table, w).values
+    slow = dense_operator(big_table) @ w.values
+    print(f"\nfft vs dense-matrix convolution on {big.site_count} sites, "
+          f"max abs diff: {np.max(np.abs(fast - slow)):.3e}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from lattice_choquard import (
     LatticeSpec,
     ModelViolationError,
     convolve,
-    dense_operator,
     energy_J,
     eval_F,
     fiber_coefficients,
@@ -141,11 +140,20 @@ def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndar
     return ratios
 
 
+def kernel_matrix_by_differences(table) -> np.ndarray:
+    """Oracle for kernel.dense_operator: M[i, j] = R(x_i - x_j), gathered
+    from the table at the coordinate differences of every pair of sites."""
+    coords = LatticeSpec(table.dim, table.radius).coordinate_array()
+    diff = coords[:, None, :] - coords[None, :, :] + 2 * table.radius
+    return table.values[tuple(diff[..., j] for j in range(table.dim))]
+
+
 def dense_interaction(ctx, u: Field) -> float:
-    """Oracle for the interaction sum D(u) = sum (R * F(u)) F(u): the dense
-    kernel matrix applied to F(u), apart from the fiber polynomial."""
+    """Oracle for the interaction sum D(u) = sum (R * F(u)) F(u): the kernel
+    matrix gathered by differences applied to F(u), apart from the fiber
+    polynomial."""
     F = eval_F(ctx.model.nonlinearity, u.values)
-    return float(F @ (dense_operator(ctx.table) @ F))
+    return float(F @ (kernel_matrix_by_differences(ctx.table) @ F))
 
 
 def fiber_growth_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:

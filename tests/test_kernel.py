@@ -23,7 +23,7 @@ from lattice_choquard import (
     random_field,
 )
 from lattice_choquard import kernel
-from reference import canonical_representatives, k_alpha_midpoint
+from reference import canonical_representatives, k_alpha_midpoint, kernel_matrix_by_differences
 
 # Adaptive-quadrature oracle values (QAWS algebraic-endpoint rule on the
 # stable 4 sin^2(k/2) form of the symbol), frozen from an independent
@@ -163,8 +163,8 @@ def entry(table, d):
 
 
 def direct(table, w):
-    """The quadratic-cost reference sum R * w."""
-    return dense_operator(table) @ w.values
+    """The quadratic-cost reference sum R * w, by the oracle's gathered matrix."""
+    return kernel_matrix_by_differences(table) @ w.values
 
 
 @pytest.fixture(scope="module")
@@ -231,8 +231,9 @@ def test_convolve_fft_equals_direct(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["table_1d", "table_2d"])
 def test_convolve_cached_spectrum_is_bitwise_stable(fixture, request):
-    # the kernel spectrum is computed once per table; repeated calls and a
-    # call on a fresh copy of the table give the same bits
+    # the operator convolve uses (here the dense matrix) is computed once
+    # per table; repeated calls and a call on a fresh copy of the table give
+    # the same bits
     table = request.getfixturevalue(fixture)
     spec = LatticeSpec(table.dim, table.radius)
     rng = np.random.default_rng(23)
@@ -258,23 +259,21 @@ def corner_field(spec: LatticeSpec, rng) -> Field:
     return Field(spec, vals)
 
 
+def unsymmetric_table(dim: int, radius: int, rng) -> KernelTable:
+    # a random table makes any wrap-around or flipped index show
+    return KernelTable(dim, radius, 1.0, 1.0, rng.uniform(0.1, 1.0, (4 * radius + 1,) * dim))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius", [1, 2, 3, 6])
 def test_convolve_alias_free_transform_size(dim, radius):
-    # an unsymmetric random table makes any wrap-around or flipped index show
     rng = np.random.default_rng([dim, radius])
     spec = LatticeSpec(dim, radius)
-    table = KernelTable(
-        dim=dim,
-        radius=radius,
-        alpha=1.0,
-        k_alpha=1.0,
-        values=rng.uniform(0.1, 1.0, (4 * radius + 1,) * dim),
-    )
+    table = unsymmetric_table(dim, radius, rng)
     fields = [random_field(spec, rng), random_field(spec, rng)]
     fields += [corner_field(spec, rng), corner_field(spec, rng)]
     for w in fields:
-        fast = convolve(table, w).values
+        fast = kernel._fft_convolve(table, w.grid()).reshape(-1)
         slow = direct(table, w)
         err = float(np.max(np.abs(fast - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
@@ -287,7 +286,7 @@ def test_convolve_alias_free_transform_size(dim, radius):
 @pytest.mark.parametrize("dim,radius", [(1, 8), (2, 3), (3, 2)])
 def test_stacked_fft_rows_equal_single_field_convolve(dim, radius):
     # one transform over a stack of 7 fields gives each row the bits of a
-    # single-field convolve
+    # single-field transform
     spec = LatticeSpec(dim, radius)
     table = build_table(spec, 0.5)
     rng = np.random.default_rng([dim, radius, 7])
@@ -296,7 +295,7 @@ def test_stacked_fft_rows_equal_single_field_convolve(dim, radius):
     assert rows.shape == stack.shape
     for grid, row in zip(stack, rows):
         w = Field(spec, grid.reshape(-1))
-        assert row.reshape(-1).tobytes() == convolve(table, w).values.tobytes()
+        assert row.tobytes() == kernel._fft_convolve(table, grid).tobytes()
         slow = direct(table, w)
         err = float(np.max(np.abs(row.reshape(-1) - slow)))
         assert err <= 1e-12 * float(np.max(np.abs(slow)))
@@ -321,6 +320,48 @@ def test_pruned_chunked_convolve_matches_full_window(dim, radius, heights):
         fast, full = kernel._fft_convolve(table, grids), full_window_convolve(table, grids)
         assert fast.shape == full.shape == shape
         assert fast.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 8), (1, 64), (2, 3), (2, 6), (3, 2), (3, 3)])
+def test_dense_path_matches_gather_oracle_and_fft(dim, radius):
+    # the dense matrix is the oracle's gather by coordinate differences to
+    # the bit; the dense path and the pruned FFT both agree with the
+    # oracle's product to 1e-14 of max |R * w|
+    rng = np.random.default_rng([dim, radius, 14])
+    spec = LatticeSpec(dim, radius)
+    table = unsymmetric_table(dim, radius, rng)
+    oracle = kernel_matrix_by_differences(table)
+    assert dense_operator(table).tobytes() == oracle.tobytes()
+    assert oracle.nbytes <= kernel._DENSE_BYTES
+    fields = [random_field(spec, rng), corner_field(spec, rng)]
+    fields += [Field(spec, rng.standard_normal(spec.site_count))]
+    for w in fields:
+        slow = oracle @ w.values
+        bound = 1e-14 * float(np.max(np.abs(slow)))
+        fast = kernel._fft_convolve(table, w.grid()).reshape(-1)
+        assert float(np.max(np.abs(convolve(table, w).values - slow))) <= bound
+        assert float(np.max(np.abs(fast - slow))) <= bound
+
+
+@pytest.mark.parametrize("dim,radius", [(1, 3), (2, 6), (3, 3)])
+def test_dense_stack_rows_equal_single_field_convolve(dim, radius):
+    # the dense path multiplies a stack one row at a time, so every row of a
+    # stack (contiguous, an offset view into a taller stack, or a view
+    # into wider rows) gets the bits of its field convolved alone
+    spec = LatticeSpec(dim, radius)
+    table = build_table(spec, 0.5)
+    n = spec.site_count
+    assert 8 * n * n <= kernel._DENSE_BYTES
+    rng = np.random.default_rng([dim, radius, 8])
+    for height in (1, 5, 8):
+        tall = rng.standard_normal((height + 2, n))
+        wide = rng.standard_normal((height, n + 3))
+        for stack in (tall[:height].copy(), tall[1 : height + 1], tall[2:], wide[:, 3:]):
+            rows = convolve(table, Field(spec, stack)).values
+            assert rows.shape == stack.shape
+            for row, values in zip(rows, stack):
+                alone = convolve(table, Field(spec, values.copy())).values
+                assert row.tobytes() == alone.tobytes()
 
 
 def test_gauss_legendre_rule_is_leggauss():

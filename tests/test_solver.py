@@ -26,6 +26,7 @@ from lattice_choquard import (
     make_context,
     minimize_ground_state,
     pairing_field,
+    run_all_checks,
 )
 from lattice_choquard.energy import _pairing_parts, _stacked_gradient, fiber_coefficients
 from lattice_choquard.lattice import _p_laplacian_parts
@@ -269,24 +270,53 @@ def test_solve_refuses_an_inaccurate_root(ctx_b, monkeypatch):
         minimize_ground_state(ctx_b)
 
 
-def test_starts_share_transforms(ctx_b, monkeypatch):
-    # the starts of model B run as one stack: each trial round convolves
-    # every running start in one transform, so the count follows the
-    # longest start instead of the sum over starts
+def count_convolutions(monkeypatch) -> list:
+    """Record each call of `kernel.convolve`, the dispatch between the dense
+    product and the pruned FFT, through every module of the package that
+    binds it; the returned list gets the shape of each call's field values."""
     from lattice_choquard import kernel
 
-    shapes = []
-    convolve = kernel._fft_convolve
+    shapes, convolve = [], kernel.convolve
 
-    def counted(table, grids):
-        shapes.append(grids.shape)
-        return convolve(table, grids)
+    def counted(table, w):
+        shapes.append(w.values.shape)
+        return convolve(table, w)
 
-    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lattice_choquard") and getattr(module, "convolve", None) is convolve:
+            monkeypatch.setattr(module, "convolve", counted)
+    return shapes
+
+
+def test_starts_share_transforms(ctx_b, monkeypatch):
+    # the starts of model B run as one stack: each trial round convolves
+    # every running start in one call, so the count follows the longest
+    # start instead of the sum over starts
+    shapes = count_convolutions(monkeypatch)
     report = minimize_ground_state(ctx_b)
     roots = [d.roots for d in report.diagnostics]
-    assert shapes[0] == (len(roots), *ctx_b.spec.shape)
+    assert shapes[0] == (len(roots), ctx_b.spec.site_count)
     assert len(shapes) <= 2 * max(roots)
+
+
+def test_small_boxes_convolve_without_the_fft(ctx_b, ctx_3d, monkeypatch):
+    # model B's 169 sites fit the dense matrix, so neither its solve nor its
+    # checks run a transform; the 3D r=6 box (2197 sites) keeps the FFT
+    from lattice_choquard import kernel
+
+    calls = []
+    fft = kernel._fft_convolve
+
+    def counted(table, grids):
+        calls.append(grids.shape)
+        return fft(table, grids)
+
+    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    minimize_ground_state(ctx_b)
+    run_all_checks(ctx_b)
+    assert calls == []
+    minimize_ground_state(ctx_3d)
+    assert calls
 
 
 @pytest.mark.parametrize("which, stacks", [("b", 1), ("3d", 3)])
@@ -310,22 +340,17 @@ def test_starts_run_in_few_stacks(which, stacks, request, monkeypatch):
 
 def test_report_evaluates_the_winner_once(ctx_b, monkeypatch):
     # after the descent, the report's level, constraint value and pointwise
-    # residual come from one evaluation of u*: one transform per term
-    from lattice_choquard import kernel, solver
+    # residual come from one evaluation of u*: one convolution per term
+    from lattice_choquard import solver
 
-    calls, marks = [], []
-    convolve, descend = kernel._fft_convolve, solver._descend
-
-    def counted(table, grids):
-        calls.append(grids.shape)
-        return convolve(table, grids)
+    marks, descend = [], solver._descend
+    calls = count_convolutions(monkeypatch)
 
     def marked(*args, **kwargs):
         result = descend(*args, **kwargs)
         marks.append(len(calls))
         return result
 
-    monkeypatch.setattr(kernel, "_fft_convolve", counted)
     monkeypatch.setattr(solver, "_descend", marked)
     minimize_ground_state(ctx_b)
     assert len(calls) - marks[-1] == len(ctx_b.model.nonlinearity.terms) == 1

@@ -98,10 +98,14 @@ def test_ar_condition_matches_per_point_oracle(ctx_a, ctx_b):
         assert (report.margin, report.passed, report.n_samples) == ar_condition_by_sample(nl)
 
 
-def test_ar_condition_default_grid(ctx_a):
+def test_ar_condition_default_grid(ctx_a, ctx_b):
     report = ar_condition_check(ctx_a.model.nonlinearity)
     assert report.passed
     assert report.margin >= 0.0  # the least relative slack over t != 0
+    # the grid minima include t = 0, where both sides are 0, so the detail
+    # leaves them to `margin`
+    detail = ar_condition_check(ctx_b.model.nonlinearity).detail
+    assert detail == "least a_i 1, largest theta/(2 q_i) 0.5"
 
 
 def test_model_b_margins_read_the_slack(ctx_b):
@@ -418,11 +422,12 @@ def test_hls_bracket_holds(closed_form, ctx_b):
 
 def test_hls_checks_fail_on_a_doubled_kernel(ctx_b, monkeypatch):
     # convolutions with twice the kernel push the power-method lower bound
-    # past the Young bound of the (unchanged) table
+    # past the Young bound of the (unchanged) table; model B's box convolves
+    # through its dense matrix, so that is the operator doubled
     from lattice_choquard import kernel
 
-    spectrum = kernel._spectrum
-    monkeypatch.setattr(kernel, "_spectrum", lambda t: (spectrum(t)[0], 2.0 * spectrum(t)[1]))
+    dense = kernel.dense_operator
+    monkeypatch.setattr(kernel, "dense_operator", lambda t: 2.0 * dense(t))
     reports = run_all_checks(ctx_b)[:2]
     assert [r.name for r in reports] == ["hls_bilinear", "hls_operator"]
     for report in reports:
@@ -442,23 +447,14 @@ def test_run_all_checks_passes_with_alpha_near_dim(dim, radius, p, alpha):
 
 def test_nehari_floor_evaluates_each_sample_once(ctx_b, monkeypatch):
     # J(m(u)) and ||m(u)|| come from the evaluation of u its projection came
-    # from: the kernel gets all 32 samples as one stack and splits it into
-    # transforms of at most _stack_size rows (25 + 7), recursing through the
-    # patched global, so each sample is transformed once, in two chunks
-    from lattice_choquard import kernel
+    # from: the kernel gets all 32 samples as one stack in one call, so each
+    # sample is convolved once
+    from test_solver import count_convolutions
 
-    calls = []
-    convolve = kernel._fft_convolve
-
-    def counted(table, grids):
-        calls.append(grids.shape)
-        return convolve(table, grids)
-
-    monkeypatch.setattr(kernel, "_fft_convolve", counted)
+    calls = count_convolutions(monkeypatch)
     nehari_floor_check(ctx_b, n=32)
     assert len(ctx_b.model.nonlinearity.terms) == 1
-    chunks = [shape[0] for shape in calls if shape[0] <= kernel._stack_size(ctx_b.table)]
-    assert calls[0][0] == 32 and sum(chunks) == 32
+    assert calls == [(32, ctx_b.spec.site_count)]
 
 
 @pytest.mark.parametrize("name", ["ctx_a", "ctx_b"])
