@@ -28,7 +28,6 @@ per term) gives all of these along the ray s -> s u, grad J(su) included:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,57 +84,55 @@ def make_context(model: ModelSpec, table: KernelTable | None = None) -> EnergyCo
     return EnergyContext(model=model, table=table, h_grid=h)
 
 
-def h_norm_pow(ctx: EnergyContext, u: Field) -> float | list[float]:
+def h_norm_pow(ctx: EnergyContext, u: Field) -> float | np.ndarray:
     """The p-th power of the space norm: sum |grad u|^p + sum h |u|^p; for a
-    stack of fields, a list with one value per row."""
+    stack of fields, an array with one value per row."""
     p = ctx.model.p
     gsq = grad_sq_grid(u).reshape(u.values.shape[:-1] + (-1,))
     grad_part = (gsq ** (p / 2.0)).sum(axis=-1)
     pot_part = (ctx.h_flat * np.abs(u.values) ** p).sum(axis=-1)
-    return (grad_part + pot_part).tolist()
+    return grad_part + pot_part
 
 
-def h_norm(ctx: EnergyContext, u: Field) -> float | list[float]:
-    """Space norm (sum |grad u|^p + sum h |u|^p)^{1/p}; zero iff u = 0.  A
-    stack's roots are plain floats, as numpy's vector pow rounds otherwise."""
-    pows, root = h_norm_pow(ctx, u), 1.0 / ctx.model.p
-    return [x**root for x in pows] if isinstance(pows, list) else pows**root
+def h_norm(ctx: EnergyContext, u: Field) -> float | np.ndarray:
+    """Space norm (sum |grad u|^p + sum h |u|^p)^{1/p}; zero iff u = 0.  The
+    root is one `np.power` over a stack's rows, which rounds each row as it
+    does that row alone."""
+    return np.power(h_norm_pow(ctx, u), 1.0 / ctx.model.p)
 
 
 @dataclass(frozen=True, eq=False)
 class FiberCoefficients:
-    """One evaluation of a field u, and the fiber maps along s -> s u.
+    """One evaluation of a field u, or of a stack of fields (one per row), and
+    the fiber maps along s -> s u:
 
-    phi(s) = s^p * norm_pow - sum_k phi_weights[k] * s^exponents[k]
-    energy(s) = s^p * norm_pow / p - sum_k energy_weights[k] * s^exponents[k]
+    phi(s) = s^p * norm_pow - sum_k phi_weights[..., k] * s^exponents[k]
+    energy(s) = s^p * norm_pow / p - sum_k energy_weights[..., k] * s^exponents[k]
 
-    `conv_fields` holds R * |u|^{q_i} per nonlinearity term.
+    `norm_pow` holds one value per row (a scalar for one field) and each
+    weight array one row of terms per row; the sorted exponents are the same
+    for every row.  `conv_fields` holds R * |u|^{q_i} per nonlinearity term,
+    shaped like `u`.  An s broadcasts against `norm_pow`, and every step is
+    elementwise, so a row of a stack has the bits it has alone.
     """
 
     p: float
-    norm_pow: float
+    norm_pow: np.ndarray
     exponents: tuple[float, ...]
-    phi_weights: tuple[float, ...]
-    energy_weights: tuple[float, ...]
+    phi_weights: np.ndarray
+    energy_weights: np.ndarray
     nonlinearity: SumOfPowers
     u: np.ndarray
     conv_fields: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_powers", np.array((self.p, *self.exponents)))
-
-    def _poly(self, s, norm_divisor: float, weights: tuple[float, ...]):
-        # np.power even for a float: numpy's AVX-512 power rounds unlike **
-        if isinstance(s, float):
-            lead, *terms = np.power(s, self._powers).tolist()
-        else:
-            s = np.asarray(s, dtype=float)
-            lead, *terms = np.moveaxis(np.power.outer(s, self._powers), -1, 0)
-        if self.p == 2.0:
-            lead = s * s  # as numpy's ** squares for an exponent of 2
+    def _poly(self, s, norm_divisor: float, weights: np.ndarray):
+        s = np.asarray(s, dtype=float)
+        powers = np.power(s[..., None], (self.p, *self.exponents))
+        # as numpy's ** squares for an exponent of 2
+        lead = s * s if self.p == 2.0 else powers[..., 0]
         tail = 0.0
-        for w, power in zip(weights, terms):
-            tail = tail + w * power
+        for k in range(len(self.exponents)):
+            tail = tail + weights[..., k] * powers[..., k + 1]
         return lead * self.norm_pow / norm_divisor - tail
 
     def phi(self, s):
@@ -144,63 +141,50 @@ class FiberCoefficients:
     def energy(self, s):
         return self._poly(s, self.p, self.energy_weights)
 
-    def tail_log_slope(self, s: float) -> float:
-        """d log T / d log s for the tail T(s) = sum_k w_k s^{e_k} of phi: the
-        mean exponent under the weights w_k s^{e_k}, each divided by the
-        largest (log-sum-exp), so no term overflows."""
-        x = math.log(s)
-        pairs = zip(self.exponents, self.phi_weights)
-        logs = [(e, math.log(w) + e * x) for e, w in pairs if w > 0]
-        top = max(lw for _, lw in logs)
-        mass = [(e, math.exp(lw - top)) for e, lw in logs]
-        return sum(e * m for e, m in mass) / sum(m for _, m in mass)
-
-    def gradient(self, s: float, kappa: Field) -> np.ndarray:
-        """grad J(s u), given the pairing field kappa of u: a stack of one."""
-        return _stacked_gradient([self], [s], kappa.values[None])[0]
+    def gradient(self, s, kappa: Field) -> np.ndarray:
+        """grad J(s u), given the pairing field kappa of u, row by row for a
+        stack."""
+        nl, u, convs = self.nonlinearity, self.u, self.conv_fields
+        return _stacked_gradient(nl, self.p, s, u, convs, kappa.values)
 
 
-def _stacked_gradient(stack: list, s: list, kappa: np.ndarray) -> np.ndarray:
-    """grad J(s_k u_k) for each record of `stack` and its float s_k, given the
-    pairing fields kappa (rows) of the u_k: the norm part rescales from kappa,
-    being (p-1)-homogeneous, and R * F(su) termwise from the convolved powers.
-    Coefficients are plain floats per row, so a row has the bits it has alone."""
-    p, nl = stack[0].p, stack[0].nonlinearity
+def _stacked_gradient(nl: SumOfPowers, p: float, s, u, convs, kappa: np.ndarray) -> np.ndarray:
+    """grad J(s_k u_k) for each row u_k of `u` and its s_k, given the
+    convolved powers `convs` (R * |u|^{q_i} per term) and pairing fields
+    kappa of the u_k: the norm part rescales from kappa, being
+    (p-1)-homogeneous, and R * F(su) termwise from the convolved powers."""
+    s = np.asarray(s, dtype=float)[..., None]
     conv_F = np.zeros(kappa.shape)
-    for i, (a, q) in enumerate(nl.terms):
-        coef = np.array([(a / q) * x**q for x in s])[:, None]
-        conv_F += coef * np.array([c.conv_fields[i] for c in stack])
-    f_su = eval_f(nl, np.array(s)[:, None] * np.array([c.u for c in stack]))
-    return np.array([x ** (p - 1.0) for x in s])[:, None] * kappa - conv_F * f_su
+    for (a, q), conv in zip(nl.terms, convs):
+        conv_F += (a / q) * np.power(s, q) * conv
+    return np.power(s, p - 1.0) * kappa - conv_F * eval_f(nl, s * u)
 
 
 def fiber_coefficients(
-    ctx: EnergyContext, u: Field, norm_pow: float | None = None
-) -> FiberCoefficients | list[FiberCoefficients]:
-    """Evaluate a field once: its norm power, one convolution per
-    nonlinearity term, and the fiber polynomials built from them.  A caller
-    that knows norm^p(u) already (a unit-norm trial) passes it as `norm_pow`.
-    A stack gets one convolution per term and one `np.vecdot` per pair of
-    terms, and a list with each row's coefficients, with the bits it has alone."""
+    ctx: EnergyContext, u: Field, norm_pow: float | np.ndarray | None = None
+) -> FiberCoefficients:
+    """Evaluate a field, or a stack of fields, once: its norm power, one
+    convolution per nonlinearity term, and the fiber polynomials built from
+    them, with one `np.vecdot` per pair of terms.  A caller that knows
+    norm^p(u) already (a unit-norm trial) passes it as `norm_pow`."""
     if norm_pow is None:
         norm_pow = h_norm_pow(ctx, u)
     nl = ctx.model.nonlinearity
-    stack = u.values.reshape(-1, ctx.spec.site_count)
-    absu = np.abs(stack)
-    powers = [absu**q for _, q in nl.terms]
-    convs = [convolve(ctx.table, Field(ctx.spec, w)).values for w in powers]
-    pairs = [  # (exponent, a_i / q_i, a_j, a_j / q_j, B_ij per row)
-        (q_i + q_j, a_i / q_i, a_j, a_j / q_j, np.vecdot(conv, power).tolist())
-        for (a_i, q_i), conv in zip(nl.terms, convs)
-        for (a_j, q_j), power in zip(nl.terms, powers)
-    ]
-    out = []
-    for k, a in enumerate(norm_pow if isinstance(norm_pow, list) else [norm_pow] * len(stack)):
-        rows = [(e, c * a_j * b[k], 0.5 * c * f_j * b[k]) for e, c, a_j, f_j, b in pairs]
-        exps, wphi, wen = zip(*sorted(rows, key=lambda row: row[0]))
-        conv_k = tuple(conv[k] for conv in convs)
-        out.append(FiberCoefficients(ctx.model.p, a, exps, wphi, wen, nl, stack[k], conv_k))
-    return out if u.values.ndim == 2 else out[0]
+    powers = [np.abs(u.values) ** q for _, q in nl.terms]
+    convs = tuple(convolve(ctx.table, Field(ctx.spec, w)).values for w in powers)
+    pairs = sorted(  # (exponent, a_i / q_i, a_j, a_j / q_j, B_ij per row), stably
+        (
+            (q_i + q_j, a_i / q_i, a_j, a_j / q_j, np.vecdot(conv, power))
+            for (a_i, q_i), conv in zip(nl.terms, convs)
+            for (a_j, q_j), power in zip(nl.terms, powers)
+        ),
+        key=lambda pair: pair[0],
+    )
+    wphi = np.stack([c * a_j * b for _, c, a_j, _, b in pairs], axis=-1)
+    wen = np.stack([0.5 * c * f_j * b for _, c, _, f_j, b in pairs], axis=-1)
+    norm_pow = np.broadcast_to(np.asarray(norm_pow, dtype=float), u.values.shape[:-1])
+    exps = tuple(pair[0] for pair in pairs)
+    return FiberCoefficients(ctx.model.p, norm_pow, exps, wphi, wen, nl, u.values, convs)
 
 
 def energy_J(ctx: EnergyContext, u: Field) -> float:

@@ -13,16 +13,17 @@ problem into unconstrained minimization over S.
 
 For power-sum nonlinearities every fiber quantity is a polynomial in s (see
 `energy.fiber_coefficients`): a projection costs one norm, one convolution
-per term and a few plain-float evaluations of phi.  The root finder runs
-Newton's method in log s from a closed-form start, which the sign and
-curvature structure of phi makes monotone; one term needs one evaluation.
-It refuses, with a ModelViolationError and a witness, a phi whose one
-root Descartes' rule of signs does not certify (`verify.su_uniqueness_scan`).
+per term and a few evaluations of phi, for one field or, row by row, for a
+stack.  The root finder runs Newton's method in log s from a closed-form
+start, which the sign and curvature structure of phi makes monotone; one
+term needs one evaluation.  It refuses, with a ModelViolationError and a
+witness, a phi whose one root Descartes' rule of signs does not certify
+(`verify.su_uniqueness_scan`).
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .energy import EnergyContext, FiberCoefficients, fiber_coefficients
 from .lattice import DomainError, Field
@@ -37,66 +38,82 @@ _NEWTON_STEP_TOL = 1e-9
 _ROOT_TOL = 1e-10
 
 
-def _descartes_witness(coeffs: FiberCoefficients) -> str:
-    """"" when phi's coefficients change sign exactly once, so that by
-    Descartes' rule of signs (which holds for real exponents) phi has exactly
-    one positive root, where it turns from positive to negative: norm^p(u) > 0,
-    every weight w_k >= 0, some w_k > 0 and every e_k > p.  Otherwise the
-    witness, phi's least exponent and least weight."""
-    e, w = min(coeffs.exponents), min(coeffs.phi_weights)
-    if coeffs.norm_pow > 0 and w >= 0 and max(coeffs.phi_weights) > 0 and e > coeffs.p:
-        return ""
-    return f"least exponent {e:g}, least weight {w:.6g}"
+def _descartes_witness(coeffs: FiberCoefficients) -> tuple[np.ndarray, str]:
+    """The rows (flat indices; [0] or [] for one field) whose phi is not
+    certified to have one positive root, and the witness of the first.
+
+    A row is certified when phi's coefficients change sign exactly once, so
+    that by Descartes' rule of signs (which holds for real exponents) phi has
+    exactly one positive root, where it turns from positive to negative:
+    norm^p(u) > 0, every weight w_k >= 0, some w_k > 0 and every e_k > p.
+    The witness is the row's least exponent and least weight."""
+    e, w = min(coeffs.exponents), coeffs.phi_weights.min(axis=-1)
+    max_w, p = coeffs.phi_weights.max(axis=-1), coeffs.p
+    bad = np.flatnonzero(~((coeffs.norm_pow > 0) & (w >= 0) & (max_w > 0) & (e > p)))
+    witness = f"least exponent {e:g}, least weight {w.flat[bad[0]]:.6g}" if bad.size else ""
+    return bad, witness
 
 
-def _phi_root(coeffs: FiberCoefficients) -> float:
-    """Unique positive root of the fiber stationarity polynomial, once
-    `_descartes_witness` certifies it.
+def _phi_root(coeffs: FiberCoefficients):
+    """Unique positive root of the fiber stationarity polynomial of each row,
+    once `_descartes_witness` certifies it.
 
     Newton's method in x = log s on g(x) = log(A s^p) - log T(s), with A the
     norm power and T(s) = sum_k w_k s^{e_k} the tail of phi.  With all e_k > p,
     g is strictly decreasing and concave, so Newton started at or right of the
     root descends monotonically onto it.  The smallest one-term root
     (A / w_k)^{1/(e_k - p)} is such a start (the root itself for one term),
-    and from there on no term exceeds A s^p.
+    and from there on no term exceeds A s^p.  The slope d log T / d log s is
+    the mean exponent under the weights w_k s^{e_k}, each divided by the
+    largest (log-sum-exp), so no term overflows.  All rows step together; a
+    row stops moving after its first log step of at most _NEWTON_STEP_TOL.
     """
-    if witness := _descartes_witness(coeffs):
+    bad, witness = _descartes_witness(coeffs)
+    if bad.size:
         raise ModelViolationError(f"fiber polynomial not certified to have one root: {witness}")
-    p, norm_pow = coeffs.p, coeffs.norm_pow
-    pairs = zip(coeffs.exponents, coeffs.phi_weights)
-    x = min((math.log(norm_pow) - math.log(w)) / (e - p) for e, w in pairs if w > 0)
+    p, norm_pow, e = coeffs.p, coeffs.norm_pow, np.array(coeffs.exponents)
+    with np.errstate(divide="ignore"):  # a zero weight has log -inf: no start, no mass
+        log_w = np.log(coeffs.phi_weights)
+    x = ((np.log(norm_pow)[..., None] - log_w) / (e - p)).min(-1)
+    done = np.zeros(norm_pow.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_STEPS):
-        s = math.exp(x)
-        g = -math.log1p(-coeffs.phi(s) / (norm_pow * s**p))
-        step = g / (coeffs.tail_log_slope(s) - p)
-        x += step
-        if abs(step) <= _NEWTON_STEP_TOL:
-            return math.exp(x)
-    raise ArithmeticError(f"fiber root did not converge (last log step {step:.3e})")
+        s = np.exp(x)
+        g = -np.log1p(-coeffs.phi(s) / (norm_pow * np.power(s, p)))
+        logs = log_w + e * np.log(s)[..., None]
+        mass = np.exp(logs - logs.max(-1, keepdims=True))
+        num = den = 0.0
+        for k, e_k in enumerate(coeffs.exponents):
+            num, den = num + e_k * mass[..., k], den + mass[..., k]
+        step = g / (num / den - p)
+        x = np.where(done, x, x + step)
+        done |= np.abs(step) <= _NEWTON_STEP_TOL
+        if done.all():
+            return np.exp(x)
+    last = np.abs(step)[~done].max()
+    raise ArithmeticError(f"fiber root did not converge (last log step {last:.3e})")
 
 
-def project_su(
-    ctx: EnergyContext, u: Field, norm_pow: float | None = None
-) -> tuple[float, FiberCoefficients] | list:
+def project_su(ctx: EnergyContext, u: Field, norm_pow: float | np.ndarray | None = None):
     """Projection m(u) = s_u u onto the constraint manifold: returns the root
     s_u, with |phi(s_u)| <= 1e-10 * s_u^p * norm^p(u), and the one evaluation
     `coeffs` of u it came from, so J(m(u)) = coeffs.energy(s_u) and
     norm^p(m(u)) = s_u^p * coeffs.norm_pow.  Rays through u and t u (t > 0)
-    land on the same point.  A stack of fields gets a list with the pair of
-    each row, from one stacked evaluation.  A caller that knows norm^p(u)
-    (the solver's unit-norm rows) passes it as `norm_pow`, as to
-    `fiber_coefficients`; the solver projects every start and trial here."""
-    stack = fiber_coefficients(ctx, u, norm_pow)
-    out = []
-    for coeffs in stack if isinstance(stack, list) else [stack]:
-        if coeffs.norm_pow == 0.0:
-            raise DomainError("the zero field has no fiber projection")
-        s = _phi_root(coeffs)
-        defect = abs(coeffs.phi(s))
-        scale = s**coeffs.p * coeffs.norm_pow
-        if defect > _ROOT_TOL * scale:
-            raise ArithmeticError(
-                f"fiber root residual {defect:.3e} exceeds {_ROOT_TOL:.1e} * {scale:.3e}"
-            )
-        out.append((s, coeffs))
-    return out if isinstance(stack, list) else out[0]
+    land on the same point.  One field gets a float s_u; a stack of fields
+    gets an array of roots, one per row, from one stacked evaluation, and is
+    refused if any row is.  A caller that knows norm^p(u) (the solver's
+    unit-norm rows) passes it as `norm_pow`, as to `fiber_coefficients`; the
+    solver projects every start and trial here."""
+    coeffs = fiber_coefficients(ctx, u, norm_pow)
+    if np.any(coeffs.norm_pow == 0.0):
+        raise DomainError("the zero field has no fiber projection")
+    s = _phi_root(coeffs)
+    defect = np.abs(coeffs.phi(s))
+    scale = np.power(s, coeffs.p) * coeffs.norm_pow
+    over = np.flatnonzero(defect > _ROOT_TOL * scale)
+    if over.size:
+        k = over[0]
+        raise ArithmeticError(
+            f"fiber root residual {defect.flat[k]:.3e} exceeds "
+            f"{_ROOT_TOL:.1e} * {scale.flat[k]:.3e}"
+        )
+    return (s if np.ndim(s) else float(s)), coeffs

@@ -29,24 +29,24 @@ gives kappa_k.  For p = 2 and constant h, P = (1 + eps) L.
 Steps start from a Barzilai-Borwein estimate on differences of the
 direction and backtrack under an Armijo test, which allows Psi a few ulps of
 roundoff.  Multi-start guards against nonglobal minima; the best converged
-start wins.  The starts descend in lockstep stacks that share each round's
-transforms, gradients, metric solve and dots (one `np.vecdot` per quantity,
-equal to `np.dot` per row); roots, steps and tests stay plain floats per
-start, so a start has the bits it has alone.
+start wins.  The starts descend in lockstep stacks held as arrays with a row
+per start: a round's transforms, gradients, metric solve, dots (one
+`np.vecdot` per quantity, equal to `np.dot` per row), fiber roots, steps and
+tests each run once over the rows, elementwise, so a start has the bits it
+has alone.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.random import default_rng
 
 from .energy import (
     EnergyContext,
-    FiberCoefficients,
     _pairing_parts,
     _stacked_gradient,
     energy_J,
@@ -172,41 +172,41 @@ class SolveReport:
 
 
 @dataclass(eq=False)
-class _Start:
-    """One start in its stack: the fiber evaluation of its unit-norm iterate
-    (`coeffs.u`) and its certified root and level, as `project_su` returned
-    them, the current slope and trial step, counts and histories.  A stopped
-    start keeps them and its `diag`, but drops its convolved fields, which
-    would stay alive, a stack's worth each, while the other stacks run."""
+class _Lockstep:
+    """One lockstep stack as arrays with a row or an entry per start: the
+    unit-norm iterates w, their directions d and last moves dw, and the
+    convolved powers `conv` of w (one array per nonlinearity term, from the
+    evaluation `project_su` certified); each start's root s, level psi,
+    level at its last turn, trial step t and slope, Barzilai-Borwein step,
+    counts, last residual, residual test of its current iteration and stop
+    ("" while it runs); and per turn, the rows that turned with their s, psi
+    and residual."""
 
-    start: int
-    coeffs: FiberCoefficients
-    s: float
-    psi: float
-    trials: int = 0
-    step: float = _STEP0
-    t: float = 0.0
-    slope: float = 0.0
-    stationary: bool = False  # the residual test of the current iteration
-    diag: StartDiagnostics | None = None
-    s_history: list = field(default_factory=list)
-    psi_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
+    starts: list
+    w: np.ndarray
+    conv: tuple
+    s: np.ndarray
+    psi: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.w)
+        self.d, self.dw = np.zeros_like(self.w), np.zeros_like(self.w)
+        self.psi_turn = np.full(n, np.inf)  # no turn yet: no energy test
+        self.t, self.slope, self.step = np.zeros(n), np.zeros(n), np.full(n, _STEP0)
+        self.trials, self.its = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        self.resid, self.stationary = np.zeros(n), np.zeros(n, dtype=bool)
+        self.stop, self.history = np.full(n, "", dtype="<U14"), []
 
     @property
     def iterations(self) -> int:
-        return len(self.residual_history)
+        return int(self.its.sum())
 
-    def finish(self, stop: str, converged: bool) -> None:
-        counts = (self.iterations, self.psi, self.residual_history[-1], self.trials, self.trials + 1)
-        self.diag = StartDiagnostics(self.start, converged, *counts, stop)
-        self.coeffs = replace(self.coeffs, conv_fields=())
-
-
-class _Stack(list):
-    """The starts of one stack, in order; `iterations` sums theirs."""
-
-    iterations = property(lambda self: sum(r.iterations for r in self))
+    def diagnostics(self) -> list[StartDiagnostics]:
+        """Each start's diagnostics: it converged if it stopped on a passed
+        residual test before max_iters."""
+        ok = self.stationary & (self.stop != "max_iters")
+        cols = (ok, self.its, self.psi, self.resid, self.trials, self.trials + 1, self.stop)
+        return [StartDiagnostics(*row) for row in zip(self.starts, *(c.tolist() for c in cols))]
 
 
 def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> Field:
@@ -279,105 +279,99 @@ def _tangent_direction(
     return pg - lam[..., None] * pk
 
 
-def _rows(a: np.ndarray, rows: list[int]) -> np.ndarray:
+def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """a[rows] for increasing rows, without a copy when they are all rows."""
     return a if len(rows) == len(a) else a[rows]
 
 
-def _turn(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: list) -> None:
+def _turn(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep, rows: np.ndarray) -> None:
     """Begin an iteration on the `rows` of the stack: the gradient and the
     stopping tests, then the direction (into `d`) and first trial step."""
-    wr = _rows(w, rows)
+    p, wr, s, psi = ctx.model.p, _rows(st.w, rows), st.s[rows], st.psi[rows]
     kappa, lap_diag = _pairing_parts(ctx, Field(ctx.spec, wr))
-    g = _stacked_gradient([runs[i].coeffs for i in rows], [runs[i].s for i in rows], kappa)
-    for j, resid in enumerate(np.abs(g).max(axis=1).tolist()):
-        r = runs[rows[j]]
-        r.s_history.append(r.s)
-        r.psi_history.append(r.psi)
-        r.residual_history.append(resid)
-        r.stationary = resid <= cfg.grad_tol * max(1.0, r.s ** (ctx.model.p - 1.0))
-        if r.stationary and r.iterations > 1 and (
-            r.psi_history[-2] - r.psi <= _ENERGY_TOL * max(1.0, abs(r.psi))
-        ):
-            r.finish("converged", True)
-    go = [j for j, i in enumerate(rows) if runs[i].diag is None]
-    if not go:  # else the stopped rows get a direction too: no second stack
+    convs = [_rows(c, rows) for c in st.conv]
+    g = _stacked_gradient(ctx.model.nonlinearity, p, s, wr, convs, kappa)
+    resid = np.abs(g).max(axis=1)
+    st.history.append((rows, np.stack([s, psi, resid], axis=-1)))
+    st.its[rows] += 1
+    st.resid[rows] = resid
+    stationary = resid <= cfg.grad_tol * np.maximum(1.0, np.power(s, p - 1.0))
+    st.stationary[rows] = stationary
+    fell = st.psi_turn[rows] - psi
+    st.psi_turn[rows] = psi
+    done = stationary & (fell <= _ENERGY_TOL * np.maximum(1.0, np.abs(psi)))
+    st.stop[rows[done]] = "converged"
+    if done.all():  # else the stopped rows get a direction too: no second stack
         return
     dr = _tangent_direction(ctx, wr, lap_diag, g, kappa)
-    dwr = _rows(dw, rows)  # moves of w; a zero one (no move yet) fails the BB test
-    pairs = ((g, dr), (dwr, dr - _rows(d, rows)), (dwr, dwr))
-    gd, denoms, nums = [np.vecdot(a, b).tolist() for a, b in pairs]
-    turned = []
-    for j in go:
-        r = runs[rows[j]]
-        slope = -r.s * gd[j]  # d/dt Psi(retract(w - t d)) at t = 0
-        if not slope < 0:
-            r.finish("zero_direction", r.stationary)
-            continue
-        if denoms[j] > 0 and np.isfinite(denoms[j]) and nums[j] > 0:
-            r.step = min(max(nums[j] / denoms[j], 1e-12), 1e6)
-        r.slope, r.t = slope, r.step
-        turned.append(j)
-    d[[rows[j] for j in turned]] = dr[turned]
+    dwr = _rows(st.dw, rows)  # moves of w; a zero one (no move yet) fails the BB test
+    pairs = ((g, dr), (dwr, dr - _rows(st.d, rows)), (dwr, dwr))
+    gd, denoms, nums = (np.vecdot(a, b) for a, b in pairs)
+    slope = -s * gd  # d/dt Psi(retract(w - t d)) at t = 0
+    go = ~done & (slope < 0)
+    st.stop[rows[~done & ~go]] = "zero_direction"
+    bb = go & (denoms > 0) & np.isfinite(denoms) & (nums > 0)
+    st.step[rows[bb]] = np.clip(nums[bb] / denoms[bb], 1e-12, 1e6)
+    turned = rows[go]
+    st.slope[turned], st.t[turned] = slope[go], st.step[turned]
+    st.d[turned] = dr[go]
 
 
-def _trial_round(ctx: EnergyContext, cfg: SolverConfig, runs: _Stack, w, d, dw, rows: list) -> list:
+def _trial_round(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep, rows: np.ndarray) -> np.ndarray:
     """One Armijo trial w - t d on each of the `rows`, retracted to the unit
     sphere and projected by `project_su` in one stacked fiber evaluation.
     Rows whose trial passes move there (in `w`, their moves in `dw`) in one
-    assignment each; one that fails halves t, down to the step floor.
-    Returns the rows that moved and go on."""
-    t = np.array([runs[i].t for i in rows])[:, None]
-    trial = _rows(w, rows) - t * _rows(d, rows)
+    assignment each, or, when every row of the stack passes, the trial's
+    arrays become the stack's state without a copy; one that fails halves
+    t, down to the step floor.  Returns the rows that moved and go on."""
+    t, psi = st.t[rows], st.psi[rows]
+    trial = _rows(st.w, rows) - t[:, None] * _rows(st.d, rows)
     # <kappa, trial> = <kappa, w> = 1, so no trial is the zero field; the
     # retracted trial has unit norm by construction
-    w_try = trial / np.array(h_norm(ctx, Field(ctx.spec, trial)))[:, None]
-    passed = []
-    for j, (s, c) in enumerate(project_su(ctx, Field(ctx.spec, w_try), norm_pow=1.0)):
-        r = runs[rows[j]]
-        r.trials += 1
-        psi = float(c.energy(s))
-        bound = r.psi + _SUFFICIENT_DECREASE * r.t * r.slope
-        if psi <= bound + _ROUNDOFF * abs(r.psi):
-            r.coeffs, r.s, r.psi = c, s, psi
-            passed.append(j)
-            if r.iterations == cfg.max_iters:
-                r.finish("max_iters", False)
-            continue
-        r.t *= _BACKTRACK
-        if r.t < _STEP_FLOOR:
-            # finite-precision stall: w did not move, so the residual test
-            # of this iteration is current
-            r.finish("step_floor", r.stationary)
-    moved = [rows[j] for j in passed]
-    dw[moved] = w_try[passed] - w[moved]
-    w[moved] = w_try[passed]
-    return [i for i in moved if runs[i].diag is None]
+    w_try = trial / h_norm(ctx, Field(ctx.spec, trial))[:, None]
+    s, coeffs = project_su(ctx, Field(ctx.spec, w_try), norm_pow=1.0)
+    st.trials[rows] += 1
+    psi_try = coeffs.energy(s)
+    bound = psi + _SUFFICIENT_DECREASE * t * st.slope[rows]
+    ok = psi_try <= bound + _ROUNDOFF * np.abs(psi)
+    moved = rows[ok]
+    st.s[moved], st.psi[moved] = s[ok], psi_try[ok]
+    if moved.size == len(st.w):  # the whole stack moved: its trial is the new state
+        st.dw, st.w, st.conv = w_try - st.w, w_try, coeffs.conv_fields
+    else:
+        for conv, new in zip(st.conv, coeffs.conv_fields):
+            conv[moved] = new[ok]
+        st.dw[moved] = w_try[ok] - st.w[moved]
+        st.w[moved] = w_try[ok]
+    st.stop[moved[st.its[moved] == cfg.max_iters]] = "max_iters"
+    back = rows[~ok]
+    st.t[back] *= _BACKTRACK
+    # finite-precision stall: w did not move, so the residual test of this
+    # iteration is current
+    st.stop[back[st.t[back] < _STEP_FLOOR]] = "step_floor"
+    return moved[st.stop[moved] == ""]
 
 
-def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]) -> _Stack:
+def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]) -> _Lockstep:
     """Descend from each row of the stack w0, numbered `starts`, in lockstep:
     each round, the rows that moved (all at first) begin an iteration, then
-    every running row makes one trial.  Iterates, directions and last moves
-    are rows of w, d and dw."""
+    every running row makes one trial."""
     norms = h_norm(ctx, w0)
-    if 0.0 in norms:
+    if np.any(norms == 0.0):
         raise ValueError("initial field must be nonzero")
-    w = w0.values / np.array(norms)[:, None]
-    d, dw = np.zeros_like(w), np.zeros_like(w)
-    projected = project_su(ctx, Field(ctx.spec, w), norm_pow=1.0)
-    runs = _Stack(_Start(k, c, s, float(c.energy(s))) for k, (s, c) in zip(starts, projected))
-    turning = list(range(len(runs)))
+    w = w0.values / norms[:, None]
+    s, coeffs = project_su(ctx, Field(ctx.spec, w), norm_pow=1.0)
+    st = _Lockstep(starts, w, coeffs.conv_fields, s, coeffs.energy(s))
+    turning = np.arange(len(w))
     while True:
-        if turning:
-            _turn(ctx, cfg, runs, w, d, dw, turning)
-        live = [i for i, r in enumerate(runs) if r.diag is None]
-        if not live:
+        if turning.size:
+            _turn(ctx, cfg, st, turning)
+        live = np.flatnonzero(st.stop == "")
+        if not live.size:
             break
-        turning = _trial_round(ctx, cfg, runs, w, d, dw, live)
-    for r in runs:
-        logger.info(r.diag.log_line())
-    return runs
+        turning = _trial_round(ctx, cfg, st, live)
+    st.conv = ()  # would stay alive, a stack's worth, while the other stacks run
+    return st
 
 
 def _stack_rows(ctx: EnergyContext) -> int:
@@ -405,31 +399,36 @@ def minimize_ground_state(
     count = max(threads, -(-cfg.n_starts // _stack_rows(ctx)))
     stacks = np.array_split(np.arange(cfg.n_starts), min(count, cfg.n_starts))
 
-    def run(rows: np.ndarray) -> _Stack:
+    def run(rows: np.ndarray) -> _Lockstep:
         return _descend(ctx, cfg, Field(ctx.spec, starts.values[rows]), rows.tolist())
 
     with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread unless used
-        mapped = pool.map(run, stacks) if threads > 1 else map(run, stacks)
-        results = [r for stack in mapped for r in stack]
+        runs = list(pool.map(run, stacks) if threads > 1 else map(run, stacks))
 
-    diags = tuple(r.diag for r in results)
-    converged = [(k, r) for k, r in enumerate(results) if r.diag.converged]
+    diags = tuple(d for st in runs for d in st.diagnostics())
+    for d in diags:
+        logger.info(d.log_line())
+    converged = [k for k, d in enumerate(diags) if d.converged]
     if not converged:
         raise NonconvergenceError(list(diags))
-    winner_idx, winner = min(converged, key=lambda kr: (kr[1].diag.energy, kr[0]))
+    winner_idx = min(converged, key=lambda k: (diags[k].energy, k))
+    st = next(st for st in runs if winner_idx in st.starts)
+    j = st.starts.index(winner_idx)
+    hist = np.concatenate([vals[turned == j] for turned, vals in st.history])
+    s_hist, psi_hist, res_hist = hist.T.tolist()
 
-    u_star = Field(ctx.spec, winner.s * winner.coeffs.u)
+    u_star = Field(ctx.spec, st.s[j] * st.w[j])
     coeffs = fiber_coefficients(ctx, u_star)
     residual = coeffs.gradient(1.0, pairing_field(ctx, u_star))
     report = SolveReport(
         u=u_star,
         energy=float(coeffs.energy(1.0)),
-        nehari_residual=abs(coeffs.phi(1.0)),
+        nehari_residual=float(abs(coeffs.phi(1.0))),
         pointwise_residual=float(np.max(np.abs(residual))),
-        s_history=tuple(winner.s_history),
-        psi_history=tuple(winner.psi_history),
-        residual_history=tuple(winner.residual_history),
-        iterations=winner.iterations,
+        s_history=tuple(s_hist),
+        psi_history=tuple(psi_hist),
+        residual_history=tuple(res_hist),
+        iterations=diags[winner_idx].iterations,
         winner_start=winner_idx,
         start_energies=tuple(d.energy for d in diags),
         diagnostics=diags,
@@ -441,7 +440,7 @@ def minimize_ground_state(
         report.nehari_residual,
         report.pointwise_residual,
         winner_idx,
-        winner.iterations,
+        report.iterations,
     )
     return report
 

@@ -399,12 +399,23 @@ def test_sweep_max_iters_advice_names_the_sweep_value(tmp_path, capsys):
     assert "raise solver.max_iters in the config" in capsys.readouterr().err
 
 
-def test_sweep_over_seed_ignores_the_seed_flag(tmp_path, capsys):
+def test_sweep_over_seed_ignores_the_seed_flag(tmp_path, capsys, monkeypatch):
     # model A: the swept top-level seed reaches the solver whatever --seed says
+    from lattice_choquard import cli
+
+    seeds, solve = [], cli.minimize_ground_state
+
+    def recording(ctx, cfg, **kwargs):
+        seeds.append(cfg.seed)
+        return solve(ctx, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "minimize_ground_state", recording)
     path = write_config(tmp_path, base_config(radius=8))
     argv = ["sweep", "--config", path, "--key", "seed", "--values", "1,2,3"]
     assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert seeds == [1, 2, 3]
     assert main(argv + ["--out", str(tmp_path / "flag"), "--seed", "5"]) == 0
+    assert seeds == [1, 2, 3, 1, 2, 3]
     capsys.readouterr()
     plain = (tmp_path / "plain" / "sweep.csv").read_text()
     assert (tmp_path / "flag" / "sweep.csv").read_text() == plain

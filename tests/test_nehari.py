@@ -147,18 +147,21 @@ def two_term_context(p):
 
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_fiber_polynomial_float_path_matches_array_path(p):
-    # phi and J along the ray run on plain floats for a float s; they must
-    # equal the broadcast array evaluation bit for bit
+    # phi and J along the ray take one np.power path for a float s, an array
+    # of s and a stack's rows: a float s, and the row of a stack of copies of
+    # u, get the bits of the broadcast array evaluation
     ctx_two = two_term_context(p)
     u = random_field(ctx_two.spec, np.random.default_rng(9))
     coeffs = fiber_coefficients(ctx_two, u)
     draws = np.random.default_rng(10).uniform(0.01, 20.0, 1000)
     grid = np.concatenate([np.geomspace(1e-3, 1e3, 1001), draws])
-    for fn in (coeffs.phi, coeffs.energy):
+    copies = fiber_coefficients(ctx_two, Field(ctx_two.spec, np.tile(u.values, (grid.size, 1))))
+    for fn, on_rows in ((coeffs.phi, copies.phi), (coeffs.energy, copies.energy)):
         on_array = fn(grid)
+        assert on_rows(grid).tobytes() == on_array.tobytes()
         for s, expected in zip(grid.tolist(), on_array.tolist()):
             value = fn(s)
-            assert type(value) is float
+            assert np.ndim(value) == 0
             assert value == expected
             assert value == fn(np.array([s]))[0]
 
@@ -201,29 +204,69 @@ def test_one_term_root_is_the_closed_form(ctx, phi_calls):
         assert s == pytest.approx((coeffs.norm_pow / w) ** (1.0 / (e - p)), rel=1e-14)
 
 
+def three_row_stack(ctx_):
+    fields = random_field(ctx_.spec, np.random.default_rng(15)).values * [[1.0], [2.0], [0.5]]
+    return fiber_coefficients(ctx_, Field(ctx_.spec, fields))
+
+
 @pytest.mark.parametrize("exponents", [(1.5,), (2.0,), (2.0, 8.0), (1.0, 3.0)])
 def test_root_refuses_exponents_at_or_below_p(ctx, exponents):
-    coeffs = fiber_coefficients(ctx, random_field(ctx.spec, np.random.default_rng(15)))
+    # the exponents are shared by a stack's rows, so every row fails
+    ones = np.ones((3, len(exponents)))
     bad = dataclasses.replace(
-        coeffs,
-        exponents=exponents,
-        phi_weights=(1.0,) * len(exponents),
-        energy_weights=(1.0,) * len(exponents),
+        three_row_stack(ctx), exponents=exponents, phi_weights=ones, energy_weights=ones
     )
-    with pytest.raises(ModelViolationError):
+    witness = f"least exponent {min(exponents):g}, least weight 1"
+    with pytest.raises(ModelViolationError, match=re.escape(witness)):
         _phi_root(bad)
 
 
 @pytest.mark.parametrize("weights", [(1.0, -0.5), (-1.0, 2.0)])
 def test_root_refuses_a_negative_weight(ctx, weights):
-    # exponents above p, but a negative weight: phi's coefficients no longer
-    # change sign once, so Descartes' rule does not certify one root
-    coeffs = fiber_coefficients(ctx, random_field(ctx.spec, np.random.default_rng(15)))
+    # exponents above p, but a negative weight in the middle row of a stack:
+    # that row's coefficients no longer change sign once, so Descartes' rule
+    # does not certify its one root, and the stack is refused with its witness
+    rows = np.array([(1.0, 2.0), weights, (0.5, 0.5)])
     bad = dataclasses.replace(
-        coeffs, exponents=(4.0, 6.0), phi_weights=weights, energy_weights=weights
+        three_row_stack(ctx), exponents=(4.0, 6.0), phi_weights=rows, energy_weights=rows
     )
-    with pytest.raises(ModelViolationError, match=re.escape(f"least weight {min(weights):g}")):
+    witness = f"least exponent 4, least weight {min(weights):g}"
+    with pytest.raises(ModelViolationError, match=re.escape(witness)):
         _phi_root(bad)
+
+
+def test_stacked_projection_refuses_one_inaccurate_row(ctx, monkeypatch):
+    # the residual certificate is an array test: one row off by a relative
+    # 1e-6 refuses the whole stack
+    from lattice_choquard import nehari
+
+    root = nehari._phi_root
+    monkeypatch.setattr(nehari, "_phi_root", lambda coeffs: root(coeffs) * [1.0, 1.0 + 1e-6, 1.0])
+    fields = three_row_stack(ctx).u
+    with pytest.raises(ArithmeticError, match="fiber root residual"):
+        project_su(ctx, Field(ctx.spec, fields))
+    monkeypatch.setattr(nehari, "_phi_root", root)
+    s, coeffs = project_su(ctx, Field(ctx.spec, fields))
+    assert s.shape == (3,) and coeffs.norm_pow.shape == (3,)
+
+
+def test_stacked_root_matches_each_row_alone(phi_calls):
+    # a stack's Newton iterations stop row by row: each row's root has the
+    # bits it has alone, and the stack evaluates phi as often as its slowest
+    # row does, plus nothing per row
+    two = two_term_context(3.0)
+    rng = np.random.default_rng(16)
+    u = (10.0 ** rng.uniform(-2.0, 2.0, (6, 1))) * rng.standard_normal((6, 11))
+    stack = fiber_coefficients(two, Field(two.spec, u))
+    del phi_calls[:]
+    roots = _phi_root(stack)
+    stacked_calls = len(phi_calls)
+    counts = []
+    for k, row in enumerate(u):
+        del phi_calls[:]
+        assert _phi_root(fiber_coefficients(two, Field(two.spec, row))) == roots[k]
+        counts.append(len(phi_calls))
+    assert stacked_calls == max(counts)
 
 
 def test_m_inverse_unit_norm(ctx):

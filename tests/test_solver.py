@@ -30,7 +30,6 @@ from lattice_choquard import (
 )
 from lattice_choquard.energy import _pairing_parts, _stacked_gradient, fiber_coefficients
 from lattice_choquard.lattice import _p_laplacian_parts
-from lattice_choquard.model import eval_f
 from lattice_choquard.nehari import _phi_root
 from lattice_choquard.solver import (
     _METRIC_EPS,
@@ -261,11 +260,16 @@ def test_threaded_run_matches_serial(ctx_a, report_a):
 
 def test_solve_refuses_an_inaccurate_root(ctx_b, monkeypatch):
     # every start and trial projects through `project_su`, whose certificate
-    # refuses a root off by a relative 1e-6
+    # refuses a stack in which one row's root is off by a relative 1e-6
     from lattice_choquard import nehari
 
     root = nehari._phi_root
-    monkeypatch.setattr(nehari, "_phi_root", lambda coeffs: root(coeffs) * (1.0 + 1e-6))
+
+    def last_row_off(coeffs):
+        rows = np.arange(coeffs.norm_pow.size)
+        return root(coeffs) * np.where(rows == rows[-1], 1.0 + 1e-6, 1.0)
+
+    monkeypatch.setattr(nehari, "_phi_root", last_row_off)
     with pytest.raises(ArithmeticError, match="fiber root residual"):
         minimize_ground_state(ctx_b)
 
@@ -425,46 +429,63 @@ def ctx_two():
 @pytest.mark.parametrize("which", ["b", "two"])
 def test_stacked_evaluation_matches_rows_alone(which, request):
     # the premise of the stacked descent: on this numpy, np.vecdot over rows
-    # is np.dot row by row (a numpy that breaks it fails here, not by
-    # drifting the artifacts)
-    a, b = np.random.default_rng(3).standard_normal((2, 8, 169))
+    # is np.dot row by row, and np.power, np.exp, np.log and np.log1p give
+    # each element the same bits at every array length 1-63 and offset (a
+    # numpy that breaks either fails here, not by drifting the artifacts)
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 8, 169))
     assert np.vecdot(a, b).tobytes() == np.array([np.dot(x, y) for x, y in zip(a, b)]).tobytes()
-    # a stack's fiber weights, gradient and direction (which carries lambda)
-    # have, row by row, the bits of each row evaluated alone
+    x, y = rng.uniform(0.01, 20.0, (2, 127))
+    ufuncs = [
+        (np.power, (x, y)),
+        (np.power, (x, 4.0)),
+        (np.exp, (y,)),
+        (np.log, (x,)),
+        (np.log1p, (-x / 21.0,)),
+    ]
+    for fn, args in ufuncs:
+        whole = fn(*args)
+        for n in range(1, 64):
+            for at in range(0, 64):
+                part = fn(*(arg[at : at + n] if np.ndim(arg) else arg for arg in args))
+                assert part.tobytes() == whole[at : at + n].tobytes(), (fn, n, at)
+    # a stack's fiber weights, roots, gradient and direction (which carries
+    # lambda) have, row by row, the bits of each row evaluated alone
     ctx = request.getfixturevalue(f"ctx_{which}")
-    terms, p = ctx.model.nonlinearity.terms, ctx.model.p
+    terms, nl, p = ctx.model.nonlinearity.terms, ctx.model.nonlinearity, ctx.model.p
     w = Field(ctx.spec, np.stack([u.values for u in _unit_fields(ctx, 4)]))
     stack = fiber_coefficients(ctx, w, norm_pow=1.0)
-    s = [_phi_root(c) for c in stack]
+    s = _phi_root(stack)
     kappa, lap_diag = _pairing_parts(ctx, w)
-    g = _stacked_gradient(stack, s, kappa)
+    g = _stacked_gradient(nl, p, s, w.values, stack.conv_fields, kappa)
     d = _tangent_direction(ctx, w.values, lap_diag, g, kappa)
-    for k, c in enumerate(stack):
+    for k in range(len(w.values)):
         row = Field(ctx.spec, w.values[k])
         alone = fiber_coefficients(ctx, row, norm_pow=1.0)
-        weights = np.array([c.phi_weights, c.energy_weights])
+        weights = np.array([stack.phi_weights[k], stack.energy_weights[k]])
         assert np.array([alone.phi_weights, alone.energy_weights]).tobytes() == weights.tobytes()
+        assert _phi_root(alone) == s[k]
         dots = [  # each weight from a plain np.dot
-            (q_i + q_j, a_i / q_i * a_j * float(np.dot(conv, np.abs(row.values) ** q_j)))
-            for (a_i, q_i), conv in zip(terms, c.conv_fields)
+            (q_i + q_j, a_i / q_i * a_j * float(np.dot(conv[k], np.abs(row.values) ** q_j)))
+            for (a_i, q_i), conv in zip(terms, stack.conv_fields)
             for a_j, q_j in terms
         ]
-        assert [x for _, x in sorted(dots, key=lambda pair: pair[0])] == list(c.phi_weights)
+        assert [x for _, x in sorted(dots, key=lambda pair: pair[0])] == stack.phi_weights[k].tolist()
         kappa_k, lap_diag_k = _pairing_parts(ctx, row)
         g_k = alone.gradient(s[k], Field(ctx.spec, kappa_k))
         assert g_k.tobytes() == g[k].tobytes()
         d_k = _tangent_direction(ctx, row.values, lap_diag_k, g_k, kappa_k)
         assert d_k.tobytes() == d[k].tobytes()
-    # along the rays, a stack has the bits of the per-row formula on
-    # plain-float coefficients (numpy's vector pow rounds unlike ** for about
-    # 5% of s)
-    scales = np.geomspace(0.5, 2.0, 16).tolist()
-    rays = [(c, t * x, kap) for c, x, kap in zip(stack, s, kappa) for t in scales]
-    records, xs, kappas = zip(*rays)
-    for (c, x, kap), g_ray in zip(rays, _stacked_gradient(records, xs, np.stack(kappas))):
-        conv_F = sum((a / q) * x**q * conv for (a, q), conv in zip(terms, c.conv_fields))
-        f_su = eval_f(ctx.model.nonlinearity, x * c.u)
-        assert (x ** (p - 1.0) * kap - conv_F * f_su).tobytes() == g_ray.tobytes()
+    # along the rays, a stack of 64 (each of the 4 rows at 16 scales) has the
+    # bits of each ray evaluated alone
+    scales = np.geomspace(0.5, 2.0, 16)
+    xs = (s[:, None] * scales).reshape(-1)
+    ray = np.repeat(np.arange(4), scales.size)
+    convs = [conv[ray] for conv in stack.conv_fields]
+    g_rays = _stacked_gradient(nl, p, xs, w.values[ray], convs, kappa[ray])
+    for x, k, g_ray in zip(xs.tolist(), ray, g_rays):
+        alone = fiber_coefficients(ctx, Field(ctx.spec, w.values[k]), norm_pow=1.0)
+        assert alone.gradient(x, Field(ctx.spec, kappa[k])).tobytes() == g_ray.tobytes()
 
 
 @pytest.mark.parametrize(
