@@ -100,9 +100,7 @@ _HANKEL_TERMS = 6
 _K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
 # bytes of one stack, each user counting what it stacks: a transform's
 # spectra (25 fields of a 2D r=6 box, one of a 3D r=6 box, where two or more
-# ran slower), the solver's (g, kappa) pairs (3 starts of a 3D r=6 box; past
-# about this size stacked temporaries fault in fresh pages on every call),
-# and one oracle scan stack's differences
+# ran slower) and one oracle scan stack's differences
 _STACK_BYTES = 1 << 17
 # a box whose dense matrix fits in this many bytes (at most 362 sites: 1D
 # r <= 180, 2D r <= 9, 3D r <= 3) convolves by the matrix product, a larger

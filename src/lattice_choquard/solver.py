@@ -53,7 +53,6 @@ from .energy import (
     h_norm,
     pairing_field,
 )
-from .kernel import _STACK_BYTES
 from .lattice import Field, random_field
 from .nehari import fiber_coefficients, project_su
 
@@ -81,6 +80,12 @@ _METRIC_EPS = 1e-3  # keeps the metric's weights positive where w or grad w is 0
 # a start converges once, besides the residual test, Psi fell by at most this
 # fraction of max(1, |Psi|) in its last step
 _ENERGY_TOL = 1e-12
+# bytes of a lockstep stack's (g, kappa) pairs, the largest stacked array of
+# the metric solve: up to 7 starts to a stack on a 3D r=6 box, 9 on a 2D r=20
+# box.  A larger budget runs fewer rounds, but on the 3D r=6 box one stack of
+# 8 raised the peak memory by 2.3 MB over stacks of 3, against 0.6 MB for
+# stacks of 4 (budget table in BENCH_29.json)
+_LOCKSTEP_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -376,10 +381,9 @@ def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]
 
 def _stack_rows(ctx: EnergyContext) -> int:
     """Starts per lockstep stack: as many as keep one (g, kappa) pair per
-    row, the largest stacked array of the metric solve, within _STACK_BYTES,
-    and at least one.  The kernel splits a stack's transforms by its own
-    rule."""
-    return max(1, _STACK_BYTES // (16 * ctx.spec.site_count))
+    row within _LOCKSTEP_BYTES, and at least one.  The kernel splits a
+    stack's transforms by its own rule."""
+    return max(1, _LOCKSTEP_BYTES // (16 * ctx.spec.site_count))
 
 
 def minimize_ground_state(
@@ -390,9 +394,9 @@ def minimize_ground_state(
     Runs `cfg.n_starts` independent descents and returns the lowest
     converged one.  The starts run in lockstep stacks, at least one per
     thread and none above `_stack_rows(ctx)` starts (all 8 on a 2D r=6 box,
-    3 on a 3D r=6 box).  Raises NonconvergenceError with per-start
-    diagnostics when no start meets the residual criterion, and propagates
-    model violations.
+    7 on a 3D r=6 box, whose 8 starts run as two stacks of 4).  Raises
+    NonconvergenceError with per-start diagnostics when no start meets the
+    residual criterion, and propagates model violations.
     """
     cfg = cfg or SolverConfig()
     starts = initial_fields(ctx, cfg)

@@ -1,5 +1,6 @@
 """Config parsing, subcommands, artifacts, exit codes."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -611,3 +612,37 @@ print(json.dumps({"added": added, "scipy": scipy}))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"added": [], "scipy": []}
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="no glibc mallopt")
+@pytest.mark.parametrize("pad", [0, 1 << 12, 1 << 16])
+def test_cli_solve_keeps_its_heap(tmp_path, pad):
+    # a lockstep round on the 3D r=6 box frees a few hundred KB; with glibc's
+    # default heap policy the next round faults it back in, about 3200 minor
+    # faults per solve, against about 570 with the CLI's policy.  The
+    # padding moves the stack and environment, as a caller's environment
+    # size does
+    path = write_config(tmp_path, base_config(dim=3, radius=6, p=2, alpha=1.0))
+    code = f"""
+import resource
+from lattice_choquard import cli
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+status = cli.main(["solve", "--config", {path!r}, "--out", {str(tmp_path / "out")!r},
+                   "--threads", "1"])
+print(status, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "ENV_PAD": "x" * pad}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    status, faults = map(int, out.stdout.split()[-2:])
+    assert status == 0
+    assert faults <= 1500
