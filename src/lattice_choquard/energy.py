@@ -29,6 +29,7 @@ per term) gives all of these along the ray s -> s u, grad J(su) included:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,13 +68,22 @@ class EnergyContext:
             raise ValueError("potential grid shape does not match the lattice")
         self.h_grid.setflags(write=False)
 
-    @property
+    @cached_property
     def spec(self):
         return self.model.lattice
 
-    @property
+    @cached_property
     def h_flat(self) -> np.ndarray:
         return self.h_grid.reshape(-1)
+
+    @cached_property
+    def _fiber_pairs(self) -> tuple:
+        """The pairs (i, j) of terms stably sorted by q_i + q_j: those exponents, the pairs,
+        and the factors (a_i / q_i) a_j and 1/2 (a_i / q_i)(a_j / q_j) of their weights."""
+        terms = self.model.nonlinearity.terms
+        ranked = sorted((x + y, i, j) for i, (_, x) in enumerate(terms) for j, (_, y) in enumerate(terms))
+        (e, i, j), (a, q) = map(list, zip(*ranked)), np.array(terms).T
+        return tuple(e), list(zip(i, j)), a[i] / q[i] * a[j], 0.5 * (a[i] / q[i]) * (a[j] / q[j])
 
 
 def make_context(model: ModelSpec, table: KernelTable | None = None) -> EnergyContext:
@@ -153,10 +163,9 @@ def _stacked_gradient(nl: SumOfPowers, p: float, s, u, convs, kappa: np.ndarray)
     convolved powers `convs` (R * |u|^{q_i} per term) and pairing fields
     kappa of the u_k: the norm part rescales from kappa, being
     (p-1)-homogeneous, and R * F(su) termwise from the convolved powers."""
-    s = np.asarray(s, dtype=float)[..., None]
-    conv_F = np.zeros(kappa.shape)
+    s, conv_F = np.asarray(s, dtype=float)[..., None], 0.0
     for (a, q), conv in zip(nl.terms, convs):
-        conv_F += (a / q) * np.power(s, q) * conv
+        conv_F = conv_F + (a / q) * np.power(s, q) * conv
     return np.power(s, p - 1.0) * kappa - conv_F * eval_f(nl, s * u)
 
 
@@ -167,24 +176,15 @@ def fiber_coefficients(
     convolution per nonlinearity term, and the fiber polynomials built from
     them, with one `np.vecdot` per pair of terms.  A caller that knows
     norm^p(u) already (a unit-norm trial) passes it as `norm_pow`."""
-    if norm_pow is None:
-        norm_pow = h_norm_pow(ctx, u)
-    nl = ctx.model.nonlinearity
-    powers = [np.abs(u.values) ** q for _, q in nl.terms]
-    convs = tuple(convolve(ctx.table, Field(ctx.spec, w)).values for w in powers)
-    pairs = sorted(  # (exponent, a_i / q_i, a_j, a_j / q_j, B_ij per row), stably
-        (
-            (q_i + q_j, a_i / q_i, a_j, a_j / q_j, np.vecdot(conv, power))
-            for (a_i, q_i), conv in zip(nl.terms, convs)
-            for (a_j, q_j), power in zip(nl.terms, powers)
-        ),
-        key=lambda pair: pair[0],
-    )
-    wphi = np.stack([c * a_j * b for _, c, a_j, _, b in pairs], axis=-1)
-    wen = np.stack([0.5 * c * f_j * b for _, c, _, f_j, b in pairs], axis=-1)
-    norm_pow = np.broadcast_to(np.asarray(norm_pow, dtype=float), u.values.shape[:-1])
-    exps = tuple(pair[0] for pair in pairs)
-    return FiberCoefficients(ctx.model.p, norm_pow, exps, wphi, wen, nl, u.values, convs)
+    norm_pow = h_norm_pow(ctx, u) if norm_pow is None else norm_pow
+    norm_pow = np.full(u.values.shape[:-1], norm_pow, dtype=float)
+    nl, size = ctx.model.nonlinearity, np.abs(u.values)
+    powers = [size**q for _, q in nl.terms]
+    convs = tuple(convolve(ctx.table, Field._unchecked(ctx.spec, w)).values for w in powers)
+    exps, order, phi, half = ctx._fiber_pairs
+    dots = [np.vecdot(convs[i], powers[j]) for i, j in order]  # B_ij per row
+    b = dots[0][..., None] if len(dots) == 1 else np.stack(dots, axis=-1)
+    return FiberCoefficients(ctx.model.p, norm_pow, exps, phi * b, half * b, nl, u.values, convs)
 
 
 def energy_J(ctx: EnergyContext, u: Field) -> float:

@@ -403,5 +403,5 @@ def convolve(table: KernelTable, w: Field) -> Field:
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
     if table.values.itemsize * w.spec.site_count**2 <= _DENSE_BYTES:
-        return Field(w.spec, np.matmul(dense_operator(table), w.values[..., None])[..., 0])
-    return Field(w.spec, _fft_convolve(table, w.grid()).reshape(w.values.shape))
+        return Field._unchecked(w.spec, np.matmul(dense_operator(table), w.values[..., None])[..., 0])
+    return Field._unchecked(w.spec, _fft_convolve(table, w.grid()).reshape(w.values.shape))

@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -63,15 +64,15 @@ class LatticeSpec:
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "radius", int(self.radius))
 
-    @property
+    @cached_property
     def side(self) -> int:
         return 2 * self.radius + 1
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.side,) * self.dim
 
-    @property
+    @cached_property
     def site_count(self) -> int:
         return self.side**self.dim
 
@@ -128,6 +129,13 @@ class Field:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _unchecked(cls, spec: LatticeSpec, values: np.ndarray) -> "Field":
+        """A field around float rows of site_count values the library just computed: no checks."""
+        u = object.__new__(cls)
+        vars(u).update(spec=spec, values=values)
+        return u
+
     @staticmethod
     def delta(spec: LatticeSpec, x: Sequence[int] | None = None) -> "Field":
         """Indicator of a single site (the origin by default)."""
@@ -162,18 +170,18 @@ def _padded_grid(u: Field, margin: int) -> np.ndarray:
     return out
 
 
-def _neighbours(arr: np.ndarray, dim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Views of `arr` over the core window of its trailing `dim` axes (one
-    site in from each side): the window, and the window offset by +1 and
-    then -1 along each of those axes in turn."""
-    core = (..., *[slice(1, -1)] * dim)
-    ends = [arr.shape[ax - dim] for ax in range(dim)]
-    shifted = [
-        arr[core[: 1 + ax] + (window,) + core[2 + ax :]]
-        for ax, n in enumerate(ends)
-        for window in (slice(2, n), slice(0, n - 2))
-    ]
-    return arr[core], shifted
+@cache
+def _axis_slices(dim: int) -> tuple:
+    """Per trailing axis j of a grid: the windows (hi, lo), core (one site in
+    from each side) on the other axes and dropping the first or last site
+    along j, so grid[hi] - grid[lo] is the forward difference along j; and
+    the parts (up, down) of such an array that hold, at a core site x, the
+    terms toward x + e_j and from x - e_j."""
+    ends, others = (slice(1, None), slice(None, -1)), (slice(1, -1), slice(None))
+    return tuple(
+        tuple((..., *[end if k == j else other for k in range(dim)]) for other in others for end in ends)
+        for j in range(dim)
+    )
 
 
 def grad_sq_grid(u: Field) -> np.ndarray:
@@ -182,11 +190,12 @@ def grad_sq_grid(u: Field) -> np.ndarray:
     With zero extension, sites at sup-distance >= r+2 from the origin have
     zero gradient, so the one-ring margin captures every nonzero value.
     """
-    center, shifted = _neighbours(_padded_grid(u, 2), u.spec.dim)
-    acc = np.zeros_like(center)
-    for view in shifted:
-        d = view - center
-        acc += d * d
+    grid, acc = _padded_grid(u, 2), 0.0
+    for hi, lo, up, down in _axis_slices(u.spec.dim):
+        d = grid[hi] - grid[lo]
+        d *= d
+        acc = acc + d[up]
+        acc += d[down]
     return 0.5 * acc
 
 
@@ -203,15 +212,17 @@ def _p_laplacian_parts(u: Field, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Delta_p u and the sum over y ~ x of its edge weights
     1/2 (|grad u|^{p-2}(x) + |grad u|^{p-2}(y)), both from one pass over the
     neighbours and shaped like u.values.  The second is minus the diagonal of
-    Delta_p with its weights frozen at u; exterior neighbours count in both."""
-    wc, w_shifted = _neighbours(_edge_weights(u, p), u.spec.dim)
-    uc, u_shifted = _neighbours(_padded_grid(u, 1), u.spec.dim)
-    acc = np.zeros_like(uc)
-    diag = np.zeros_like(wc)
-    for wv, uv in zip(w_shifted, u_shifted):
-        weight = wv + wc
-        acc += weight * (uv - uc)
-        diag += weight
+    Delta_p with its weights frozen at u; exterior neighbours count in both.
+    Both sums start from 0.0, as an exact -0.0 flux must leave +0.0."""
+    weights, grid = _edge_weights(u, p), _padded_grid(u, 1)
+    acc = diag = 0.0
+    for hi, lo, up, down in _axis_slices(u.spec.dim):
+        edge = weights[hi] + weights[lo]
+        flux = (grid[hi] - grid[lo]) * edge
+        acc = acc + flux[up]
+        acc -= flux[down]
+        diag = diag + edge[up]
+        diag += edge[down]
     return (0.5 * acc).reshape(u.values.shape), (0.5 * diag).reshape(u.values.shape)
 
 

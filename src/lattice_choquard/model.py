@@ -159,8 +159,7 @@ class SumOfPowers:
 
 def eval_f(nl: SumOfPowers, t) -> np.ndarray | float:
     """f(t); odd in t, vectorized over arrays."""
-    arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(arr)
+    arr, out = np.asarray(t, dtype=float), 0.0  # 0.0 + x rounds as zeros + x
     at = np.abs(arr)
     for a, q in nl.terms:
         out = out + a * np.sign(arr) * at ** (q - 1.0)

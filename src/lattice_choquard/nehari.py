@@ -47,9 +47,9 @@ def _descartes_witness(coeffs: FiberCoefficients) -> tuple[np.ndarray, str]:
     exactly one positive root, where it turns from positive to negative:
     norm^p(u) > 0, every weight w_k >= 0, some w_k > 0 and every e_k > p.
     The witness is the row's least exponent and least weight."""
-    e, w = min(coeffs.exponents), coeffs.phi_weights.min(axis=-1)
-    max_w, p = coeffs.phi_weights.max(axis=-1), coeffs.p
-    bad = np.flatnonzero(~((coeffs.norm_pow > 0) & (w >= 0) & (max_w > 0) & (e > p)))
+    e, weights = min(coeffs.exponents), coeffs.phi_weights
+    w, max_w = np.minimum.reduce(weights, axis=-1), np.maximum.reduce(weights, axis=-1)
+    bad = (~((coeffs.norm_pow > 0) & (w >= 0) & (max_w > 0) & (e > coeffs.p))).ravel().nonzero()[0]
     witness = f"least exponent {e:g}, least weight {w.flat[bad[0]]:.6g}" if bad.size else ""
     return bad, witness
 
@@ -65,8 +65,8 @@ def _phi_root(coeffs: FiberCoefficients):
     (A / w_k)^{1/(e_k - p)} is such a start (the root itself for one term),
     and from there on no term exceeds A s^p.  The slope d log T / d log s is
     the mean exponent under the weights w_k s^{e_k}, each divided by the
-    largest (log-sum-exp), so no term overflows.  All rows step together; a
-    row stops moving after its first log step of at most _NEWTON_STEP_TOL.
+    largest (log-sum-exp), so no term overflows; one term's is its exponent.
+    All rows step together; a row stops after its first log step <= _NEWTON_STEP_TOL.
     """
     bad, witness = _descartes_witness(coeffs)
     if bad.size:
@@ -74,17 +74,20 @@ def _phi_root(coeffs: FiberCoefficients):
     p, norm_pow, e = coeffs.p, coeffs.norm_pow, np.array(coeffs.exponents)
     with np.errstate(divide="ignore"):  # a zero weight has log -inf: no start, no mass
         log_w = np.log(coeffs.phi_weights)
-    x = ((np.log(norm_pow)[..., None] - log_w) / (e - p)).min(-1)
+    x = np.minimum.reduce((np.log(norm_pow)[..., None] - log_w) / (e - p), axis=-1)
     done = np.zeros(norm_pow.shape, dtype=bool)
+    slope = e[0] - p  # the mean over one term's own weight, which is 1 exactly
     for _ in range(_NEWTON_MAX_STEPS):
         s = np.exp(x)
         g = -np.log1p(-coeffs.phi(s) / (norm_pow * np.power(s, p)))
-        logs = log_w + e * np.log(s)[..., None]
-        mass = np.exp(logs - logs.max(-1, keepdims=True))
-        num = den = 0.0
-        for k, e_k in enumerate(coeffs.exponents):
-            num, den = num + e_k * mass[..., k], den + mass[..., k]
-        step = g / (num / den - p)
+        if e.size > 1:
+            logs = log_w + e * np.log(s)[..., None]
+            mass = np.exp(logs - np.maximum.reduce(logs, axis=-1)[..., None])
+            num = den = 0.0
+            for k, e_k in enumerate(coeffs.exponents):
+                num, den = num + e_k * mass[..., k], den + mass[..., k]
+            slope = num / den - p
+        step = g / slope
         x = np.where(done, x, x + step)
         done |= np.abs(step) <= _NEWTON_STEP_TOL
         if done.all():
@@ -104,16 +107,15 @@ def project_su(ctx: EnergyContext, u: Field, norm_pow: float | np.ndarray | None
     unit-norm rows) passes it as `norm_pow`, as to `fiber_coefficients`; the
     solver projects every start and trial here."""
     coeffs = fiber_coefficients(ctx, u, norm_pow)
-    if np.any(coeffs.norm_pow == 0.0):
+    if (coeffs.norm_pow == 0.0).any():
         raise DomainError("the zero field has no fiber projection")
     s = _phi_root(coeffs)
     defect = np.abs(coeffs.phi(s))
     scale = np.power(s, coeffs.p) * coeffs.norm_pow
-    over = np.flatnonzero(defect > _ROOT_TOL * scale)
+    over = (defect > _ROOT_TOL * scale).ravel().nonzero()[0]
     if over.size:
         k = over[0]
         raise ArithmeticError(
-            f"fiber root residual {defect.flat[k]:.3e} exceeds "
-            f"{_ROOT_TOL:.1e} * {scale.flat[k]:.3e}"
+            f"fiber root residual {defect.flat[k]:.3e} exceeds {_ROOT_TOL:.1e} * {scale.flat[k]:.3e}"
         )
     return (s if np.ndim(s) else float(s)), coeffs

@@ -30,7 +30,7 @@ Steps start from a Barzilai-Borwein estimate on differences of the
 direction and backtrack under an Armijo test, which allows Psi a few ulps of
 roundoff.  Multi-start guards against nonglobal minima; the best converged
 start wins.  The starts descend in lockstep stacks held as arrays with a row
-per start: a round's transforms, gradients, metric solve, dots (one
+per running start: a round's transforms, gradients, metric solve, dots (one
 `np.vecdot` per quantity, equal to `np.dot` per row), fiber roots, steps and
 tests each run once over the rows, elementwise, so a start has the bits it
 has alone.
@@ -39,7 +39,6 @@ has alone.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -86,6 +85,9 @@ _ENERGY_TOL = 1e-12
 # 8 raised the peak memory by 2.3 MB over stacks of 3, against 0.6 MB for
 # stacks of 4 (budget table in BENCH_29.json)
 _LOCKSTEP_BYTES = 1 << 18
+# a lockstep stack's row arrays, and those a start keeps when it stops
+_KEPT = ("w", "s", "psi", "trials", "its", "resid", "stationary", "stop")
+_ROWS = ("ids", "d", "dw", "psi_turn", "t", "slope", "step", *_KEPT)
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,13 @@ class SolveReport:
 
 @dataclass(eq=False)
 class _Lockstep:
-    """One lockstep stack as arrays with a row or an entry per start: the
-    unit-norm iterates w, their directions d and last moves dw, and the
-    convolved powers `conv` of w (one array per nonlinearity term, from the
-    evaluation `project_su` certified); each start's root s, level psi,
-    level at its last turn, trial step t and slope, Barzilai-Borwein step,
-    counts, last residual, residual test of its current iteration and stop
-    ("" while it runs); and per turn, the rows that turned with their s, psi
-    and residual."""
+    """A lockstep stack as arrays with a row or entry per running start (`ids`
+    numbers them in `starts`): the unit-norm iterates w, directions d, last
+    moves dw and convolved powers `conv` of w (an array per term); each
+    start's root s, level psi, level at its last turn, trial step t and
+    slope, Barzilai-Borwein step, counts, residual, residual test and stop
+    ("" while it runs).  Per turn, `history` holds the ids that turned with
+    their s, psi and residual; per start, `final` the _KEPT rows it left."""
 
     starts: list
     w: np.ndarray
@@ -195,22 +196,34 @@ class _Lockstep:
 
     def __post_init__(self) -> None:
         n = len(self.w)
-        self.d, self.dw = np.zeros_like(self.w), np.zeros_like(self.w)
+        self.ids, self.d, self.dw = np.arange(n), np.zeros_like(self.w), np.zeros_like(self.w)
         self.psi_turn = np.full(n, np.inf)  # no turn yet: no energy test
         self.t, self.slope, self.step = np.zeros(n), np.zeros(n), np.full(n, _STEP0)
         self.trials, self.its = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
         self.resid, self.stationary = np.zeros(n), np.zeros(n, dtype=bool)
         self.stop, self.history = np.full(n, "", dtype="<U14"), []
+        self.final = {k: np.empty_like(getattr(self, k)) for k in _KEPT}
 
     @property
     def iterations(self) -> int:
-        return int(self.its.sum())
+        return int(self.final["its"].sum())
+
+    def retire(self) -> np.ndarray:
+        """Move stopped rows into `final`, out of the row arrays; returns the mask kept."""
+        keep = self.stop == ""
+        if not keep.all():
+            for k, out in self.final.items():
+                out[self.ids[~keep]] = getattr(self, k)[~keep]
+            for k in _ROWS:
+                setattr(self, k, getattr(self, k)[keep])
+            self.conv = tuple(c[keep] for c in self.conv)
+        return keep
 
     def diagnostics(self) -> list[StartDiagnostics]:
-        """Each start's diagnostics: it converged if it stopped on a passed
-        residual test before max_iters."""
-        ok = self.stationary & (self.stop != "max_iters")
-        cols = (ok, self.its, self.psi, self.resid, self.trials, self.trials + 1, self.stop)
+        """Per start: converged if it stopped on a passed residual test before max_iters."""
+        f = self.final
+        ok = f["stationary"] & (f["stop"] != "max_iters")
+        cols = (ok, f["its"], f["psi"], f["resid"], f["trials"], f["trials"] + 1, f["stop"])
         return [StartDiagnostics(*row) for row in zip(self.starts, *(c.tolist() for c in cols))]
 
 
@@ -271,112 +284,94 @@ def _metric_inverse(ctx: EnergyContext, w, lap_diag, v: np.ndarray) -> np.ndarra
     return scale * _sine_transform(spec, sine, dim).reshape(v.shape)
 
 
-def _tangent_direction(
-    ctx: EnergyContext, w, lap_diag, g: np.ndarray, kappa: np.ndarray
-) -> np.ndarray:
+def _tangent_direction(ctx: EnergyContext, w, lap_diag, g: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """d = P^{-1} g - lambda P^{-1} kappa, so that <kappa, d> = 0 and the
     descent direction z = -d has slope s <g, z> <= 0; row by row for a
     stack, with one `np.vecdot` per dot over the rows."""
     # (g, kappa) pairs per iterate keep a 1D sine transform's matrix shapes
-    pd = _metric_inverse(ctx, w, lap_diag, np.stack((g, kappa), axis=-2))
+    pd = _metric_inverse(ctx, w, lap_diag, np.concatenate((g[..., None, :], kappa[..., None, :]), -2))
     pg, pk = pd[..., 0, :], pd[..., 1, :]
     lam = np.vecdot(kappa, pg) / np.vecdot(kappa, pk)
     return pg - lam[..., None] * pk
 
 
-def _rows(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """a[rows] for increasing rows, without a copy when they are all rows."""
-    return a if len(rows) == len(a) else a[rows]
-
-
-def _turn(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep, rows: np.ndarray) -> None:
-    """Begin an iteration on the `rows` of the stack: the gradient and the
-    stopping tests, then the direction (into `d`) and first trial step."""
-    p, wr, s, psi = ctx.model.p, _rows(st.w, rows), st.s[rows], st.psi[rows]
-    kappa, lap_diag = _pairing_parts(ctx, Field(ctx.spec, wr))
-    convs = [_rows(c, rows) for c in st.conv]
-    g = _stacked_gradient(ctx.model.nonlinearity, p, s, wr, convs, kappa)
-    resid = np.abs(g).max(axis=1)
-    st.history.append((rows, np.stack([s, psi, resid], axis=-1)))
-    st.its[rows] += 1
-    st.resid[rows] = resid
-    stationary = resid <= cfg.grad_tol * np.maximum(1.0, np.power(s, p - 1.0))
-    st.stationary[rows] = stationary
-    fell = st.psi_turn[rows] - psi
-    st.psi_turn[rows] = psi
+def _turn(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep, sel) -> None:
+    """Begin an iteration on the rows `sel` (a mask, or all) of the stack: the
+    gradient and stopping tests, then the direction (into `d`) and first step."""
+    p, w, s, psi = ctx.model.p, st.w[sel], st.s[sel], st.psi[sel]
+    kappa, lap_diag = _pairing_parts(ctx, Field._unchecked(ctx.spec, w))
+    g = _stacked_gradient(ctx.model.nonlinearity, p, s, w, [c[sel] for c in st.conv], kappa)
+    resid = np.maximum.reduce(np.abs(g), axis=1)
+    st.history.append((st.ids[sel], s, psi, resid))  # no s or psi is written in place
+    st.its[sel] += 1
+    st.resid[sel] = resid
+    st.stationary[sel] = stationary = resid <= cfg.grad_tol * np.maximum(1.0, np.power(s, p - 1.0))
+    fell, st.psi_turn[sel] = st.psi_turn[sel] - psi, psi
     done = stationary & (fell <= _ENERGY_TOL * np.maximum(1.0, np.abs(psi)))
-    st.stop[rows[done]] = "converged"
     if done.all():  # else the stopped rows get a direction too: no second stack
+        st.stop[sel] = "converged"
         return
-    dr = _tangent_direction(ctx, wr, lap_diag, g, kappa)
-    dwr = _rows(st.dw, rows)  # moves of w; a zero one (no move yet) fails the BB test
-    pairs = ((g, dr), (dwr, dr - _rows(st.d, rows)), (dwr, dwr))
-    gd, denoms, nums = (np.vecdot(a, b) for a, b in pairs)
+    dr = _tangent_direction(ctx, w, lap_diag, g, kappa)
+    dw = st.dw[sel]  # moves of w; a zero one (no move yet) fails the BB test
+    gd, denoms, nums = np.vecdot(g, dr), np.vecdot(dw, dr - st.d[sel]), np.vecdot(dw, dw)
     slope = -s * gd  # d/dt Psi(retract(w - t d)) at t = 0
     go = ~done & (slope < 0)
-    st.stop[rows[~done & ~go]] = "zero_direction"
+    st.stop[sel] = np.where(done, "converged", np.where(go, "", "zero_direction"))
     bb = go & (denoms > 0) & np.isfinite(denoms) & (nums > 0)
-    st.step[rows[bb]] = np.clip(nums[bb] / denoms[bb], 1e-12, 1e6)
-    turned = rows[go]
-    st.slope[turned], st.t[turned] = slope[go], st.step[turned]
-    st.d[turned] = dr[go]
+    step = st.step[sel]  # a view when all rows turn
+    step[bb] = np.minimum(np.maximum(nums[bb] / denoms[bb], 1e-12), 1e6)
+    st.step[sel], st.slope[sel], st.t[sel], st.d[sel] = step, slope, step, dr
 
 
-def _trial_round(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep, rows: np.ndarray) -> np.ndarray:
-    """One Armijo trial w - t d on each of the `rows`, retracted to the unit
-    sphere and projected by `project_su` in one stacked fiber evaluation.
-    Rows whose trial passes move there (in `w`, their moves in `dw`) in one
-    assignment each, or, when every row of the stack passes, the trial's
-    arrays become the stack's state without a copy; one that fails halves
-    t, down to the step floor.  Returns the rows that moved and go on."""
-    t, psi = st.t[rows], st.psi[rows]
-    trial = _rows(st.w, rows) - t[:, None] * _rows(st.d, rows)
-    # <kappa, trial> = <kappa, w> = 1, so no trial is the zero field; the
-    # retracted trial has unit norm by construction
-    w_try = trial / h_norm(ctx, Field(ctx.spec, trial))[:, None]
-    s, coeffs = project_su(ctx, Field(ctx.spec, w_try), norm_pow=1.0)
-    st.trials[rows] += 1
-    psi_try = coeffs.energy(s)
-    bound = psi + _SUFFICIENT_DECREASE * t * st.slope[rows]
-    ok = psi_try <= bound + _ROUNDOFF * np.abs(psi)
-    moved = rows[ok]
-    st.s[moved], st.psi[moved] = s[ok], psi_try[ok]
-    if moved.size == len(st.w):  # the whole stack moved: its trial is the new state
-        st.dw, st.w, st.conv = w_try - st.w, w_try, coeffs.conv_fields
+def _retract(ctx: EnergyContext, x: np.ndarray):
+    """The rows w of x scaled to unit norm and projected: (w, s, coeffs, J(m(w))).
+    The rounds build fields unchecked, so a zero or non-finite row stops here."""
+    norms = h_norm(ctx, Field._unchecked(ctx.spec, x))
+    if not ((norms > 0) & (norms < np.inf)).all():
+        raise ValueError(f"descent fields must be nonzero and finite; norms {norms}")
+    w = x / norms[:, None]
+    s, coeffs = project_su(ctx, Field._unchecked(ctx.spec, w), norm_pow=1.0)
+    return w, s, coeffs, coeffs.energy(s)
+
+
+def _trial_round(ctx: EnergyContext, cfg: SolverConfig, st: _Lockstep) -> np.ndarray:
+    """One Armijo trial w - t d on every row (<kappa, w - t d> = 1: not zero),
+    retracted and projected.  A row whose trial passes moves there (when all
+    do, the trial's arrays become the state without a copy); one that fails
+    halves t, down to the step floor.  Returns the mask of the rows that moved."""
+    w_try, s, coeffs, psi_try = _retract(ctx, st.w - st.t[:, None] * st.d)
+    st.trials += 1
+    bound = st.psi + _SUFFICIENT_DECREASE * st.t * st.slope
+    ok = psi_try <= bound + _ROUNDOFF * np.abs(st.psi)
+    if ok.all():
+        st.dw, st.w, st.conv, st.s, st.psi = w_try - st.w, w_try, coeffs.conv_fields, s, psi_try
     else:
+        st.s, st.psi = np.where(ok, s, st.s), np.where(ok, psi_try, st.psi)
         for conv, new in zip(st.conv, coeffs.conv_fields):
-            conv[moved] = new[ok]
-        st.dw[moved] = w_try[ok] - st.w[moved]
-        st.w[moved] = w_try[ok]
-    st.stop[moved[st.its[moved] == cfg.max_iters]] = "max_iters"
-    back = rows[~ok]
-    st.t[back] *= _BACKTRACK
+            conv[ok] = new[ok]
+        st.dw[ok] = w_try[ok] - st.w[ok]
+        st.w[ok] = w_try[ok]
+        st.t[~ok] *= _BACKTRACK
+    st.stop[ok & (st.its == cfg.max_iters)] = "max_iters"
     # finite-precision stall: w did not move, so the residual test of this
     # iteration is current
-    st.stop[back[st.t[back] < _STEP_FLOOR]] = "step_floor"
-    return moved[st.stop[moved] == ""]
+    st.stop[~ok & (st.t < _STEP_FLOOR)] = "step_floor"
+    return ok[st.retire()]
 
 
 def _descend(ctx: EnergyContext, cfg: SolverConfig, w0: Field, starts: list[int]) -> _Lockstep:
-    """Descend from each row of the stack w0, numbered `starts`, in lockstep:
-    each round, the rows that moved (all at first) begin an iteration, then
-    every running row makes one trial."""
-    norms = h_norm(ctx, w0)
-    if np.any(norms == 0.0):
-        raise ValueError("initial field must be nonzero")
-    w = w0.values / norms[:, None]
-    s, coeffs = project_su(ctx, Field(ctx.spec, w), norm_pow=1.0)
-    st = _Lockstep(starts, w, coeffs.conv_fields, s, coeffs.energy(s))
-    turning = np.arange(len(w))
+    """Descend from the rows of w0, numbered `starts`, in lockstep: each round, the
+    rows that moved (all at first) begin an iteration, then every running row tries a step."""
+    w, s, coeffs, psi = _retract(ctx, w0.values)
+    st = _Lockstep(starts, w, coeffs.conv_fields, s, psi)
+    moved = np.ones(len(w), dtype=bool)
     while True:
-        if turning.size:
-            _turn(ctx, cfg, st, turning)
-        live = np.flatnonzero(st.stop == "")
-        if not live.size:
-            break
-        turning = _trial_round(ctx, cfg, st, live)
-    st.conv = ()  # would stay alive, a stack's worth, while the other stacks run
-    return st
+        if moved.any():
+            _turn(ctx, cfg, st, slice(None) if moved.all() else moved)
+            st.retire()
+        if not st.ids.size:
+            return st
+        moved = _trial_round(ctx, cfg, st)
 
 
 def _stack_rows(ctx: EnergyContext) -> int:
@@ -406,8 +401,12 @@ def minimize_ground_state(
     def run(rows: np.ndarray) -> _Lockstep:
         return _descend(ctx, cfg, Field(ctx.spec, starts.values[rows]), rows.tolist())
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread unless used
-        runs = list(pool.map(run, stacks) if threads > 1 else map(run, stacks))
+    if threads == 1:
+        runs = list(map(run, stacks))
+    else:  # imported here, so that a run on one thread loads no executor
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(run, stacks))
 
     diags = tuple(d for st in runs for d in st.diagnostics())
     for d in diags:
@@ -418,33 +417,22 @@ def minimize_ground_state(
     winner_idx = min(converged, key=lambda k: (diags[k].energy, k))
     st = next(st for st in runs if winner_idx in st.starts)
     j = st.starts.index(winner_idx)
-    hist = np.concatenate([vals[turned == j] for turned, vals in st.history])
-    s_hist, psi_hist, res_hist = hist.T.tolist()
+    turned, *cols = (np.concatenate(col) for col in zip(*st.history))
+    s_hist, psi_hist, res_hist = (col[turned == j].tolist() for col in cols)
 
-    u_star = Field(ctx.spec, st.s[j] * st.w[j])
+    u_star = Field(ctx.spec, st.final["s"][j] * st.final["w"][j])
     coeffs = fiber_coefficients(ctx, u_star)
     residual = coeffs.gradient(1.0, pairing_field(ctx, u_star))
     report = SolveReport(
-        u=u_star,
-        energy=float(coeffs.energy(1.0)),
-        nehari_residual=float(abs(coeffs.phi(1.0))),
-        pointwise_residual=float(np.max(np.abs(residual))),
-        s_history=tuple(s_hist),
-        psi_history=tuple(psi_hist),
-        residual_history=tuple(res_hist),
-        iterations=diags[winner_idx].iterations,
-        winner_start=winner_idx,
-        start_energies=tuple(d.energy for d in diags),
-        diagnostics=diags,
+        u=u_star, energy=float(coeffs.energy(1.0)), nehari_residual=float(abs(coeffs.phi(1.0))),
+        pointwise_residual=float(np.max(np.abs(residual))), s_history=tuple(s_hist),
+        psi_history=tuple(psi_hist), residual_history=tuple(res_hist),
+        iterations=diags[winner_idx].iterations, winner_start=winner_idx,
+        start_energies=tuple(d.energy for d in diags), diagnostics=diags,
     )
     logger.info(
-        "ground-state candidate: c=%.12g nehari=%.3e pointwise=%.3e "
-        "(start %d, %d iterations)",
-        report.energy,
-        report.nehari_residual,
-        report.pointwise_residual,
-        winner_idx,
-        report.iterations,
+        "ground-state candidate: c=%.12g nehari=%.3e pointwise=%.3e (start %d, %d iterations)",
+        report.energy, report.nehari_residual, report.pointwise_residual, winner_idx, report.iterations,
     )
     return report
 

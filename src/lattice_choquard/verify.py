@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .energy import EnergyContext
-from .kernel import _STACK_BYTES, _stack_size, convolve, dense_operator
+from .kernel import _STACK_BYTES, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
 from .nehari import _descartes_witness, fiber_coefficients, project_su
@@ -94,10 +94,10 @@ def _hls_ratios(
 ) -> np.ndarray:
     """Ratios of n samples.  The scales (four decades) and sub-box corners of
     u, then of v, are drawn up front; their blocks come from one spawned
-    stream per field, `_stack_size` samples at a time, so no draw depends on
-    the stack size.  Norms are taken of the blocks, since pow costs about
-    four times as much on the placed fields' zero padding as on a nonzero
-    entry, and only u is placed: R * u is read at v's block sites."""
+    stream per field, _STACK_BYTES of placed fields at a time, so no draw
+    depends on the stack size.  Norms are taken of the blocks, since pow
+    costs about four times as much on the placed fields' zero padding as on
+    a nonzero entry, and only u is placed: R * u is read at v's block sites."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
@@ -107,7 +107,7 @@ def _hls_ratios(
     ]
     streams = rng.spawn(len(draws))
     ratios = np.empty(n)
-    size = _stack_size(ctx.table)
+    size = max(1, _STACK_BYTES // (8 * spec.site_count))
     cube = (2 * sub + 1,) * spec.dim
     for lo in range(0, n, size):
         k = slice(lo, min(lo + size, n))

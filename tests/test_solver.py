@@ -3,18 +3,22 @@ probes, centering."""
 
 import dataclasses
 import logging
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from scipy.fft import dstn
 
+import lattice_choquard
 from lattice_choquard import (
     ConstantPotential,
     Field,
     LatticeSpec,
     ModelSpec,
+    ModelViolationError,
     NonconvergenceError,
     PeriodicPotential,
     SolverConfig,
@@ -509,6 +513,83 @@ def test_stacked_descent_rows_are_independent(which, n_starts, request):
     assert stacked.s_history == alone.s_history
     assert stacked.psi_history == alone.psi_history
     assert stacked.residual_history == alone.residual_history
+
+
+def test_mixed_stops_keep_their_rows_bits(ctx_b):
+    # at max_iters=18 starts 0, 2, 3 and 6 converge and 1, 4, 5 and 7 stop
+    # at max_iters, so rows leave the stack at different rounds and for
+    # different reasons: the one stack still gives each start the bits of
+    # its descent alone
+    cfg = SolverConfig(max_iters=18)
+    stacked = minimize_ground_state(ctx_b, cfg)
+    stops = ["converged", "max_iters", "converged", "converged"] + ["max_iters"] * 2
+    assert [d.stop for d in stacked.diagnostics] == stops + ["converged", "max_iters"]
+    alone = minimize_ground_state(ctx_b, cfg, threads=cfg.n_starts)
+    assert stacked.diagnostics == alone.diagnostics
+    assert stacked.u.values.tobytes() == alone.u.values.tobytes()
+    assert stacked.s_history == alone.s_history
+    assert stacked.psi_history == alone.psi_history
+    assert stacked.residual_history == alone.residual_history
+
+
+def test_rounds_validate_no_field(ctx_b, monkeypatch):
+    # a lockstep round wraps the arrays it computes without the finite scan
+    # that a Field built at the public boundary runs
+    from lattice_choquard import lattice, solver
+
+    inside, checked = [False], []
+    post_init = lattice.Field.__post_init__
+
+    def counted(self):
+        checked.append(inside[0])
+        post_init(self)
+
+    def marked(fn):
+        def run(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+
+        return run
+
+    monkeypatch.setattr(lattice.Field, "__post_init__", counted)
+    for name in ("_turn", "_trial_round"):
+        monkeypatch.setattr(solver, name, marked(getattr(solver, name)))
+    minimize_ground_state(ctx_b)
+    assert checked and not any(checked)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_trial_fails_loudly(ctx_b, monkeypatch):
+    # with no Field checks inside a round, the trial's norm is where a
+    # non-finite step shows: the solve raises, and not as a model violation
+    # about a "nan" fiber weight
+    from lattice_choquard import solver
+
+    direction = solver._tangent_direction
+
+    def broken(*args):
+        d = direction(*args)
+        d[-1, 0] = np.inf
+        return d
+
+    monkeypatch.setattr(solver, "_tangent_direction", broken)
+    with pytest.raises((ValueError, ArithmeticError)) as err:
+        minimize_ground_state(ctx_b)
+    assert not isinstance(err.value, ModelViolationError)
+    assert "nan" not in str(err.value)
+
+
+def test_import_does_not_load_concurrent_futures():
+    # concurrent.futures (with queue) costs about 2 ms of import; the solver
+    # loads it only for a run on more than one thread
+    src = os.path.dirname(os.path.dirname(lattice_choquard.__file__))
+    code = "import sys, lattice_choquard.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert out.stdout.split() == [b"False"], out.stderr
 
 
 def test_nonconvergence_reports_diagnostics(ctx_a):

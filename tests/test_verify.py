@@ -337,11 +337,10 @@ def ctx_3d():
 @pytest.mark.parametrize("form", ["bilinear", "operator"])
 @pytest.mark.parametrize("fields", [None, 7])
 def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request, monkeypatch):
-    # stacks of the default size (431, 25 and 4 fields on these boxes) and of
-    # 7 fields; 97 samples leave a short last stack either way, and the
-    # ratios have the same bits whatever the stack size
-    from lattice_choquard import kernel, verify
-    from lattice_choquard.kernel import _spectrum
+    # stacks of the default size (963, 96 and 7 placed fields on these boxes)
+    # and of 7 fields; 97 samples leave a short last stack either way, and
+    # the ratios have the same bits whatever the stack size
+    from lattice_choquard import verify
     from reference import hls_ratios_by_sample
 
     ctx = request.getfixturevalue(name)
@@ -354,9 +353,8 @@ def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request,
     n = 97
     default = verify._hls_ratios(ctx, r, e, n, np.random.default_rng(7), s is not None)
     if fields is not None:
-        budget = fields * _spectrum(ctx.table)[1].nbytes
-        monkeypatch.setattr(kernel, "_STACK_BYTES", budget)
-    assert n % verify._stack_size(ctx.table) != 0
+        monkeypatch.setattr(verify, "_STACK_BYTES", fields * 8 * ctx.spec.site_count)
+    assert n % max(1, verify._STACK_BYTES // (8 * ctx.spec.site_count)) != 0
     fast = verify._hls_ratios(ctx, r, e, n, np.random.default_rng(7), s is not None)
     slow = hls_ratios_by_sample(ctx, r, s, n, np.random.default_rng(7))
     assert fast.tobytes() == default.tobytes()
@@ -386,7 +384,7 @@ def test_hls_norms_see_no_zero_padding(ctx_b, form, monkeypatch):
         r = 0.5 * (1.0 + N / alpha)
         e = N * r / (N - alpha * r)
     verify._hls_ratios(ctx_b, r, e, 97, np.random.default_rng(7), form == "bilinear")
-    assert len(seen) == 2 * 4  # two norms per stack of 25 samples
+    assert len(seen) == 2 * 2  # two norms per stack of 96 placed fields
     assert all(np.all(rows != 0.0) for rows in seen)
 
 
