@@ -13,11 +13,9 @@ from lattice_choquard import (
     LatticeSpec,
     ModelSpec,
     SumOfPowers,
-    energy_J,
     h_norm,
     make_context,
     project_su,
-    random_field,
 )
 
 
@@ -31,7 +29,7 @@ def main():
     )
     ctx = make_context(model)
     rng = np.random.default_rng(42)
-    u = random_field(ctx.spec, rng)
+    u = Field(ctx.spec, rng.standard_normal(ctx.spec.site_count))
 
     # the root comes with the evaluation of u it was found from: the fiber
     # maps along the whole ray are read from it
@@ -49,12 +47,11 @@ def main():
         print(f"  {s:12.6f} {en:14.8f} {ph:+14.6f}{marker}")
 
     # the fiber maximum does not care about the scale of the representative:
-    # u and u/||u|| project to the same point
+    # u and u/||u|| project to the same point, J(m(u)) = J(s_u u) on each ray
     unit = Field(ctx.spec, u.values / h_norm(ctx, u))
-    s_unit, _ = project_su(ctx, unit)
-    m_unit = Field(ctx.spec, s_unit * unit.values)
-    print(f"\nJ(m(u/||u||)) = {energy_J(ctx, m_unit):.10f}")
-    print(f"J(m(u))       = {energy_J(ctx, w):.10f}")
+    s_unit, unit_coeffs = project_su(ctx, unit)
+    print(f"\nJ(m(u/||u||)) = {unit_coeffs.energy(s_unit):.10f}")
+    print(f"J(m(u))       = {coeffs.energy(s_u):.10f}")
     print(f"max over grid = {energies.max():.10f} (grid approximation)")
 
 

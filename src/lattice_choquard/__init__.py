@@ -18,7 +18,6 @@ from .lattice import (
     DomainError,
     Field,
     LatticeSpec,
-    random_field,
     read_field_csv,
     write_field_csv,
 )
@@ -44,7 +43,6 @@ from .model import (
 from .energy import (
     EnergyContext,
     FiberCoefficients,
-    energy_J,
     fiber_coefficients,
     h_norm,
     h_norm_pow,
@@ -57,7 +55,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     StartDiagnostics,
-    center_normalize,
     minimize_ground_state,
 )
 from .verify import (

@@ -47,7 +47,6 @@ from .nehari import project_su
 from .solver import (
     NonconvergenceError,
     SolverConfig,
-    center_normalize,
     minimize_ground_state,
 )
 from .verify import run_all_checks, write_checks_json
@@ -313,7 +312,6 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     t0 = time.perf_counter()
     ctx = make_context(cfg.model)
     report = minimize_ground_state(ctx, cfg.solver, threads=threads)
-    u_out = center_normalize(ctx, report.u)
     wall = time.perf_counter() - t0
 
     payload = report.scalars()
@@ -325,7 +323,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: str, threads: int) -> int:
     }
     payload["wall_time_s"] = wall
     _json_dump(payload, os.path.join(out_dir, "report.json"))
-    write_field_csv(u_out, os.path.join(out_dir, "solution.csv"))
+    write_field_csv(report.u, os.path.join(out_dir, "solution.csv"))
     with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
         fh.write("iter,psi,residual\n")
         for i, (ps, rs) in enumerate(
@@ -464,13 +462,15 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, description=desc, help=desc)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="parallel solver starts, at least 1",
-        )
+        if name not in ("kernel", "fiber"):  # the commands that draw seeded fields
+            p.add_argument("--seed", type=int, default=None, help="override seed")
+        if name in ("solve", "sweep"):
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=1,
+                help="parallel solver starts, at least 1",
+            )
         p.add_argument("--radius", type=int, default=None, help="override radius")
         p.add_argument("--verbose", action="store_true", help="log progress")
         if name == "sweep":
@@ -507,7 +507,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         message = f"--threads must be >= 1, got {args.threads}"
         print(f"usage error: {message}", file=sys.stderr)
         return 1
@@ -524,7 +524,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        cfg = parse_config(text, args.seed, args.radius)
+        cfg = parse_config(text, getattr(args, "seed", None), args.radius)
         os.makedirs(args.out, exist_ok=True)
         if args.subcommand == "solve":
             return _cmd_solve(cfg, args.out, args.threads)

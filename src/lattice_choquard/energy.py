@@ -44,7 +44,6 @@ __all__ = [
     "make_context",
     "h_norm",
     "h_norm_pow",
-    "energy_J",
     "pairing_field",
 ]
 
@@ -185,11 +184,6 @@ def fiber_coefficients(
     dots = [np.vecdot(convs[i], powers[j]) for i, j in order]  # B_ij per row
     b = dots[0][..., None] if len(dots) == 1 else np.stack(dots, axis=-1)
     return FiberCoefficients(ctx.model.p, norm_pow, exps, phi * b, half * b, nl, u.values, convs)
-
-
-def energy_J(ctx: EnergyContext, u: Field) -> float:
-    """J(u) = norm^p(u)/p - D(u)/2; J(0) = 0."""
-    return fiber_coefficients(ctx, u).energy(1.0)
 
 
 def _pairing_parts(ctx: EnergyContext, u: Field) -> tuple[np.ndarray, np.ndarray]:

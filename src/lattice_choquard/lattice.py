@@ -31,7 +31,6 @@ __all__ = [
     "DomainError",
     "LatticeSpec",
     "Field",
-    "random_field",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -88,16 +87,6 @@ class LatticeSpec:
             idx = idx * self.side + int(c) + self.radius
         return idx
 
-    def point_of(self, index: int) -> tuple[int, ...]:
-        """Inverse of index_of."""
-        if not 0 <= index < self.site_count:
-            raise DomainError(f"index {index} out of range")
-        coords = []
-        for _ in range(self.dim):
-            coords.append(index % self.side - self.radius)
-            index //= self.side
-        return tuple(reversed(coords))
-
     def coordinate_array(self) -> np.ndarray:
         """Integer array of shape (site_count, dim) listing sites in index order."""
         grids = np.meshgrid(
@@ -146,21 +135,6 @@ class Field:
 
     def grid(self) -> np.ndarray:
         return self.values.reshape(self.values.shape[:-1] + self.spec.shape)
-
-    def translated(self, shift: Sequence[int]) -> "Field":
-        """Field x -> u(x - shift); values pushed outside the box are dropped."""
-        if len(shift) != self.spec.dim:
-            raise ValueError("shift length must equal the lattice dimension")
-        out = np.zeros(self.spec.shape)
-        src = []
-        dst = []
-        for s in (int(c) for c in shift):
-            n = self.spec.side
-            lo, hi = max(0, -s), min(n, n - s)
-            src.append(slice(lo, hi))
-            dst.append(slice(lo + s, hi + s))
-        out[tuple(dst)] = self.grid()[tuple(src)]
-        return Field(self.spec, out.reshape(-1))
 
 
 def _padded_grid(u: Field, margin: int) -> np.ndarray:
@@ -224,17 +198,6 @@ def _p_laplacian_parts(u: Field, p: float) -> tuple[np.ndarray, np.ndarray]:
         diag = diag + edge[up]
         diag += edge[down]
     return (0.5 * acc).reshape(u.values.shape), (0.5 * diag).reshape(u.values.shape)
-
-
-def random_field(
-    spec: LatticeSpec, rng: np.random.Generator, decay: float = 0.0
-) -> Field:
-    """Gaussian field, optionally damped by exp(-decay * |x|_l2)."""
-    vals = rng.standard_normal(spec.site_count)
-    if decay > 0.0:
-        dist = np.sqrt(np.sum(spec.coordinate_array() ** 2, axis=1))
-        vals = vals * np.exp(-decay * dist)
-    return Field(spec, vals)
 
 
 def _write_rows(path, header: dict, reach: int, dim: int, values: np.ndarray) -> None:

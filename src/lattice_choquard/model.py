@@ -54,8 +54,6 @@ class ConstantPotential:
 
     value: float
 
-    period = 1  # every translation leaves h unchanged
-
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value <= 0:
             raise ValueError("constant potential must be positive")
@@ -109,8 +107,6 @@ class CoercivePotential:
     scale: float
     exponent: float
 
-    period = None  # no translation leaves h unchanged
-
     def __post_init__(self) -> None:
         if not np.isfinite(self.floor) or self.floor <= 0:
             raise ValueError("floor must be positive")
@@ -128,9 +124,8 @@ class CoercivePotential:
         return h.reshape(spec.shape)
 
 
-# A potential has `grid(spec)` (h over the box, shaped like the box grid),
-# `floor` (its infimum over Z^N, positive) and `period` (1 for constant h,
-# None when no translation preserves h).
+# A potential has `grid(spec)` (h over the box, shaped like the box grid)
+# and `floor` (its infimum over Z^N, positive).
 Potential = Union[ConstantPotential, PeriodicPotential, CoercivePotential]
 
 

@@ -48,11 +48,10 @@ from .energy import (
     EnergyContext,
     _pairing_parts,
     _stacked_gradient,
-    energy_J,
     h_norm,
     pairing_field,
 )
-from .lattice import Field, random_field
+from .lattice import Field
 from .nehari import fiber_coefficients, project_su
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "StartDiagnostics",
     "NonconvergenceError",
     "minimize_ground_state",
-    "center_normalize",
 ]
 
 logger = logging.getLogger(__name__)
@@ -111,9 +109,8 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StartDiagnostics:
     """How one start ended; `stop` is "converged", "zero_direction",
-    "step_floor" or "max_iters".  `roots` is trials + 1: every trial
-    projects through one certified fiber root, and the start itself one
-    more."""
+    "step_floor" or "max_iters".  Every trial projects through one certified
+    fiber root, and the start itself one more."""
 
     start: int
     converged: bool
@@ -121,13 +118,12 @@ class StartDiagnostics:
     energy: float
     residual: float
     trials: int
-    roots: int
     stop: str
 
     def log_line(self) -> str:
         return (
             f"start {self.start}: {self.iterations} iterations, {self.trials} "
-            f"trials, {self.roots} fiber roots, residual={self.residual:.3e}, "
+            f"trials, residual={self.residual:.3e}, "
             f"converged={self.converged}, stop={self.stop}"
         )
 
@@ -162,7 +158,6 @@ class SolveReport:
     residual_history: tuple[float, ...]
     iterations: int
     winner_start: int
-    start_energies: tuple[float, ...]
     diagnostics: tuple[StartDiagnostics, ...] = field(default=())
 
     def scalars(self) -> dict:
@@ -172,7 +167,6 @@ class SolveReport:
             "pointwise_residual": self.pointwise_residual,
             "iterations": self.iterations,
             "winner_start": self.winner_start,
-            "start_energies": list(self.start_energies),
             "s_history": list(self.s_history),
             "starts": [asdict(d) for d in self.diagnostics],
         }
@@ -223,20 +217,21 @@ class _Lockstep:
         """Per start: converged if it stopped on a passed residual test before max_iters."""
         f = self.final
         ok = f["stationary"] & (f["stop"] != "max_iters")
-        cols = (ok, f["its"], f["psi"], f["resid"], f["trials"], f["trials"] + 1, f["stop"])
+        cols = (ok, f["its"], f["psi"], f["resid"], f["trials"], f["stop"])
         return [StartDiagnostics(*row) for row in zip(self.starts, *(c.tolist() for c in cols))]
 
 
 def initial_fields(ctx: EnergyContext, cfg: SolverConfig) -> Field:
     """The stack of starts: start 0 is a centered bump, the rest are seeded
-    noise with decay."""
+    Gaussian noise damped by exp(-|x|_l2 / 2), one envelope for all."""
     spec = ctx.spec
     unit = np.eye(spec.dim, dtype=int)
     bump = Field.delta(spec).values + 0.5 * sum(
         Field.delta(spec, e).values for e in np.vstack([unit, -unit])
     )
+    envelope = np.exp(-0.5 * np.sqrt(np.sum(spec.coordinate_array() ** 2, axis=1)))
     rngs = [default_rng([cfg.seed, k]) for k in range(1, cfg.n_starts)]
-    noise = [random_field(spec, rng, decay=0.5).values for rng in rngs]
+    noise = [rng.standard_normal(spec.site_count) * envelope for rng in rngs]
     return Field(spec, np.stack([bump, *noise]))
 
 
@@ -428,51 +423,10 @@ def minimize_ground_state(
         pointwise_residual=float(np.max(np.abs(residual))), s_history=tuple(s_hist),
         psi_history=tuple(psi_hist), residual_history=tuple(res_hist),
         iterations=diags[winner_idx].iterations, winner_start=winner_idx,
-        start_energies=tuple(d.energy for d in diags), diagnostics=diags,
+        diagnostics=diags,
     )
     logger.info(
         "ground-state candidate: c=%.12g nehari=%.3e pointwise=%.3e (start %d, %d iterations)",
         report.energy, report.nehari_residual, report.pointwise_residual, winner_idx, report.iterations,
     )
     return report
-
-
-def center_normalize(ctx: EnergyContext, u: Field) -> Field:
-    """Translate by potential periods so the sup-norm argmax lies in the
-    fundamental cell at the box center.
-
-    Valid for periodic potentials (constant counts with period 1).  The
-    translation is skipped, with a log flag, when the support would leave the
-    box or the energy check disagrees; coercive potentials admit no valid
-    translation and pass through unchanged.
-    """
-    T = ctx.model.potential.period
-    if T is None:
-        logger.info("center_normalize: coercive potential, no translation applied")
-        return u
-    if not np.any(u.values):
-        return u
-    argmax = int(np.argmax(np.abs(u.values)))
-    peak = ctx.spec.point_of(argmax)
-    shift = tuple(-T * (c // T) for c in peak)
-    if all(s == 0 for s in shift):
-        return u
-    r = ctx.spec.radius
-    coords = ctx.spec.coordinate_array()[np.flatnonzero(u.values)]
-    lo = coords.min(axis=0) + np.asarray(shift)
-    hi = coords.max(axis=0) + np.asarray(shift)
-    if np.any(lo < -r) or np.any(hi > r):
-        logger.warning(
-            "center_normalize skipped: translated support would leave the box"
-        )
-        return u
-    moved = u.translated(shift)
-    j0 = energy_J(ctx, u)
-    j1 = energy_J(ctx, moved)
-    if abs(j1 - j0) > 1e-12 * max(1.0, abs(j0)):
-        logger.warning(
-            "center_normalize skipped: energy moved by %.3e under translation",
-            abs(j1 - j0),
-        )
-        return u
-    return moved

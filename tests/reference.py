@@ -3,7 +3,9 @@
 The library computes these quantities on whole grids, or with faster
 algorithms; the versions here follow the definitions site by site, or are
 the slow and plainly safe algorithms they replaced, so tests can compare
-the two.  The last section holds probes of the theory (summation by parts,
+the two.  The first section holds two test helpers, which are no oracles:
+J(u) read from the library's one evaluation of u, and a Gaussian field.
+The last section holds probes of the theory (summation by parts,
 the sphere-to-manifold inverse, the fiber maximum by golden section, the
 mountain-pass geometry and level) that check the library from outside and
 that no library code calls.
@@ -22,7 +24,6 @@ from lattice_choquard import (
     LatticeSpec,
     ModelViolationError,
     convolve,
-    energy_J,
     eval_F,
     fiber_coefficients,
     h_norm,
@@ -32,6 +33,23 @@ from lattice_choquard import (
 from lattice_choquard.lattice import _p_laplacian_parts
 from lattice_choquard.nehari import _phi_root
 from lattice_choquard.verify import _T_LADDER
+
+
+# -- test helpers (not oracles) ----------------------------------------------
+
+
+def energy_J(ctx, u: Field) -> float:
+    """J(u) = norm^p(u)/p - D(u)/2, as the library evaluates it: a test
+    helper, not an independent oracle."""
+    return fiber_coefficients(ctx, u).energy(1.0)
+
+
+def random_field(spec: LatticeSpec, rng: np.random.Generator) -> Field:
+    """A field of independent standard normal values, drawn in index order."""
+    return Field(spec, rng.standard_normal(spec.site_count))
+
+
+# -- oracles -----------------------------------------------------------------
 
 
 def canonical_representatives(dim: int, radius: int) -> list[tuple[int, ...]]:

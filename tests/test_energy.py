@@ -5,16 +5,14 @@ import pytest
 
 from lattice_choquard import (
     Field,
-    energy_J,
     fiber_coefficients,
     h_norm,
     h_norm_pow,
     make_context,
     pairing_field,
-    random_field,
 )
 from conftest import make_model
-from reference import dense_interaction
+from reference import dense_interaction, energy_J, random_field
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +144,7 @@ def test_translation_invariance_constant_potential():
     coords = ctx.spec.coordinate_array()
     inner = np.max(np.abs(coords), axis=1) <= 3
     u = Field(ctx.spec, np.where(inner, rng.standard_normal(ctx.spec.site_count), 0.0))
-    shifted = u.translated((2,))
+    shifted = Field(ctx.spec, np.roll(u.values, 2))  # x -> u(x - 2): no mass leaves the box
     assert energy_J(ctx, shifted) == pytest.approx(energy_J(ctx, u), rel=1e-12)
     assert h_norm_pow(ctx, shifted) == pytest.approx(h_norm_pow(ctx, u), rel=1e-12)
 
@@ -164,10 +162,11 @@ def test_periodic_potential_shifted_by_period():
     coords = ctx.spec.coordinate_array()
     inner = np.max(np.abs(coords), axis=1) <= 4
     u = Field(ctx.spec, np.where(inner, rng.standard_normal(ctx.spec.site_count), 0.0))
-    assert energy_J(ctx, u.translated((2,))) == pytest.approx(
+    # rolls translate u, as no mass reaches the box boundary
+    assert energy_J(ctx, Field(ctx.spec, np.roll(u.values, 2))) == pytest.approx(
         energy_J(ctx, u), rel=1e-12
     )
-    assert abs(energy_J(ctx, u.translated((1,))) - energy_J(ctx, u)) > 1e-6
+    assert abs(energy_J(ctx, Field(ctx.spec, np.roll(u.values, 1))) - energy_J(ctx, u)) > 1e-6
 
 
 @pytest.mark.parametrize("dim, radius, p", [(1, 4, 2.0), (2, 3, 3.0), (3, 2, 2.5)])

@@ -20,10 +20,14 @@ from lattice_choquard import (
     convolve,
     dense_operator,
     fractional_degree,
-    random_field,
 )
 from lattice_choquard import kernel
-from reference import canonical_representatives, k_alpha_midpoint, kernel_matrix_by_differences
+from reference import (
+    canonical_representatives,
+    k_alpha_midpoint,
+    kernel_matrix_by_differences,
+    random_field,
+)
 
 # Adaptive-quadrature oracle values (QAWS algebraic-endpoint rule on the
 # stable 4 sin^2(k/2) form of the symbol), frozen from an independent

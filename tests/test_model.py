@@ -65,7 +65,6 @@ def test_coercive_potential_graph_distance():
     pot2 = CoercivePotential(floor=0.5, center=(1, -1), scale=2.0, exponent=2.0)
     # l1 distance from (1,-1) to (3,0) is 3
     assert h_at(pot2, (3, 0)) == 0.5 + 2.0 * 9.0
-    assert pot2.period is None
 
 
 def test_potential_grid_matches_pointwise():

@@ -15,23 +15,23 @@ from lattice_choquard import (
     ModelViolationError,
     SumOfPowers,
     convolve,
-    energy_J,
     fiber_coefficients,
     h_norm,
     h_norm_pow,
     make_context,
     project_su,
-    random_field,
 )
 from conftest import make_model
 from lattice_choquard.nehari import _phi_root
 from reference import (
     bisection_phi_root,
+    energy_J,
     fiber_max_golden,
     fiber_phi,
     golden_max,
     m_inverse,
     psi_grad_pairing,
+    random_field,
 )
 
 

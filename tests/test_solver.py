@@ -1,5 +1,5 @@
 """Sphere descent and its metric, multistart, box levels, mountain-pass
-probes, centering."""
+probes."""
 
 import dataclasses
 import logging
@@ -23,8 +23,6 @@ from lattice_choquard import (
     PeriodicPotential,
     SolverConfig,
     SumOfPowers,
-    center_normalize,
-    energy_J,
     fiber_coefficients,
     h_norm,
     make_context,
@@ -43,7 +41,7 @@ from lattice_choquard.solver import (
     _tangent_direction,
 )
 from conftest import make_model
-from reference import mountain_pass_geometry_probe, mountain_pass_level
+from reference import energy_J, mountain_pass_geometry_probe, mountain_pass_level
 
 # ground-state levels frozen from converged runs of this solver,
 # cross-checked against the dense-scan oracle on the small model
@@ -78,12 +76,13 @@ def test_report_residuals(ctx_a, report_a):
 
 def test_report_histories(report_a):
     assert len(report_a.psi_history) == len(report_a.residual_history)
-    assert len(report_a.start_energies) == 8  # default start count
-    assert report_a.winner_start == int(np.argmin(report_a.start_energies))
+    energies = [d.energy for d in report_a.diagnostics]
+    assert len(energies) == 8  # default start count
+    assert report_a.winner_start == int(np.argmin(energies))
     # descent with a sufficient-decrease line search is monotone
     psis = np.asarray(report_a.psi_history)
     assert np.all(psis[1:] <= psis[:-1] + 1e-12)
-    assert report_a.energy == pytest.approx(min(report_a.start_energies), rel=1e-12)
+    assert report_a.energy == pytest.approx(min(energies), rel=1e-12)
 
 
 @pytest.mark.parametrize("which", ["a", "b"])
@@ -100,19 +99,18 @@ def test_one_log_line_per_start(ctx_a, caplog):
     with caplog.at_level(logging.INFO, logger="lattice_choquard.solver"):
         report = minimize_ground_state(ctx_a, cfg)
     pattern = re.compile(
-        r"start (\d+): (\d+) iterations, (\d+) trials, (\d+) fiber roots, "
+        r"start (\d+): (\d+) iterations, (\d+) trials, "
         r"residual=\S+, converged=(True|False), stop=(\w+)"
     )
     lines = [pattern.fullmatch(rec.getMessage()) for rec in caplog.records]
     lines = [m for m in lines if m]
     assert [int(m[1]) for m in lines] == [0, 1, 2]
     for m, diag in zip(lines, report.diagnostics):
-        iterations, trials, roots = int(m[2]), int(m[3]), int(m[4])
-        assert (iterations, trials, roots) == (diag.iterations, diag.trials, diag.roots)
+        iterations, trials = int(m[2]), int(m[3])
+        assert (iterations, trials) == (diag.iterations, diag.trials)
         assert trials >= iterations - 1
-        assert roots == trials + 1  # the start, then one per trial
-        assert m[5] == str(diag.converged)
-        assert m[6] == diag.stop == "converged"
+        assert m[4] == str(diag.converged)
+        assert m[5] == diag.stop == "converged"
 
 
 def _unit_fields(ctx, count=3):
@@ -299,12 +297,13 @@ def count_convolutions(monkeypatch) -> list:
 def test_starts_share_transforms(ctx_b, monkeypatch):
     # the starts of model B run as one stack: each trial round convolves
     # every running start in one call, so the count follows the longest
-    # start instead of the sum over starts
+    # start instead of the sum over starts; a start projects through one
+    # fiber root, then one per trial
     shapes = count_convolutions(monkeypatch)
     report = minimize_ground_state(ctx_b)
-    roots = [d.roots for d in report.diagnostics]
-    assert shapes[0] == (len(roots), ctx_b.spec.site_count)
-    assert len(shapes) <= 2 * max(roots)
+    trials = [d.trials for d in report.diagnostics]
+    assert shapes[0] == (len(trials), ctx_b.spec.site_count)
+    assert len(shapes) <= 2 * (max(trials) + 1)
 
 
 def test_small_boxes_convolve_without_the_fft(ctx_b, ctx_3d, monkeypatch):
@@ -629,52 +628,9 @@ def test_geometry_probe(ctx_a, report_a):
     assert probe.sigma <= report_a.energy + 1e-9
 
 
-@pytest.fixture(scope="module")
-def periodic_solution():
+def test_periodic_reference_level():
     model = make_model(
         1, 12, 2.0, 0.5, 4.0, potential=PeriodicPotential(2, np.array([1.0, 3.0]))
     )
-    ctx = make_context(model)
-    return ctx, minimize_ground_state(ctx)
-
-
-def test_periodic_reference_level(periodic_solution):
-    _, report = periodic_solution
+    report = minimize_ground_state(make_context(model))
     assert report.energy == pytest.approx(LEVEL_PERIODIC, rel=1e-8)
-
-
-def test_center_normalize_peaks_at_origin(periodic_solution):
-    ctx, report = periodic_solution
-    centered = center_normalize(ctx, report.u)
-    peak = ctx.spec.point_of(int(np.argmax(np.abs(centered.values))))
-    assert peak == (0,)
-    assert energy_J(ctx, centered) == pytest.approx(report.energy, rel=1e-12)
-
-
-def test_center_normalize_undoes_period_shifts(periodic_solution):
-    # interior-supported bump: shifting by two periods and re-centering
-    # recovers the field exactly (no mass crosses the boundary)
-    ctx, _ = periodic_solution
-    coords = ctx.spec.coordinate_array()[:, 0]
-    vals = np.where(np.abs(coords) <= 6, np.exp(-np.abs(coords.astype(float))), 0.0)
-    u = Field(ctx.spec, vals)
-    shifted = u.translated((4,))
-    again = center_normalize(ctx, shifted)
-    assert np.array_equal(again.values, u.values)
-
-
-def test_center_normalize_keeps_coercive_fields(ctx_a):
-    from lattice_choquard import CoercivePotential
-
-    model = make_model(
-        1,
-        6,
-        2.0,
-        0.5,
-        4.0,
-        potential=CoercivePotential(floor=1.0, center=(0,), scale=0.5, exponent=1.0),
-    )
-    ctx = make_context(model)
-    u = Field.delta(ctx.spec).translated((2,))
-    out = center_normalize(ctx, u)
-    assert np.array_equal(out.values, u.values)
