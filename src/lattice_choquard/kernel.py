@@ -99,8 +99,8 @@ _PANEL = 3.0  # panel width in log t; the error estimate uses 3.5
 _HANKEL_TERMS = 6
 _K_T_MAX = 1e4  # where K_alpha's Hankel tail takes over (no reach to cover)
 # bytes of one stack, each user counting what it stacks: a transform's
-# spectra (25 fields of a 2D r=6 box, one of a 3D r=6 box, where two or more
-# ran slower) and one oracle scan stack's differences
+# spectra (25 fields of 2D r=6, one of 3D r=6, where two or more ran
+# slower), an oracle scan stack's differences, an HLS stack's box fields
 _STACK_BYTES = 1 << 17
 # a box whose dense matrix fits in this many bytes (at most 362 sites: 1D
 # r <= 180, 2D r <= 9, 3D r <= 3) convolves by the matrix product, a larger
@@ -391,6 +391,11 @@ def _fft_convolve(table: KernelTable, grids: np.ndarray) -> np.ndarray:
     return irfft(spectra, fshape[-1])[..., window]
 
 
+def _is_dense(table: KernelTable) -> bool:
+    """Whether `convolve` multiplies by `dense_operator(table)` (it fits _DENSE_BYTES)."""
+    return table.values.itemsize * (2 * table.radius + 1) ** (2 * table.dim) <= _DENSE_BYTES
+
+
 def convolve(table: KernelTable, w: Field) -> Field:
     """Nonlocal convolution (R_alpha * w)(x) = sum_y R_alpha(x - y) w(y).
 
@@ -402,6 +407,6 @@ def convolve(table: KernelTable, w: Field) -> Field:
     """
     if table.dim != w.spec.dim or table.radius != w.spec.radius:
         raise DomainError("kernel table and field lattice disagree")
-    if table.values.itemsize * w.spec.site_count**2 <= _DENSE_BYTES:
+    if _is_dense(table):
         return Field._unchecked(w.spec, np.matmul(dense_operator(table), w.values[..., None])[..., 0])
     return Field._unchecked(w.spec, _fft_convolve(table, w.grid()).reshape(w.values.shape))

@@ -9,8 +9,9 @@ nonnegative; uniqueness is the Descartes test the root finder refuses
 through.  The superlinearity inequality is exact term by term for every
 sum of powers.  The convolution inequality constant is bracketed between
 certified bounds (a power-method maximum below, Young's inequality above),
-never asserted against invented ground truth.  The energy floor is sampled.
-A failed report is a finding, not a crash.
+never asserted against invented ground truth; each of its random samples
+costs its block of sites, not the box.  The energy floor is sampled.  A
+failed report is a finding, not a crash.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .energy import EnergyContext
-from .kernel import _STACK_BYTES, convolve, dense_operator
+from .kernel import _STACK_BYTES, _is_dense, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
 from .nehari import _descartes_witness, fiber_coefficients, project_su
@@ -73,11 +74,10 @@ class CheckReport:
 
 
 def _block_sites(spec, corners: np.ndarray, cube: tuple) -> np.ndarray:
-    """Flat indices (m, cube sites) into an (m, sites) stack: row k's cube, of
-    shape `cube`, row-major from its lowest site at box point corners[k] (0-based)."""
+    """Flat box indices (m, cube sites) of row k's cube, of shape `cube`,
+    row-major from its lowest site at box point corners[k] (0-based)."""
     offsets = np.ravel_multi_index(np.indices(cube).reshape(spec.dim, -1), spec.shape)
-    at = np.ravel_multi_index(corners.T, spec.shape) + spec.site_count * np.arange(len(corners))
-    return at[:, None] + offsets
+    return np.ravel_multi_index(corners.T, spec.shape)[:, None] + offsets
 
 
 def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
@@ -93,11 +93,12 @@ def _hls_ratios(
     ctx: EnergyContext, r: float, e: float, n: int, rng, bilinear: bool
 ) -> np.ndarray:
     """Ratios of n samples.  The scales (four decades) and sub-box corners of
-    u, then of v, are drawn up front; their blocks come from one spawned
-    stream per field, _STACK_BYTES of placed fields at a time, so no draw
-    depends on the stack size.  Norms are taken of the blocks, since pow
-    costs about four times as much on the placed fields' zero padding as on
-    a nonzero entry, and only u is placed: R * u is read at v's block sites."""
+    u, then of v, are drawn up front, u's corners sorted into flat order; the
+    blocks come from one spawned stream per field, _STACK_BYTES of box fields
+    at a time.  Where `convolve` is dense, R * u of a run of equal corners is
+    the dense operator's columns at that cube times each block, one product
+    per sample, so no bit depends on the stack; a larger box places u and
+    convolves.  Norms are of the blocks; R * u is read at v's block sites."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
@@ -105,10 +106,17 @@ def _hls_ratios(
         (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
         for _ in range(1 + bilinear)
     ]
+    # u's corners in flat order, by counting: a numpy sort pages in 128-320 KiB more code
+    corners, cells = draws[0][1], (room,) * spec.dim
+    counts = np.bincount(np.ravel_multi_index(corners.T, cells))
+    corners[:] = np.transpose(np.unravel_index(np.repeat(np.arange(counts.size), counts), cells))
     streams = rng.spawn(len(draws))
     ratios = np.empty(n)
     size = max(1, _STACK_BYTES // (8 * spec.site_count))
     cube = (2 * sub + 1,) * spec.dim
+    K = cols = None
+    if _is_dense(ctx.table):  # one buffer takes each run's columns
+        K, cols = dense_operator(ctx.table), np.empty((spec.site_count, np.prod(cube)))
     for lo in range(0, n, size):
         k = slice(lo, min(lo + size, n))
         blocks = [
@@ -116,12 +124,18 @@ def _hls_ratios(
             for (a, _), g in zip(draws, streams)
         ]
         at = [_block_sites(spec, c[k], cube) for _, c in draws]
-        u = np.zeros((k.stop - lo, spec.site_count))
-        u.put(at[0], blocks[0])
-        conv = convolve(ctx.table, Field(spec, u)).values
+        conv = np.zeros((k.stop - lo, spec.site_count))
+        if K is None:
+            np.put_along_axis(conv, at[0], blocks[0], 1)
+            conv = convolve(ctx.table, Field(spec, conv)).values
+        else:
+            cuts = [0, *np.flatnonzero(np.diff(at[0][:, 0])) + 1, k.stop - lo]
+            for a, b in zip(cuts, cuts[1:]):
+                np.take(K, at[0][a], axis=1, out=cols)
+                np.matmul(cols, blocks[0][a:b, :, None], out=conv[a:b, :, None])
         norm = _lp_norms(blocks[0], r)
         if bilinear:
-            pair = np.vecdot(conv.take(at[1]), blocks[1])
+            pair = np.vecdot(np.take_along_axis(conv, at[1], 1), blocks[1])
             ratios[k] = np.abs(pair) / (norm * _lp_norms(blocks[1], e))
         else:
             ratios[k] = _lp_norms(conv, e) / norm
@@ -131,23 +145,23 @@ def _hls_ratios(
 def _power_sup(ctx: EnergyContext, r: float, e: float, bilinear: bool) -> tuple[float, int]:
     """The nonlinear power method (Boyd 1974) from a unit delta at the box
     center: the largest ratio of its iterates, a lower bound on the sup, and
-    its step count.  The bilinear step is u <- (R * u)^(1/(r-1)) with v = u,
-    the operator step u <- (R * (R * u)^(e-1))^(1/(r-1)); each power is taken
-    of a field divided by its max.  It stops once the ratio changes by at
-    most 1e-12 relative."""
+    its step count.  The bilinear step is u <- |R * u|^(1/(r-1)) with v = u,
+    the operator step u <- |R * |R * u|^(e-1)|^(1/(r-1)), each power of a field
+    over its max (finite on a signed table); it stops once the ratio moves <= 1e-12 rel."""
     u = np.zeros((1, ctx.spec.site_count))
     u[0, ctx.spec.site_count // 2] = 1.0
     best = value = 0.0
     for steps in range(1, _POWER_MAX_STEPS + 1):
-        w = conv = convolve(ctx.table, Field(ctx.spec, u)).values
+        conv = convolve(ctx.table, Field(ctx.spec, u)).values
         nu, pair = _lp_norms(u, r)[0], abs(np.vecdot(conv, u)[0])
         new = float(pair / (nu * _lp_norms(u, e)[0]) if bilinear else _lp_norms(conv, e)[0] / nu)
         best = max(best, new)
         if abs(new - value) <= 1e-12 * new:
             break
         value = new
+        w = np.abs(conv)
         if not bilinear:
-            w = convolve(ctx.table, Field(ctx.spec, (conv / conv.max()) ** (e - 1.0))).values
+            w = np.abs(convolve(ctx.table, Field(ctx.spec, (w / w.max()) ** (e - 1.0))).values)
         u = (w / w.max()) ** (1.0 / (r - 1.0))
     return best, steps
 

@@ -126,10 +126,10 @@ def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndar
     """Oracle for `verify._hls_ratios`: a per-sample loop over the same draws.
 
     The scales and sub-box corners of u (then of v, in the bilinear form)
-    are drawn up front, and each field's blocks come from its own spawned
-    stream, one sample at a time.  Each sample is placed site by site and
-    convolved alone, and its norms and pairing are taken with `lp_norm` and
-    a BLAS dot."""
+    are drawn up front, u's corners are sorted row by row, and each field's
+    blocks come from its own spawned stream, one sample at a time.  Each
+    sample is placed site by site and convolved alone, and its norms and
+    pairing are taken with `lp_norm` and a BLAS dot."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
@@ -138,6 +138,7 @@ def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndar
         (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
         for _ in range(k)
     ]
+    draws[0] = draws[0][0], np.array(sorted(draws[0][1].tolist()))
     streams = rng.spawn(k)
     target = None
     if s is None:

@@ -596,6 +596,16 @@ def test_check_artifacts(tmp_path, capsys):
     }
 
 
+def test_check_deterministic_artifacts(tmp_path, capsys):
+    # two check runs on model B write the same checks.json, byte for byte
+    path = write_config(tmp_path, base_config(dim=2, radius=6, p=3, alpha=1.0))
+    outs = [tmp_path / name for name in ("run1", "run2")]
+    for out in outs:
+        assert main(["check", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (outs[0] / "checks.json").read_bytes() == (outs[1] / "checks.json").read_bytes()
+
+
 def test_run_dispatcher(tmp_path, capsys):
     # main dispatches to the subcommand and creates a missing --out
     path = write_config(tmp_path, BASE)

@@ -323,7 +323,7 @@ def test_random_supported_matches_site_by_site_fill():
         blocks = rng.standard_normal((20,) + (2 * sub + 1,) * dim)
         sites = _block_sites(spec, corners, blocks.shape[1:])
         fast = np.zeros((20, spec.site_count))
-        fast.put(sites, blocks)
+        np.put_along_axis(fast, sites, blocks.reshape(20, -1), 1)
         for row, c, b in zip(fast, corners, blocks):
             assert np.array_equal(row, random_supported_by_sites(spec, c, b).values)
 
@@ -333,17 +333,27 @@ def ctx_3d():
     return make_context(make_model(3, 3, 2.0, 1.0, 4.0))
 
 
-@pytest.mark.parametrize("name", ["ctx_a", "ctx_b", "ctx_3d"])
+@pytest.fixture(scope="module")
+def ctx_fft():
+    # 441 sites: past the dense crossover, so convolve runs the pruned FFT
+    return make_context(make_model(2, 10, 2.0, 1.0, 4.0))
+
+
+@pytest.mark.parametrize("name", ["ctx_a", "ctx_b", "ctx_3d", "ctx_fft"])
 @pytest.mark.parametrize("form", ["bilinear", "operator"])
 @pytest.mark.parametrize("fields", [None, 7])
 def test_stacked_hls_ratios_match_per_sample_oracle(name, form, fields, request, monkeypatch):
-    # stacks of the default size (963, 96 and 7 placed fields on these boxes)
+    # stacks of the default size (963, 96, 47 and 37 fields on these boxes)
     # and of 7 fields; 97 samples leave a short last stack either way, and
-    # the ratios have the same bits whatever the stack size
+    # the ratios have the same bits whatever the stack size.  The first
+    # three boxes take the dense operator's columns at each cube, the last
+    # places u and convolves
     from lattice_choquard import verify
+    from lattice_choquard.kernel import _is_dense
     from reference import hls_ratios_by_sample
 
     ctx = request.getfixturevalue(name)
+    assert _is_dense(ctx.table) == (name != "ctx_fft")
     N, alpha = ctx.model.dim, ctx.model.alpha
     if form == "bilinear":
         r = s = e = 2.0 * N / (N + alpha)
@@ -386,6 +396,41 @@ def test_hls_norms_see_no_zero_padding(ctx_b, form, monkeypatch):
     verify._hls_ratios(ctx_b, r, e, 97, np.random.default_rng(7), form == "bilinear")
     assert len(seen) == 2 * 2  # two norms per stack of 96 placed fields
     assert all(np.all(rows != 0.0) for rows in seen)
+
+
+@pytest.mark.parametrize("form", ["bilinear", "operator"])
+def test_hls_sampler_memory_stays_per_stack(ctx_b, form):
+    # blocks are drawn a stack at a time: 2000 samples peak at 0.62-0.67 MB
+    # under tracemalloc, where drawing every block up front costs over 1.5 MB
+    import tracemalloc
+
+    dense_operator(ctx_b.table)
+    tracemalloc.start()
+    try:
+        if form == "bilinear":
+            hls_sampler(ctx_b, r=4.0 / 3.0, s=4.0 / 3.0, n=1000)
+        else:
+            hls_sampler(ctx_b, r=1.5, n=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_run_all_checks_reports_on_a_sign_indefinite_table(ctx_b):
+    # the power method takes its powers of |R * u|, so a table with negative
+    # entries gives finite bounds and six reports, not a crash; the exact
+    # checks fail on the negative entries
+    from lattice_choquard.kernel import KernelTable
+
+    t = ctx_b.table
+    values = np.where(t.values < 0.05, -t.values, t.values)
+    ctx = make_context(ctx_b.model, KernelTable(t.dim, t.radius, t.alpha, t.k_alpha, values))
+    reports = run_all_checks(ctx)
+    assert len(reports) == 6
+    failed = {r.name for r in reports if not r.passed}
+    assert {"fiber_growth", "su_uniqueness"} <= failed
+    assert all(np.isfinite(r.margin) for r in reports[:2])
 
 
 def _closed_form_context():
