@@ -2,16 +2,17 @@
 oracle for tiny boxes.
 
 Each check owns a random stream derived from a stated seed, reports a
-worst-case margin over its samples, and passes or fails.  Fiber growth and
-fiber-root uniqueness are exact: a termwise certificate on each sample's
-fiber polynomial, which holds for every field once the kernel table is
-nonnegative; uniqueness is the Descartes test the root finder refuses
-through.  The superlinearity inequality is exact term by term for every
-sum of powers.  The convolution inequality constant is bracketed between
-certified bounds (a power-method maximum below, Young's inequality above),
-never asserted against invented ground truth; each of its random samples
-costs its block of sites, not the box.  The energy floor is sampled.  A
-failed report is a finding, not a crash.
+worst-case margin over its samples, and passes or fails.  Fiber growth,
+fiber-root uniqueness and the energy floor are exact: a termwise
+certificate on each sample's fiber weights, which holds for every field
+once the kernel table is nonnegative, and none solves a fiber root;
+uniqueness is the Descartes test the root finder refuses through.  The
+superlinearity inequality is exact term by term for every sum of powers.
+The convolution inequality constant is bracketed between certified bounds
+(a power-method maximum below, Young's inequality above), never asserted
+against invented ground truth; each of its random samples costs its block
+of sites, not the box.  A failed report, on any kernel table, is a
+finding, not a crash.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .energy import EnergyContext
 from .kernel import _STACK_BYTES, _is_dense, convolve, dense_operator
 from .lattice import DomainError, Field, LatticeSpec
 from .model import eval_F
-from .nehari import _descartes_witness, fiber_coefficients, project_su
+from .nehari import _descartes_witness, fiber_coefficients
 from .simplex import _nelder_mead
 
 __all__ = [
@@ -59,7 +60,8 @@ class CheckReport:
 
     `margin` is the worst-case slack observed; its sign convention is that
     nonnegative means the property held on the samples (for the bracket
-    checks it is the bracket's relative width, (upper - lower) / upper).
+    checks it is the bracket's relative width, (upper - lower) / upper; for
+    the energy floor, the slack its identity guarantees for every field).
     The exact checks also fail on a negative kernel entry, whatever their
     margin.  Any report, failed ones especially, is reproducible from `seed`.
     """
@@ -92,22 +94,20 @@ def _lp_norms(rows: np.ndarray, p: float) -> np.ndarray:
 def _hls_ratios(
     ctx: EnergyContext, r: float, e: float, n: int, rng, bilinear: bool
 ) -> np.ndarray:
-    """Ratios of n samples.  The scales (four decades) and sub-box corners of
-    u, then of v, are drawn up front, u's corners sorted into flat order; the
-    blocks come from one spawned stream per field, _STACK_BYTES of box fields
-    at a time.  Where `convolve` is dense, R * u of a run of equal corners is
-    the dense operator's columns at that cube times each block, one product
-    per sample, so no bit depends on the stack; a larger box places u and
-    convolves.  Norms are of the blocks; R * u is read at v's block sites."""
+    """Ratios of n samples.  The sub-box corners of u, then of v, are drawn
+    up front, u's sorted into flat order; the blocks come from one spawned
+    stream per field, _STACK_BYTES of box fields at a time, unscaled, as both
+    ratios are 0-homogeneous in u and in v.  Where `convolve` is dense, R * u
+    of a run of equal corners is the dense operator's columns at that cube
+    times each block, one product per sample, so no bit depends on the
+    stack; a larger box places u and convolves.  Norms are of the blocks;
+    R * u is read at v's block sites."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
-    draws = [
-        (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
-        for _ in range(1 + bilinear)
-    ]
+    draws = [rng.integers(0, room, (n, spec.dim)) for _ in range(1 + bilinear)]
     # u's corners in flat order, by counting: a numpy sort pages in 128-320 KiB more code
-    corners, cells = draws[0][1], (room,) * spec.dim
+    corners, cells = draws[0], (room,) * spec.dim
     counts = np.bincount(np.ravel_multi_index(corners.T, cells))
     corners[:] = np.transpose(np.unravel_index(np.repeat(np.arange(counts.size), counts), cells))
     streams = rng.spawn(len(draws))
@@ -119,11 +119,8 @@ def _hls_ratios(
         K, cols = dense_operator(ctx.table), np.empty((spec.site_count, np.prod(cube)))
     for lo in range(0, n, size):
         k = slice(lo, min(lo + size, n))
-        blocks = [
-            a[k, None] * g.standard_normal((k.stop - lo, np.prod(cube)))
-            for (a, _), g in zip(draws, streams)
-        ]
-        at = [_block_sites(spec, c[k], cube) for _, c in draws]
+        blocks = [g.standard_normal((k.stop - lo, np.prod(cube))) for g in streams]
+        at = [_block_sites(spec, c[k], cube) for c in draws]
         conv = np.zeros((k.stop - lo, spec.site_count))
         if K is None:
             np.put_along_axis(conv, at[0], blocks[0], 1)
@@ -178,10 +175,9 @@ def hls_sampler(
     norm of u, which requires 1 < r < N/alpha.
 
     The lower bound is the larger of the sup over 2n random samples (fields
-    varied in scale over four decades and in placement) and the power
-    method's maximum.  The upper bound is Young's inequality: the
-    l^{N/(N - alpha)} norm of the kernel over its table window bounds both
-    forms on the box.
+    varied in placement) and the power method's maximum.  The upper bound is
+    Young's inequality: the l^{N/(N - alpha)} norm of the kernel over its
+    table window bounds both forms on the box.
     Passes when every ratio and both bounds are finite and lower <= upper;
     `margin` is (upper - lower) / upper.
     """
@@ -209,7 +205,7 @@ def hls_sampler(
         name=f"hls_{'bilinear' if bilinear else 'operator'}",
         statement=(
             "the kernel pairing ratio stays bounded over random supported "
-            "fields across scales and translations"
+            "fields across translations"
         ),
         n_samples=2 * n,
         margin=(upper - lower) / upper,
@@ -220,6 +216,16 @@ def hls_sampler(
             f"Young bound {upper:.6g}"
         ),
     )
+
+
+def _termwise_report(ctx, bad, why, name, statement, n, margin, seed) -> CheckReport:
+    """The report of a termwise certificate on random fields, which holds for
+    every field once the kernel table is nonnegative: it passes when the
+    table's minimum is >= 0 and no sample in `bad` fails; `detail` gives that
+    minimum, then the first failing sample and `why`."""
+    low = float(ctx.table.values.min())
+    detail = f"kernel table min {low:.6g}" + (f"; sample {bad[0]}{why}" if bad.size else "")
+    return CheckReport(name, statement, n, margin, low >= 0 and not bad.size, seed, detail)
 
 
 def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
@@ -241,20 +247,9 @@ def fiber_growth_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     grown = 2.0 * (w[:, None] * t[:, None] ** e).sum(-1)  # D(t u): (n, ladder)
     floor = t**theta * 2.0 * w.sum(1)[:, None]  # t^theta D(u)
     bad = np.flatnonzero((w < 0).any(1) | (e < theta).any())
-    low = float(ctx.table.values.min())
-    witness = f"; sample {bad[0]} fails termwise" if bad.size else ""
-    return CheckReport(
-        name="fiber_growth",
-        statement=(
-            "scaling a field by t >= 1 scales the interaction sum by at "
-            "least t**theta"
-        ),
-        n_samples=n * len(_T_LADDER),
-        margin=float(((grown - floor) / floor)[:, t > 1].min()),
-        passed=low >= 0 and bad.size == 0,
-        seed=seed,
-        detail=f"kernel table min {low:.6g}{witness}",
-    )
+    statement = "scaling a field by t >= 1 scales the interaction sum by at least t**theta"
+    margin = float(((grown - floor) / floor)[:, t > 1].min())
+    return _termwise_report(ctx, bad, " fails termwise", "fiber_growth", statement, n * t.size, margin, seed)
 
 
 def ar_condition_check(nl, seed: int = 0) -> CheckReport:
@@ -294,49 +289,31 @@ def su_uniqueness_scan(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckR
     `margin` is minus the number of samples that fail the certificate.
     """
     U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
-    low = float(ctx.table.values.min())
     bad, why = _descartes_witness(fiber_coefficients(ctx, Field(ctx.spec, U)))
-    witness = f"; sample {bad[0]}: {why}" if bad.size else ""
-    return CheckReport(
-        name="su_uniqueness",
-        statement="the fiber derivative changes sign exactly once",
-        n_samples=n,
-        margin=float(-bad.size),
-        passed=low >= 0 and not bad.size,
-        seed=seed,
-        detail=f"kernel table min {low:.6g}{witness}",
-    )
+    statement = "the fiber derivative changes sign exactly once"
+    return _termwise_report(ctx, bad, f": {why}", "su_uniqueness", statement, n, float(-bad.size), seed)
 
 
 def nehari_floor_check(ctx: EnergyContext, n: int = 32, seed: int = 0) -> CheckReport:
-    """Check the constraint-manifold energy floor on random projections.
+    """Certify the energy floor J(m(u)) >= (1/p - 1/theta) ||m(u)||^p on the
+    constraint manifold.
 
-    Every projected field must satisfy J(m(u)) >= (1/p - 1/theta) * ||m(u)||^p
-    (with 1e-10 relative slack), and the projected norms must stay away from
-    zero; together these witness that the constrained infimum is positive.
-    Both sides come from the evaluation of u its projection came from.
+    Exact, termwise, and no fiber root is solved: phi(s_u) = 0 turns the
+    slack J(m(u)) - (1/p - 1/theta) ||m(u)||^p into
+    sum_k w_k (1/theta - 1/(2 q_j)) s_u^{e_k}, with w_k = (a_i/q_i) a_j B_ij
+    the phi weight of the term pair (i, j) and e_k = q_i + q_j.  Every factor
+    1/theta - 1/(2 q_j) is positive, as theta <= q_j, so w_k >= 0 gives the
+    floor.  The weights are nonnegative for every u when the kernel table
+    is, so the check fails on a table with a negative entry, and on a random
+    u with a negative weight.  `margin` is the relative slack the identity
+    guarantees for every u, p / (2 (theta - p)), which one term attains.
     """
     U = default_rng(seed).standard_normal((n, ctx.spec.site_count))
-    p = ctx.model.p
-    factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta
-    s, coeffs = project_su(ctx, Field(ctx.spec, U))
-    nrm = s * np.power(coeffs.norm_pow, 1.0 / p)
-    floor = factor * np.power(nrm, p)
-    worst = float(((coeffs.energy(s) - floor) / np.maximum(floor, 1e-300)).min())
-    min_norm = float(nrm.min())
-    passed = worst >= -1e-10 and min_norm > 0
-    return CheckReport(
-        name="nehari_floor",
-        statement=(
-            "projected fields keep a positive norm and obey the "
-            "(1/p - 1/theta)*norm^p energy floor"
-        ),
-        n_samples=n,
-        margin=float(worst),
-        passed=passed,
-        seed=seed,
-        detail=f"min projected norm {min_norm:.6g}",
-    )
+    w = fiber_coefficients(ctx, Field(ctx.spec, U)).phi_weights
+    p, theta = ctx.model.p, ctx.model.nonlinearity.theta
+    statement = "fields on the constraint manifold obey the (1/p - 1/theta)*norm^p energy floor"
+    bad, margin = np.flatnonzero((w < 0).any(1)), p / (2.0 * (theta - p))
+    return _termwise_report(ctx, bad, " fails termwise", "nehari_floor", statement, n, margin, seed)
 
 
 def _difference_matrix(spec: LatticeSpec) -> np.ndarray:

@@ -125,20 +125,17 @@ def random_supported_by_sites(spec: LatticeSpec, corner, block: np.ndarray) -> F
 def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndarray:
     """Oracle for `verify._hls_ratios`: a per-sample loop over the same draws.
 
-    The scales and sub-box corners of u (then of v, in the bilinear form)
-    are drawn up front, u's corners are sorted row by row, and each field's
-    blocks come from its own spawned stream, one sample at a time.  Each
-    sample is placed site by site and convolved alone, and its norms and
-    pairing are taken with `lp_norm` and a BLAS dot."""
+    The sub-box corners of u (then of v, in the bilinear form) are drawn up
+    front, u's corners are sorted row by row, and each field's blocks come
+    from its own spawned stream, one sample at a time.  Each sample is
+    placed site by site and convolved alone, and its norms and pairing are
+    taken with `lp_norm` and a BLAS dot."""
     spec = ctx.spec
     sub = max(1, spec.radius // 2)
     room = 2 * (spec.radius - sub) + 1
     k = 1 if s is None else 2
-    draws = [
-        (10.0 ** rng.uniform(-2.0, 2.0, n), rng.integers(0, room, (n, spec.dim)))
-        for _ in range(k)
-    ]
-    draws[0] = draws[0][0], np.array(sorted(draws[0][1].tolist()))
+    draws = [rng.integers(0, room, (n, spec.dim)) for _ in range(k)]
+    draws[0] = np.array(sorted(draws[0].tolist()))
     streams = rng.spawn(k)
     target = None
     if s is None:
@@ -147,8 +144,8 @@ def hls_ratios_by_sample(ctx, r: float, s: float | None, n: int, rng) -> np.ndar
     for i in range(n):
         shape = (2 * sub + 1,) * spec.dim
         u, *v = [
-            random_supported_by_sites(spec, c[i], a[i] * g.standard_normal(shape))
-            for (a, c), g in zip(draws, streams)
+            random_supported_by_sites(spec, c[i], g.standard_normal(shape))
+            for c, g in zip(draws, streams)
         ]
         conv = convolve(ctx.table, u)
         if s is None:
@@ -249,8 +246,12 @@ def su_uniqueness_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
 
 
 def nehari_floor_by_sample(ctx, n: int, seed: int) -> tuple[float, bool, str]:
-    """Oracle for `verify.nehari_floor_check`: one sample at a time, with
-    J(m(u)) and ||m(u)|| read from the sample's own projection pair."""
+    """Oracle for `verify.nehari_floor_check`: the sampled check it replaced,
+    one sample at a time, with J(m(u)) and ||m(u)|| read from the sample's
+    own projection pair.  Its margin, the least relative slack
+    J(m(u)) / ((1/p - 1/theta) ||m(u)||^p) - 1 over the samples, can never
+    undercut the exact check's, the slack guaranteed for every u.
+    Returns (margin, passed, detail)."""
     rng = np.random.default_rng(seed)
     p = ctx.model.p
     factor = 1.0 / p - 1.0 / ctx.model.nonlinearity.theta

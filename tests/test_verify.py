@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,8 +142,8 @@ def test_su_uniqueness_flags_subcritical_exponent():
 
 def test_exact_checks_fail_on_a_negative_kernel_entry(ctx_b):
     # the weights of the fiber polynomial are nonnegative for every field
-    # only when the kernel table is: one negative entry fails both exact
-    # checks, whatever the sampled fields show
+    # only when the kernel table is: one negative entry fails the three
+    # fiber certificates, whatever the sampled fields show
     from lattice_choquard.kernel import KernelTable
 
     good = ctx_b.table
@@ -150,7 +151,7 @@ def test_exact_checks_fail_on_a_negative_kernel_entry(ctx_b):
     values[0, 0] = -1.0
     table = KernelTable(good.dim, good.radius, good.alpha, good.k_alpha, values)
     ctx = make_context(ctx_b.model, table=table)
-    for check in (su_uniqueness_scan, fiber_growth_check):
+    for check in (su_uniqueness_scan, fiber_growth_check, nehari_floor_check):
         report = check(ctx, n=8)
         assert not report.passed
         assert "kernel table min -1" in report.detail
@@ -419,18 +420,23 @@ def test_hls_sampler_memory_stays_per_stack(ctx_b, form):
 
 def test_run_all_checks_reports_on_a_sign_indefinite_table(ctx_b):
     # the power method takes its powers of |R * u|, so a table with negative
-    # entries gives finite bounds and six reports, not a crash; the exact
-    # checks fail on the negative entries
+    # entries gives finite bounds and six reports, not a crash; the three
+    # fiber certificates fail on the table's minimum, also where samples get
+    # negative weights (R(0) negated, or the whole table) and a fiber root
+    # would refuse them
     from lattice_choquard.kernel import KernelTable
 
     t = ctx_b.table
-    values = np.where(t.values < 0.05, -t.values, t.values)
-    ctx = make_context(ctx_b.model, KernelTable(t.dim, t.radius, t.alpha, t.k_alpha, values))
-    reports = run_all_checks(ctx)
-    assert len(reports) == 6
-    failed = {r.name for r in reports if not r.passed}
-    assert {"fiber_growth", "su_uniqueness"} <= failed
-    assert all(np.isfinite(r.margin) for r in reports[:2])
+    center = t.values.copy()
+    center[(2 * t.radius,) * t.dim] *= -1.0
+    for values in (np.where(t.values < 0.05, -t.values, t.values), center, -t.values):
+        ctx = make_context(ctx_b.model, KernelTable(t.dim, t.radius, t.alpha, t.k_alpha, values))
+        reports = {r.name: r for r in run_all_checks(ctx)}
+        assert len(reports) == 6
+        assert all(np.isfinite(reports[name].margin) for name in ("hls_bilinear", "hls_operator"))
+        for name in ("fiber_growth", "su_uniqueness", "nehari_floor"):
+            assert not reports[name].passed
+            assert reports[name].detail.startswith("kernel table min -")
 
 
 def _closed_form_context():
@@ -500,22 +506,49 @@ def test_nehari_floor_evaluates_each_sample_once(ctx_b, monkeypatch):
     assert calls == [(32, ctx_b.spec.site_count)]
 
 
-@pytest.mark.parametrize("name", ["ctx_a", "ctx_b"])
+@pytest.fixture(scope="module")
+def ctx_two_terms():
+    # model B's box with F(t) = t^4/4 + 0.5 t^5/5: the floor's pairs have
+    # unequal factors 1/theta - 1/(2 q_j)
+    model = make_model(2, 6, 3.0, 1.0, 4.0)
+    return make_context(replace(model, nonlinearity=SumOfPowers(((1.0, 4.0), (0.5, 5.0)))))
+
+
+@pytest.mark.parametrize("name", ["ctx_a", "ctx_b", "ctx_two_terms"])
 def test_stacked_checks_match_per_sample_oracles(name, request):
-    # each stacked check reports the bits of a loop over one sample at a time
+    # fiber growth and uniqueness report the bits of a loop over one sample
+    # at a time; the exact floor gives its sampled oracle's verdict, and a
+    # margin no larger than the sampled one: equal where one term attains
+    # it, strictly below with two terms (1.5 against 1.6175)
     from reference import fiber_growth_by_sample, nehari_floor_by_sample, su_uniqueness_by_sample
 
     ctx = request.getfixturevalue(name)
     for check, oracle in (
         (fiber_growth_check, fiber_growth_by_sample),
         (su_uniqueness_scan, su_uniqueness_by_sample),
-        (nehari_floor_check, nehari_floor_by_sample),
     ):
         report = check(ctx, n=40, seed=3)
-        margin, passed, detail = oracle(ctx, n=40, seed=3)
+        margin, passed, _ = oracle(ctx, n=40, seed=3)
         assert (repr(report.margin), report.passed) == (repr(margin), passed)
-        if check is nehari_floor_check:  # the exact checks' details name a certificate
-            assert report.detail == detail
+    report = nehari_floor_check(ctx, n=40, seed=3)
+    margin, passed, _ = nehari_floor_by_sample(ctx, n=40, seed=3)
+    assert report.passed == passed
+    assert report.margin <= margin * (1 + 1e-12)
+    if name == "ctx_two_terms":
+        assert report.margin == 1.5 and margin == pytest.approx(1.6175, abs=1e-4)
+    else:
+        assert report.margin == pytest.approx(margin, rel=1e-12)
+
+
+def test_run_all_checks_solves_no_fiber_root(ctx_b, monkeypatch):
+    # every fiber check is a termwise certificate on the fiber weights
+    from lattice_choquard import nehari
+
+    def refuse(coeffs):
+        raise AssertionError("a check solved a fiber root")
+
+    monkeypatch.setattr(nehari, "_phi_root", refuse)
+    assert all(r.passed for r in run_all_checks(ctx_b))
 
 
 @pytest.mark.parametrize("dim,radius", [(2, 6), (3, 6), (3, 16)])
